@@ -23,7 +23,11 @@ func TestGoldenDefaultConfig(t *testing.T) {
 		golden string
 	}{
 		{"e1", "e1_seed1.golden.json"},
+		{"e2", "e2_seed1.golden.json"},
 		{"e7", "e7_seed1.golden.json"},
+		{"e8", "e8_seed1.golden.json"},
+		{"e13", "e13_seed1.golden.json"},
+		{"e14", "e14_seed1.golden.json"},
 		{"e17", "e17_seed1.golden.json"},
 		{"e18", "e18_seed1.golden.json"},
 	}
