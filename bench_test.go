@@ -101,11 +101,11 @@ func BenchmarkCNNTrainStep(b *testing.B) {
 	net, in := benchNet(2)
 	opt := cnn.NewSGD(0.01, 0.9)
 	samples := []cnn.Sample{{Input: in, Label: 1}}
-	perm := []int{0}
+	stream := rng.New(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.TrainEpoch(samples, perm, 1, opt)
+		net.FitParallel(samples, 1, 1, 1, opt, stream)
 	}
 }
 
@@ -175,11 +175,11 @@ func BenchmarkMicroDeepTrainStep(b *testing.B) {
 	m.EnableLocalUpdate()
 	opt := cnn.NewSGD(0.01, 0.9)
 	samples := []cnn.Sample{{Input: in, Label: 1}}
-	perm := []int{0}
+	stream := rng.New(6)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.TrainEpoch(samples, perm, 1, opt)
+		m.FitParallel(samples, 1, 1, 1, opt, stream)
 	}
 }
 
@@ -259,55 +259,6 @@ func BenchmarkWSNRouting(b *testing.B) {
 		if _, err := w.Send(0, 99, 4); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchTrainSamples builds a deterministic labelled sample set matching
-// benchNet's input shape.
-func benchTrainSamples(n int) []cnn.Sample {
-	s := rng.New(77)
-	out := make([]cnn.Sample, n)
-	for i := range out {
-		in := tensor.New(1, 17, 25)
-		d := in.Data()
-		for j := range d {
-			d[j] = s.NormMeanStd(0, 1)
-		}
-		out[i] = cnn.Sample{Input: in, Label: i % 2}
-	}
-	return out
-}
-
-// BenchmarkCNNTrainEpochBatched compares one training epoch through the
-// batched im2col/GEMM engine against the per-sample path (the kernel1
-// sub-benchmark) on the same net, data, and batch size. Results are
-// bit-identical across all variants; only samples_per_sec moves.
-func BenchmarkCNNTrainEpochBatched(b *testing.B) {
-	samples := benchTrainSamples(64)
-	perm := make([]int, len(samples))
-	for i := range perm {
-		perm[i] = i
-	}
-	for _, kernel := range []int{1, 4, 8, 16} {
-		b.Run("kernel"+strconv.Itoa(kernel), func(b *testing.B) {
-			net, _ := benchNet(6)
-			opt := cnn.NewSGD(0.01, 0.9)
-			run := func() {
-				if kernel <= 1 {
-					net.TrainEpoch(samples, perm, 16, opt)
-				} else {
-					net.TrainEpochBatched(samples, perm, 16, kernel, opt)
-				}
-			}
-			run() // warm scratch buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)*float64(len(samples))/b.Elapsed().Seconds(), "samples_per_sec")
-		})
 	}
 }
 
@@ -467,7 +418,7 @@ func benchLoungeSamples(b *testing.B, n int) []cnn.Sample {
 	cfg := dataset.DefaultLoungeConfig()
 	cfg.Seed = 7
 	cfg.Samples = n
-	samples, err := dataset.GenerateLounge(cfg)
+	samples, err := dataset.GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		b.Fatal(err)
 	}

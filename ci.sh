@@ -37,15 +37,9 @@ if go run ./cmd/zeiotbench -e e7 -lossretries 5 > /dev/null 2>&1; then
     exit 1
 fi
 
-# Batched-kernel smoke: the im2col/GEMM training path must be bit-identical
-# to the serial path, so e1 under -batchkernel 8 must emit exactly the same
-# golden JSON as the default run.
-go run ./cmd/zeiotbench -e e1 -seed 1 -batchkernel 8 -json > "$smoke"
-diff -u testdata/e1_seed1.golden.json "$smoke"
-
 # Quantized-inference smoke: int8 rows are deterministic — two independent
 # -quant runs of e13 must agree byte for byte (and must not perturb the
-# float rows, which the all-experiments identity above already pins).
+# float rows, which TestGoldenDefaultConfig's e13 golden already pins).
 go run ./cmd/zeiotbench -e e13 -seed 1 -quant=true -json > "$m1"
 go run ./cmd/zeiotbench -e e13 -seed 1 -quant=true -json > "$m2"
 diff -u "$m1" "$m2"

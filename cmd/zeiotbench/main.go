@@ -10,7 +10,6 @@
 //	zeiotbench -samples 0.5    # scale dataset/trial sizes (quick sweeps)
 //	zeiotbench -repeats 5      # override accuracy-averaging repeat counts
 //	zeiotbench -loss 0.1       # lossy-link fault injection (e8/e11 gain loss dimensions)
-//	zeiotbench -batchkernel 8  # batched im2col/GEMM CNN training (results unchanged)
 //	zeiotbench -quant          # add int8 fixed-point inference rows (e1/e2/e13)
 //	zeiotbench -e e16 -nodes 100000  # crowd-scale node count (free-scale experiments)
 //	zeiotbench -e e17 -harvest 2 -harvestprofile solar  # intermittent-power runtime knobs
@@ -25,9 +24,9 @@
 //	zeiotbench -list           # list experiments
 //
 // The per-run flags -trainworkers, -samples, -repeats, -loss, -lossburst,
-// -lossretries, -batchkernel, -quant, -nodes, -harvest and -harvestprofile
-// also accept a comma-separated list matching the -e list, so
-// -parallel can legally run differently-configured experiments concurrently:
+// -lossretries, -quant, -nodes, -harvest and -harvestprofile also accept a
+// comma-separated list matching the -e list, so -parallel can legally run
+// differently-configured experiments concurrently:
 //
 //	zeiotbench -e e1,e8 -parallel 2 -trainworkers 1,4 -loss 0,0.1
 //
@@ -96,7 +95,6 @@ func run() int {
 		loss     = flag.String("loss", "0", "per-link drop probability for fault injection (0 = disabled; e8 gains a loss sweep, e11 charges retransmission energy)")
 		lossB    = flag.String("lossburst", "false", "use Gilbert-Elliott burst loss instead of independent drops")
 		lossR    = flag.String("lossretries", "3", "max retransmissions per hop for the reliable transport (0 = no retries)")
-		batchK   = flag.String("batchkernel", "0", "batched im2col/GEMM CNN training block size (0/1 = per-sample; any value yields bit-identical results)")
 		quant    = flag.String("quant", "false", "add int8 fixed-point inference accuracy rows to the CNN experiments (e1/e2/e13)")
 		nodesF   = flag.String("nodes", "0", "node count for free-scale experiments (e16; 0 = experiment default)")
 		harvF    = flag.String("harvest", "0", "harvest power scale for the intermittent runtime (e17; 0 or 1 = paper defaults)")
@@ -198,10 +196,6 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	bkVals, err := perRun("batchkernel", *batchK, n, strconv.Atoi)
-	if err != nil {
-		return fail(err)
-	}
 	qVals, err := perRun("quant", *quant, n, strconv.ParseBool)
 	if err != nil {
 		return fail(err)
@@ -231,7 +225,7 @@ func run() int {
 			mods = append(mods, strings.TrimSpace(m))
 		}
 	}
-	return runSelected(selected, *seed, *parallel, *jsonOut, *timings, *metrics, *metOut, twVals, scVals, rpVals, lossVals, lbVals, lrVals, bkVals, qVals, ndVals, hvVals, hpVals, mods, ckpt)
+	return runSelected(selected, *seed, *parallel, *jsonOut, *timings, *metrics, *metOut, twVals, scVals, rpVals, lossVals, lbVals, lrVals, qVals, ndVals, hvVals, hpVals, mods, ckpt)
 }
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
@@ -269,7 +263,7 @@ func checkpointScope(selected []zeiot.Experiment, ckpt zeiot.CheckpointConfig) e
 }
 
 func runSelected(selected []zeiot.Experiment, seed uint64, parallel int, jsonOut, timings, metrics bool, metricsOut string,
-	twVals []int, scVals []float64, rpVals []int, lossVals []float64, lbVals []bool, lrVals []int, bkVals []int, qVals []bool, ndVals []int,
+	twVals []int, scVals []float64, rpVals []int, lossVals []float64, lbVals []bool, lrVals []int, qVals []bool, ndVals []int,
 	hvVals []float64, hpVals []string, mods []string, ckpt zeiot.CheckpointConfig) int {
 
 	// Loss options explicitly passed while every run has -loss 0 would be
@@ -306,7 +300,6 @@ func runSelected(selected []zeiot.Experiment, seed uint64, parallel int, jsonOut
 		rc.TrainWorkers = twVals[i]
 		rc.SampleScale = scVals[i]
 		rc.Repeats = rpVals[i]
-		rc.BatchKernel = bkVals[i]
 		rc.Quantize = qVals[i]
 		rc.Nodes = ndVals[i]
 		rc.Harvest = zeiot.HarvestConfig{PowerScale: hvVals[i], Profile: hpVals[i]}

@@ -103,6 +103,7 @@ func TestSubmitValidation(t *testing.T) {
 		"missing exp":       `{"config":{"Seed":1}}`,
 		"unknown exp":       `{"experiment":"e99","config":{"Seed":1}}`,
 		"unknown knob":      `{"experiment":"e1","config":{"Sede":1}}`,
+		"removed knob":      `{"experiment":"e1","config":{"BatchKernel":8}}`,
 		"invalid value":     `{"experiment":"e1","config":{"TrainWorkers":-1}}`,
 		"recorder":          `{"experiment":"e1","config":{"Recorder":{}}}`,
 		"bad loss":          `{"experiment":"e1","config":{"Loss":{"DropProb":0.5}}}`,

@@ -9,10 +9,10 @@ import (
 )
 
 // configKeyVersion tags the canonical serialization format. Bump it whenever
-// a RunConfig field is added or a normalization rule changes, so stale cache
-// entries keyed under the old format can never be served for a config the
-// old format could not describe.
-const configKeyVersion = "v1"
+// a RunConfig field is added or removed or a normalization rule changes, so
+// stale cache entries keyed under the old format can never be served for a
+// config the old format could not describe.
+const configKeyVersion = "v2"
 
 // CanonicalConfig renders (experiment, cfg) in the canonical text form that
 // ConfigKey hashes: one `field=value` line per knob, in fixed field order,
@@ -64,7 +64,6 @@ func CanonicalConfig(experiment string, cfg *RunConfig) string {
 	put("loss.maxretries", strconv.Itoa(cfg.Loss.MaxRetries))
 	put("samplescale", canonFloat(scale))
 	put("repeats", strconv.Itoa(cfg.Repeats))
-	put("batchkernel", strconv.Itoa(cfg.BatchKernel))
 	put("nodes", strconv.Itoa(cfg.Nodes))
 	put("quantize", strconv.FormatBool(cfg.Quantize))
 	put("harvest.powerscale", canonFloat(hscale))

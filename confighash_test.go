@@ -63,17 +63,16 @@ func TestConfigKeyDiscriminates(t *testing.T) {
 	lossy := zeiot.DefaultLossConfig()
 	lossy.Enabled = true
 	variants := map[string]*zeiot.RunConfig{
-		"seed":        {Seed: 2},
-		"workers":     {Seed: 1, TrainWorkers: 4},
-		"scale":       {Seed: 1, SampleScale: 0.5},
-		"repeats":     {Seed: 1, Repeats: 2},
-		"batchkernel": {Seed: 1, BatchKernel: 8},
-		"nodes":       {Seed: 1, Nodes: 3000},
-		"quantize":    {Seed: 1, Quantize: true},
-		"loss":        {Seed: 1, Loss: lossy},
-		"harvest":     {Seed: 1, Harvest: zeiot.HarvestConfig{PowerScale: 2}},
-		"profile":     {Seed: 1, Harvest: zeiot.HarvestConfig{Profile: "solar"}},
-		"checkpoint":  {Seed: 1, Checkpoint: zeiot.CheckpointConfig{Path: "f.ck", KillAfterBatches: 5}},
+		"seed":       {Seed: 2},
+		"workers":    {Seed: 1, TrainWorkers: 4},
+		"scale":      {Seed: 1, SampleScale: 0.5},
+		"repeats":    {Seed: 1, Repeats: 2},
+		"nodes":      {Seed: 1, Nodes: 3000},
+		"quantize":   {Seed: 1, Quantize: true},
+		"loss":       {Seed: 1, Loss: lossy},
+		"harvest":    {Seed: 1, Harvest: zeiot.HarvestConfig{PowerScale: 2}},
+		"profile":    {Seed: 1, Harvest: zeiot.HarvestConfig{Profile: "solar"}},
+		"checkpoint": {Seed: 1, Checkpoint: zeiot.CheckpointConfig{Path: "f.ck", KillAfterBatches: 5}},
 	}
 	seen := map[string]string{base: "base"}
 	for name, cfg := range variants {
@@ -105,7 +104,7 @@ func TestConfigKeyRejectsInvalid(t *testing.T) {
 func TestCanonicalConfigStable(t *testing.T) {
 	got := zeiot.CanonicalConfig("e1", &zeiot.RunConfig{Seed: 1})
 	want := strings.Join([]string{
-		"version=v1",
+		"version=v2",
 		"experiment=e1",
 		"seed=1",
 		"trainworkers=0",
@@ -115,7 +114,6 @@ func TestCanonicalConfigStable(t *testing.T) {
 		"loss.maxretries=0",
 		"samplescale=1",
 		"repeats=0",
-		"batchkernel=0",
 		"nodes=0",
 		"quantize=false",
 		"harvest.powerscale=1",

@@ -19,7 +19,7 @@ func loungeSamples(t *testing.T, n int) []cnn.Sample {
 	cfg := dataset.DefaultLoungeConfig()
 	cfg.Seed = 7
 	cfg.Samples = n
-	samples, err := dataset.GenerateLounge(cfg)
+	samples, err := dataset.GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,16 +27,17 @@ func loungeSamples(t *testing.T, n int) []cnn.Sample {
 }
 
 // TestTrainEpochParallelBitIdentical trains the e2 CNN for two epochs with
-// the sequential and the data-parallel path at the same seed and requires
-// the final weights to be bit-identical at every worker count. The parallel
-// path shards forward passes but reduces gradients in sample order, so any
-// drift here is a real reordering bug, not float noise — hence tol 0.
+// one and with several training workers at the same seed and requires the
+// final weights to be bit-identical at every worker count. The workers shard
+// block forwards but gradients reduce in sample order, so any drift here is
+// a real reordering bug, not float noise — hence tol 0. A batch of 40 is 5
+// blocks, so every worker count below splits it differently.
 func TestTrainEpochParallelBitIdentical(t *testing.T) {
 	samples := loungeSamples(t, 96)
-	const epochs, batch = 2, 16
+	const epochs, batch = 2, 40
 
 	ref := benchNet2(1)
-	ref.Fit(samples, epochs, batch, cnn.NewSGD(0.02, 0.9), rng.New(3).Split("fit"))
+	ref.FitParallel(samples, epochs, batch, 1, cnn.NewSGD(0.02, 0.9), rng.New(3).Split("fit"))
 
 	for _, workers := range []int{2, 3, 5, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -111,8 +111,7 @@ func RunE13AthleteHAR(ctx context.Context, rc *RunConfig) (*Result, error) {
 			cnn.NewReLU(),
 			cnn.NewDense(24, har.NumActivities(), sQ.Split("d2")),
 		)
-		net.SetBatchKernel(h.cfg.BatchKernel)
-		net.Fit(qtrain, 30, 16, cnn.NewSGD(0.05, 0.9), sQ.Split("fit"))
+		net.FitParallel(qtrain, 30, 16, h.cfg.workers(), cnn.NewSGD(0.05, 0.9), sQ.Split("fit"))
 		h.mark(StageTrain)
 		floatAcc := net.Evaluate(qtest)
 		qacc, agree, err := h.quantEval("har_", net, qtrain, qtest)

@@ -25,9 +25,8 @@ func RunE14Intrusion(ctx context.Context, rc *RunConfig) (*Result, error) {
 	// The intrusion modality adapter; its campaign path reproduces the
 	// historical intrusion.GenerateDataset draws byte-for-byte, and the
 	// inlined train/eval below keeps TrainAndEvaluate's stream names
-	// ("data"/"net"/"fit") while gaining the harness's parallel training,
-	// batch-kernel, and recorder support (FitParallel is bit-identical to
-	// the serial Fit the package helper ran).
+	// ("data"/"net"/"fit") while gaining the harness's training workers and
+	// recorder (every worker count trains bit-identical weights).
 	mod := modality.NewIntrusion()
 	cfg := mod.Cfg
 	mapsPerClass := h.cfg.scaled(60)
@@ -37,7 +36,6 @@ func RunE14Intrusion(ctx context.Context, rc *RunConfig) (*Result, error) {
 	h.mark(StageDataset)
 
 	net := intrusion.NewDetector(cfg, root.Split("net"))
-	net.SetBatchKernel(h.cfg.BatchKernel)
 	net.SetRecorder(h.cfg.Recorder, "intrusion_", test)
 	net.FitParallel(train, 8, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), root.Split("fit"))
 	h.mark(StageTrain)

@@ -333,7 +333,6 @@ func RunE17Intermittent(ctx context.Context, rc *RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	model.SetBatchKernel(h.cfg.BatchKernel)
 	model.FitParallel(train, 2, e17Batch, h.cfg.workers(), mdOpt, rng.New(seed).Split("e17-md-fit"))
 	h.mark(StageTrain)
 

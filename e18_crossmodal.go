@@ -190,7 +190,6 @@ func RunE18CrossModal(ctx context.Context, rc *RunConfig) (*Result, error) {
 
 		key := sanitizeKey(name)
 		net := e18Net(spec, s.Split("net"))
-		net.SetBatchKernel(h.cfg.BatchKernel)
 		net.SetRecorder(h.cfg.Recorder, "e18_"+key+"_", test)
 		net.FitParallel(train, e18Epochs, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), s.Split("fit"))
 		h.mark(StageTrain)

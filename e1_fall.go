@@ -25,9 +25,9 @@ func RunE1FallCommCost(ctx context.Context, rc *RunConfig) (*Result, error) {
 	seed := h.cfg.Seed
 	root := rng.New(seed)
 	// The gait modality at experiment grade (0.55 sensor noise, as on the
-	// real film array). The campaign stream is a fresh root-seeded stream —
-	// the historical GenerateGaitStreams(cfg.Seed) derivation — while the
-	// window balancing draws from the run's named split.
+	// real film array). The campaign stream is a fresh root-seeded stream
+	// (the historical derivation), while the window balancing draws from the
+	// run's named split.
 	mod := modality.NewGait()
 	mod.Cfg.Streams = h.cfg.scaled(mod.Cfg.Streams)
 	cfg := mod.Cfg
@@ -59,7 +59,6 @@ func RunE1FallCommCost(ctx context.Context, rc *RunConfig) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.SetBatchKernel(h.cfg.BatchKernel)
 		m.SetRecorder(h.cfg.Recorder, "optimal_", test)
 		m.FitParallel(train, 8, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sOpt.Split("fit"))
 		h.mark(StageTrain)
@@ -102,7 +101,6 @@ func RunE1FallCommCost(ctx context.Context, rc *RunConfig) (*Result, error) {
 			return 0, err
 		}
 		m.EnableLocalUpdate()
-		m.SetBatchKernel(h.cfg.BatchKernel) // no-op with local updates (replica convs)
 		m.SetRecorder(h.cfg.Recorder, "feasible_", test)
 		m.FitParallel(train, 12, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sFea.Split("fit"))
 		h.mark(StageTrain)

@@ -53,8 +53,7 @@ func RunE2Lounge(ctx context.Context, rc *RunConfig) (*Result, error) {
 	root := rng.New(seed)
 	// The lounge modality at experiment grade (0.75 °C sensor noise keeps
 	// accuracies off the ceiling). The campaign stream is a fresh
-	// root-seeded stream — the historical GenerateLounge(cfg.Seed)
-	// derivation.
+	// root-seeded stream (the historical derivation).
 	mod := modality.NewLounge()
 	mod.Cfg.Samples = h.cfg.scaled(e2Samples)
 	cfg := mod.Cfg
@@ -70,7 +69,6 @@ func RunE2Lounge(ctx context.Context, rc *RunConfig) (*Result, error) {
 	var stdNet *cnn.Network // last repeat's trained standard net, for optional int8 eval
 	accStd, err := h.trainAveraged(root, "std", repeats, func(sStd *rng.Stream) (float64, error) {
 		standard := loungeNet(sStd)
-		standard.SetBatchKernel(h.cfg.BatchKernel)
 		standard.SetRecorder(h.cfg.Recorder, "standard_", test)
 		standard.FitParallel(train, 8, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sStd.Split("fit"))
 		h.mark(StageTrain)
@@ -94,7 +92,6 @@ func RunE2Lounge(ctx context.Context, rc *RunConfig) (*Result, error) {
 			return 0, err
 		}
 		m.EnableLocalUpdate()
-		m.SetBatchKernel(h.cfg.BatchKernel) // no-op with local updates (replica convs)
 		m.SetRecorder(h.cfg.Recorder, "microdeep_", test)
 		m.FitParallel(train, 12, 16, h.cfg.workers(), cnn.NewSGD(0.01, 0.9), sMD.Split("fit"))
 		h.mark(StageTrain)

@@ -39,7 +39,7 @@ func RunE8Resilience(ctx context.Context, rc *RunConfig) (*Result, error) {
 	cfg.Seed = seed
 	cfg.Samples = h.cfg.scaled(700)
 	cfg.NoiseC = 0.8
-	samples, err := dataset.GenerateLounge(cfg)
+	samples, err := dataset.GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func run() error {
 	gait := dataset.DefaultGaitConfig()
 	gait.Streams = 30
 	gait.NoiseLevel = 0.4
-	streams, err := dataset.GenerateGaitStreams(gait)
+	streams, err := dataset.GenerateGaitStreamsFrom(gait, rng.New(gait.Seed))
 	if err != nil {
 		return err
 	}
@@ -75,7 +75,7 @@ func run() error {
 		return err
 	}
 	model.EnableLocalUpdate()
-	model.Fit(samples[:cut], 8, 16, cnn.NewSGD(0.02, 0.9), root.Split("fit"))
+	model.FitParallel(samples[:cut], 8, 16, 0, cnn.NewSGD(0.02, 0.9), root.Split("fit")) // 0 workers: one per CPU
 	fmt.Printf("corridor fall detection accuracy: %.1f%% on %d held-out windows\n",
 		100*model.Evaluate(samples[cut:]), len(samples)-cut)
 

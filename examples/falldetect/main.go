@@ -32,7 +32,7 @@ func run() error {
 	cfg := dataset.DefaultGaitConfig()
 	cfg.Streams = 40
 	cfg.NoiseLevel = 0.4
-	streams, err := dataset.GenerateGaitStreams(cfg)
+	streams, err := dataset.GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		return err
 	}
@@ -69,7 +69,7 @@ func run() error {
 		return err
 	}
 	model.EnableLocalUpdate()
-	model.Fit(train, 8, 16, cnn.NewSGD(0.02, 0.9), root.Split("fit"))
+	model.FitParallel(train, 8, 16, 0, cnn.NewSGD(0.02, 0.9), root.Split("fit")) // 0 workers: one per CPU
 
 	cm := ml.NewConfusionMatrix(2)
 	for _, sample := range test {

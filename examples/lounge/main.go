@@ -43,7 +43,7 @@ func run() error {
 	cfg := dataset.DefaultLoungeConfig()
 	cfg.Samples = 600
 	cfg.NoiseC = 0.6
-	samples, err := dataset.GenerateLounge(cfg)
+	samples, err := dataset.GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		return err
 	}
@@ -53,7 +53,7 @@ func run() error {
 	// Centralized standard CNN.
 	sStd := root.Split("std")
 	std := buildNet(sStd)
-	std.Fit(train, 6, 16, cnn.NewSGD(0.02, 0.9), sStd.Split("fit"))
+	std.FitParallel(train, 6, 16, 0, cnn.NewSGD(0.02, 0.9), sStd.Split("fit")) // 0 workers: one per CPU
 	fmt.Printf("standard CNN accuracy:  %.1f%%\n", 100*std.Evaluate(test))
 
 	// MicroDeep over 50 nodes.
@@ -64,7 +64,7 @@ func run() error {
 		return err
 	}
 	model.EnableLocalUpdate()
-	model.Fit(train, 10, 16, cnn.NewSGD(0.01, 0.9), sMD.Split("fit"))
+	model.FitParallel(train, 10, 16, 0, cnn.NewSGD(0.01, 0.9), sMD.Split("fit"))
 	fmt.Printf("MicroDeep accuracy:     %.1f%%\n", 100*model.Evaluate(test))
 
 	// Peak traffic: distributed sensing vs shipping raw readings to a sink.

@@ -68,7 +68,7 @@ func run() error {
 
 	// 4. Local weight updates: no kernel synchronization traffic.
 	model.EnableLocalUpdate()
-	model.Fit(train, 6, 16, cnn.NewSGD(0.05, 0.9), root.Split("fit"))
+	model.FitParallel(train, 6, 16, 0, cnn.NewSGD(0.05, 0.9), root.Split("fit")) // 0 workers: one per CPU
 	fmt.Printf("test accuracy: %.1f%%\n", 100*model.Evaluate(test))
 
 	// 5. The distributed forward pass is exactly the centralized one.

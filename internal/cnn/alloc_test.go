@@ -70,11 +70,12 @@ func TestConvBackwardAllocFree(t *testing.T) {
 	}
 }
 
-// TestTrainEpochBatchedAllocSteadyState pins the batched training path's
-// steady-state allocation budget: after the first epoch builds the kernel
-// slots and per-layer scratch, later epochs must stay within a small
-// fixed budget (worker goroutine bookkeeping, not per-sample or per-block
-// buffers — the im2col patch, GEMM outputs and winner lists are all reused).
+// TestTrainEpochBatchedAllocSteadyState pins the training engine's
+// steady-state allocation budget on a batchable stack: after the first epoch
+// builds the slot and per-layer scratch, a later one-epoch FitParallel must
+// stay within a small fixed budget (the trainer, the epoch's permutation and
+// worker bookkeeping, not per-sample or per-block buffers — the im2col
+// patch, GEMM outputs and winner lists are all reused).
 func TestTrainEpochBatchedAllocSteadyState(t *testing.T) {
 	net, _ := allocNet(3)
 	s := rng.New(11)
@@ -87,17 +88,14 @@ func TestTrainEpochBatchedAllocSteadyState(t *testing.T) {
 		}
 		samples[i] = Sample{Input: in, Label: i % 2}
 	}
-	perm := make([]int, len(samples))
-	for i := range perm {
-		perm[i] = i
-	}
 	opt := NewSGD(0.01, 0.9)
-	net.TrainEpochBatched(samples, perm, 16, 8, opt) // warm slots and scratch
+	stream := rng.New(12)
+	net.FitParallel(samples, 1, 16, 1, opt, stream) // warm slots and scratch
 	allocs := testing.AllocsPerRun(20, func() {
-		net.TrainEpochBatched(samples, perm, 16, 8, opt)
+		net.FitParallel(samples, 1, 16, 1, opt, stream)
 	})
 	if allocs > 64 {
-		t.Errorf("TrainEpochBatched allocates %.1f objects/epoch after warm-up, want <= 64", allocs)
+		t.Errorf("FitParallel allocates %.1f objects/epoch after warm-up, want <= 64", allocs)
 	}
 }
 

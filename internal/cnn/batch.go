@@ -1,8 +1,9 @@
 package cnn
 
-// Batched training engine: im2col/GEMM kernels that process a block of B
+// Batched kernels: im2col/GEMM layer kernels that process a block of B
 // samples per layer call instead of one, bit-identical to the per-sample
-// path.
+// Forward/Backward path. The training engine (train.go) runs them on every
+// batchable stack.
 //
 // # Packed layouts
 //
@@ -14,12 +15,12 @@ package cnn
 //
 // # Bit-identity argument
 //
-// TrainEpoch is the reference. Its result is fixed by the per-element
-// elementary accumulation order: every output/gradient tensor element is an
-// independent accumulator, float64 stores are exact (no extended precision),
-// so any reorganization that feeds each element the same terms in the same
-// order produces the same bits. The batched kernels preserve that order
-// everywhere:
+// The per-sample path is the reference. Its result is fixed by the
+// per-element elementary accumulation order: every output/gradient tensor
+// element is an independent accumulator, float64 stores are exact (no
+// extended precision), so any reorganization that feeds each element the
+// same terms in the same order produces the same bits. The batched kernels
+// preserve that order everywhere:
 //
 //   - Conv forward: each output element is seeded with its bias and then
 //     receives its im2col column terms in ascending (ic, ky, kx) order via
@@ -30,27 +31,20 @@ package cnn
 //     from (-0.0)+(-0.0)).
 //   - Conv backward: gradB/gradW/gradIn keep the serial sparse loops with
 //     the block's samples outermost, so each element sees its contributions
-//     in (sample, oy, ox, oc) order — the order TrainEpoch produces across
-//     consecutive samples.
+//     in (sample, oy, ox, oc) order — the order the per-sample path produces
+//     across consecutive samples.
 //   - Dense: forward, the weight-gradient GEMM and the input-gradient GEMM
 //     all accumulate in ascending feature/sample/output order, matching the
 //     serial loops term for term (zero-skip differences are ±0 no-ops as
 //     above, on accumulators that start at +0).
 //   - ReLU/pooling/flatten: element-wise or per-plane operations applied in
 //     the serial scan order; only the memory layout changes.
-//
-// Within one optimizer mini-batch the engine runs kernel-sized blocks in
-// ascending sample order, so gradients accumulate across blocks exactly as
-// they do across samples. When composed with workers, the forward passes of
-// a mini-batch's blocks run concurrently on shadow layer stacks (as in
-// TrainEpochParallelFunc), and the backward reductions then run sequentially
-// in block order — hence bit-identical at any worker count.
+//   - Cross-entropy: crossEntropyRows runs CrossEntropy's arithmetic row by
+//     row.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"zeiot/internal/tensor"
 )
@@ -83,8 +77,8 @@ func ensureView2(v *tensor.Tensor, data []float64, r, c int) *tensor.Tensor {
 // Conv2D
 
 // supportsBatch implements batchLayer: per-position kernel replicas (the
-// MicroDeep local-update mode) make a shared-weight GEMM impossible, so
-// hooked layers fall back to the per-sample paths.
+// MicroDeep local-update mode) make a shared-weight GEMM impossible, so a
+// stack with hooked layers trains in 1-sample blocks.
 func (c *Conv2D) supportsBatch() bool { return c.kernelFor == nil }
 
 // im2col packs the batched input (InC, B, H, W) into the patch matrix
@@ -1414,37 +1408,8 @@ func (p *AvgPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tens
 // ---------------------------------------------------------------------------
 // Network engine
 
-// batchSlot is the per-block state of the batched engine: a network (the
-// owner itself for slot 0, shadow stacks for concurrent blocks), the packed
-// input block, the block's labels, and the cross-entropy scratch.
-type batchSlot struct {
-	net    *Network
-	inB    *tensor.Tensor
-	grad   *tensor.Tensor // (bsz, nclass) dLoss/dLogits rows
-	logits *tensor.Tensor
-	labels []int
-	losses []float64
-	bsz    int
-}
-
-// SetBatchKernel sets the block size of the batched im2col/GEMM training
-// engine: Fit, FitParallel and TrainEpochParallel route through it when the
-// kernel is > 1 and every layer supports batching (shared-weight stacks; a
-// MicroDeep local-update model keeps its per-sample replica path). Results
-// are bit-identical to the per-sample paths at any kernel size. Values <= 1
-// restore the per-sample paths.
-func (n *Network) SetBatchKernel(k int) {
-	if k == n.batchKernel {
-		return
-	}
-	n.batchKernel = k
-	n.bslots = nil
-}
-
-// BatchKernel returns the configured batch-kernel block size.
-func (n *Network) BatchKernel() int { return n.batchKernel }
-
-// batchable reports whether the batched engine can run this stack.
+// batchable reports whether the batched kernels can run this stack: no
+// replica tables, a 1-D or 3-D input, and a 1-D output.
 func (n *Network) batchable() bool {
 	if len(n.layers) == 0 {
 		return false
@@ -1460,42 +1425,6 @@ func (n *Network) batchable() bool {
 	}
 	out := n.OutShape()
 	return len(out) == 1
-}
-
-// prepare packs the block's samples (perm[start:start+bsz]) into the slot's
-// input tensor and sizes its per-sample scratch.
-func (s *batchSlot) prepare(n *Network, samples []Sample, perm []int, start, bsz, nclass int) {
-	s.bsz = bsz
-	if cap(s.labels) < bsz {
-		s.labels = make([]int, bsz)
-		s.losses = make([]float64, bsz)
-	}
-	s.labels = s.labels[:bsz]
-	s.losses = s.losses[:bsz]
-	s.grad = tensor.Ensure(s.grad, bsz, nclass)
-	if len(n.inShape) == 3 {
-		ch, h, w := n.inShape[0], n.inShape[1], n.inShape[2]
-		hw := h * w
-		s.inB = tensor.Ensure(s.inB, ch, bsz, h, w)
-		dst := s.inB.Data()
-		for j := 0; j < bsz; j++ {
-			smp := samples[perm[start+j]]
-			sd := smp.Input.Data()
-			for c := 0; c < ch; c++ {
-				copy(dst[(c*bsz+j)*hw:(c*bsz+j+1)*hw], sd[c*hw:(c+1)*hw])
-			}
-			s.labels[j] = smp.Label
-		}
-		return
-	}
-	f := n.inShape[0]
-	s.inB = tensor.Ensure(s.inB, bsz, f)
-	dst := s.inB.Data()
-	for j := 0; j < bsz; j++ {
-		smp := samples[perm[start+j]]
-		copy(dst[j*f:(j+1)*f], smp.Input.Data())
-		s.labels[j] = smp.Label
-	}
 }
 
 // forwardBatchAll runs all layers over a packed block. Conv2D+ReLU and
@@ -1581,10 +1510,10 @@ func (n *Network) backwardBatchAll(grad *tensor.Tensor) {
 
 // invalidateBatchWeights drops every per-layer derived-weight cache (the
 // Dense wT transpose) across the engine's slot stacks. Must run whenever the
-// underlying parameters may have changed — at epoch entry and after every
-// optimizer step.
+// underlying parameters may have changed — at trainChunk entry and after
+// every optimizer step.
 func (n *Network) invalidateBatchWeights() {
-	for _, s := range n.bslots {
+	for _, s := range n.slots {
 		for _, l := range s.net.layers {
 			if d, ok := l.(*Dense); ok {
 				d.wTok = false
@@ -1625,127 +1554,4 @@ func crossEntropyRows(logits *tensor.Tensor, labels []int, grad *tensor.Tensor, 
 		losses[b] = -math.Log(grow[label] + eps)
 		grow[label] -= 1
 	}
-}
-
-// trainEpochBatched is the batched engine. Mini-batches are split into
-// kernel-sized blocks in ascending sample order; each block runs a packed
-// forward, per-row cross-entropy, and a packed backward. With workers > 1
-// the forward passes of one mini-batch's blocks run concurrently on shadow
-// stacks, and the cross-entropy/backward reductions then run sequentially in
-// block order — the TrainEpochParallelFunc composition, at block
-// granularity. step runs at every mini-batch boundary exactly as in
-// TrainEpochParallelFunc (the caller zeroes its own gradient state). Returns
-// ok=false, having done nothing, when the stack cannot run batched.
-func (n *Network) trainEpochBatched(samples []Sample, perm []int, batch, kernel, workers int, step func(bsz int)) (loss float64, ok bool) {
-	if batch <= 0 {
-		panic("cnn: non-positive batch size")
-	}
-	if kernel <= 1 || !n.batchable() {
-		return 0, false
-	}
-	if kernel > batch {
-		kernel = batch
-	}
-	nclass := n.OutShape()[0]
-	maxBlocks := (batch + kernel - 1) / kernel
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > maxBlocks {
-		workers = maxBlocks
-	}
-	if len(n.bslots) == 0 {
-		n.bslots = append(n.bslots, &batchSlot{net: n})
-	}
-	if workers > 1 {
-		for len(n.bslots) < maxBlocks {
-			sn := n.shadowNet()
-			if sn == nil {
-				workers = 1
-				break
-			}
-			n.bslots = append(n.bslots, &batchSlot{net: sn})
-		}
-	}
-	n.invalidateBatchWeights()
-	total := 0.0
-	count := 0
-	for start := 0; start < len(perm); start += batch {
-		end := start + batch
-		if end > len(perm) {
-			end = len(perm)
-		}
-		bsz := end - start
-		nb := (bsz + kernel - 1) / kernel
-		w := workers
-		if w > nb {
-			w = nb
-		}
-		if w > 1 {
-			var wg sync.WaitGroup
-			for g := 0; g < w; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for bi := g; bi < nb; bi += w {
-						s := n.bslots[bi]
-						bs := start + bi*kernel
-						bn := kernel
-						if bs+bn > end {
-							bn = end - bs
-						}
-						s.prepare(n, samples, perm, bs, bn, nclass)
-						s.logits = s.net.forwardBatchAll(s.inB)
-					}
-				}(g)
-			}
-			wg.Wait()
-		}
-		// Sequential reduction in block (= sample) order.
-		for bi := 0; bi < nb; bi++ {
-			s := n.bslots[0]
-			if w > 1 {
-				s = n.bslots[bi]
-			} else {
-				bs := start + bi*kernel
-				bn := kernel
-				if bs+bn > end {
-					bn = end - bs
-				}
-				s.prepare(n, samples, perm, bs, bn, nclass)
-				s.logits = s.net.forwardBatchAll(s.inB)
-			}
-			crossEntropyRows(s.logits, s.labels[:s.bsz], s.grad, s.losses[:s.bsz])
-			for _, l := range s.losses[:s.bsz] {
-				total += l
-				count++
-			}
-			s.net.backwardBatchAll(s.grad)
-		}
-		step(bsz)
-		n.invalidateBatchWeights()
-	}
-	if count == 0 {
-		return 0, true
-	}
-	return total / float64(count), true
-}
-
-// TrainEpochBatched runs one epoch of mini-batch SGD through the batched
-// im2col/GEMM engine with the given kernel block size, bit-identical to
-// TrainEpoch at any kernel size. Stacks the engine cannot run (per-position
-// kernel replicas, external layers) fall back to TrainEpoch.
-func (n *Network) TrainEpochBatched(samples []Sample, perm []int, batch, kernel int, opt *SGD) float64 {
-	if batch <= 0 {
-		panic("cnn: non-positive batch size")
-	}
-	n.ZeroGrads()
-	loss, ok := n.trainEpochBatched(samples, perm, batch, kernel, 1, func(bsz int) {
-		opt.StepNetwork(n, bsz)
-		n.ZeroGrads()
-	})
-	if !ok {
-		return n.TrainEpoch(samples, perm, batch, opt)
-	}
-	return loss
 }

@@ -1,32 +1,35 @@
 package cnn
 
 import (
+	"fmt"
 	"testing"
 
 	"zeiot/internal/rng"
 	"zeiot/internal/tensor"
 )
 
-// trainRef trains net for epochs epochs through the per-sample reference
-// path with a deterministic permutation stream and returns the final loss.
-func trainRef(net *Network, samples []Sample, epochs, batch int, opt *SGD) float64 {
+// trainBlocks trains net for epochs epochs through the engine loop with the
+// given block size and worker count, drawing one permutation per epoch from
+// a fixed stream, and returns the last epoch's mean loss. Block 1 at one
+// worker — Forward, CrossEntropy and Backward one sample at a time — is the
+// reference every other configuration must reproduce bit for bit.
+func trainBlocks(net *Network, samples []Sample, epochs, batch, block, workers int, opt *SGD) float64 {
 	s := rng.New(424242)
 	loss := 0.0
 	for e := 0; e < epochs; e++ {
-		loss = net.TrainEpoch(samples, s.Perm(len(samples)), batch, opt)
+		net.ZeroGrads()
+		total := net.trainChunk(samples, s.Perm(len(samples)), batch, block, workers, 0, func(bsz int) {
+			opt.StepNetwork(net, bsz)
+			net.ZeroGrads()
+		})
+		loss = total / float64(len(samples))
 	}
 	return loss
 }
 
-// trainBatched trains net through TrainEpochBatched with the same
-// permutation stream as trainRef.
-func trainBatched(net *Network, samples []Sample, epochs, batch, kernel int, opt *SGD) float64 {
-	s := rng.New(424242)
-	loss := 0.0
-	for e := 0; e < epochs; e++ {
-		loss = net.TrainEpochBatched(samples, s.Perm(len(samples)), batch, kernel, opt)
-	}
-	return loss
+// trainRef is trainBlocks at the per-sample reference configuration.
+func trainRef(net *Network, samples []Sample, epochs, batch int, opt *SGD) float64 {
+	return trainBlocks(net, samples, epochs, batch, 1, 1, opt)
 }
 
 // requireSameParams fails unless every parameter tensor of a and b is
@@ -111,28 +114,35 @@ func batchNets() map[string]struct {
 	}
 }
 
+// TestTrainEpochBatchedBitIdentical pins the engine's bit-identity
+// contract: every block size (3 leaves partial blocks inside full
+// mini-batches; 16 exceeds the batch of 8) at every worker count must
+// reproduce the per-sample reference's loss and weights at tolerance zero.
+// Under -race it also checks that concurrent block forwards share no state.
 func TestTrainEpochBatchedBitIdentical(t *testing.T) {
 	for name, tc := range batchNets() {
 		t.Run(name, func(t *testing.T) {
 			ref := tc.build()
 			refLoss := trainRef(ref, tc.samples, 3, 8, NewSGD(0.05, 0.9))
-			// Kernel 16 exceeds the batch size of 8; 3 and 5 leave partial
-			// blocks. All must reproduce the reference bits exactly.
-			for _, kernel := range []int{2, 3, 5, 16} {
-				net := tc.build()
-				loss := trainBatched(net, tc.samples, 3, 8, kernel, NewSGD(0.05, 0.9))
-				if loss != refLoss {
-					t.Fatalf("kernel %d: loss %.17g != reference %.17g", kernel, loss, refLoss)
+			for _, block := range []int{1, 2, 3, 4, 8, 16} {
+				for _, workers := range []int{1, 2, 4} {
+					net := tc.build()
+					loss := trainBlocks(net, tc.samples, 3, 8, block, workers, NewSGD(0.05, 0.9))
+					ctx := fmt.Sprintf("block %d, workers %d", block, workers)
+					if loss != refLoss {
+						t.Fatalf("%s: loss %.17g != reference %.17g", ctx, loss, refLoss)
+					}
+					requireSameParams(t, net, ref, ctx)
 				}
-				requireSameParams(t, net, ref, "kernel "+string(rune('0'+kernel)))
 			}
 		})
 	}
 }
 
-// TestTrainEpochParallelUsesBatchKernel exercises the batched engine
-// composed with worker parallelism (run under -race it also checks the
-// shadow-slot forwards never share state).
+// TestTrainEpochParallelUsesBatchKernel checks the public fit path on every
+// batchable stack: FitParallel runs the packed kernels (the slot holds a
+// packed input block afterwards) and lands on the per-sample reference's
+// bits at every worker count.
 func TestTrainEpochParallelUsesBatchKernel(t *testing.T) {
 	for name, tc := range batchNets() {
 		t.Run(name, func(t *testing.T) {
@@ -140,41 +150,43 @@ func TestTrainEpochParallelUsesBatchKernel(t *testing.T) {
 			refLoss := trainRef(ref, tc.samples, 3, 8, NewSGD(0.05, 0.9))
 			for _, workers := range []int{1, 2, 4} {
 				net := tc.build()
-				net.SetBatchKernel(2)
-				opt := NewSGD(0.05, 0.9)
-				s := rng.New(424242)
-				loss := 0.0
-				for e := 0; e < 3; e++ {
-					loss = net.TrainEpochParallel(tc.samples, s.Perm(len(tc.samples)), 8, workers, opt)
-				}
+				loss := net.FitParallel(tc.samples, 3, 8, workers, NewSGD(0.05, 0.9), rng.New(424242))
 				if loss != refLoss {
 					t.Fatalf("workers %d: loss %.17g != reference %.17g", workers, loss, refLoss)
 				}
 				requireSameParams(t, net, ref, name)
+				if net.slots[0].inB == nil {
+					t.Fatalf("workers %d: FitParallel did not run the batched kernels", workers)
+				}
 			}
 		})
 	}
 }
 
-// TestFitRoutesThroughBatchKernel pins the Fit routing: a configured batch
-// kernel must leave Fit's results bit-identical.
+// TestFitRoutesThroughBatchKernel pins the routing rule: the shape of the
+// stack and the batch size pick the path, not a knob. A batchable stack with
+// batch >= 2 trains in packed blocks, batch 1 trains per sample, and both
+// match the reference.
 func TestFitRoutesThroughBatchKernel(t *testing.T) {
-	ref := buildTinyNet(11)
 	samples := spatialSamples(101, 23, 1, 6, 6, 3)
-	refLoss := ref.Fit(samples, 3, 8, NewSGD(0.05, 0.9), rng.New(9).Split("fit"))
-
-	net := buildTinyNet(11)
-	net.SetBatchKernel(8)
-	loss := net.Fit(samples, 3, 8, NewSGD(0.05, 0.9), rng.New(9).Split("fit"))
-	if loss != refLoss {
-		t.Fatalf("batched Fit loss %.17g != reference %.17g", loss, refLoss)
+	for _, batch := range []int{1, 8} {
+		ref := buildTinyNet(11)
+		refLoss := trainRef(ref, samples, 3, batch, NewSGD(0.05, 0.9))
+		net := buildTinyNet(11)
+		loss := net.FitParallel(samples, 3, batch, 1, NewSGD(0.05, 0.9), rng.New(424242))
+		if loss != refLoss {
+			t.Fatalf("batch %d: FitParallel loss %.17g != reference %.17g", batch, loss, refLoss)
+		}
+		requireSameParams(t, net, ref, "fit")
+		if packed := net.slots[0].inB != nil; packed != (batch > 1) {
+			t.Fatalf("batch %d: packed path used = %v", batch, packed)
+		}
 	}
-	requireSameParams(t, net, ref, "fit")
 }
 
 // TestBatchedFallsBackOnReplicaConv pins the replica-mode fallback: a conv
-// with per-position kernel tables cannot run batched, and TrainEpochBatched
-// must silently use the per-sample path instead.
+// with per-position kernel tables cannot run batched, so the engine must
+// train it in 1-sample blocks whatever block size it is asked for.
 func TestBatchedFallsBackOnReplicaConv(t *testing.T) {
 	build := func(replica bool) *Network {
 		s := rng.New(21)
@@ -203,9 +215,46 @@ func TestBatchedFallsBackOnReplicaConv(t *testing.T) {
 	if net.batchable() {
 		t.Fatal("replica-hooked conv reported batchable")
 	}
-	loss := trainBatched(net, samples, 2, 4, 8, NewSGD(0.05, 0.9))
+	loss := trainBlocks(net, samples, 2, 4, 8, 2, NewSGD(0.05, 0.9))
 	if loss != refLoss {
 		t.Fatalf("fallback loss %.17g != reference %.17g", loss, refLoss)
 	}
 	requireSameParams(t, net, ref, "replica fallback")
+	if net.slots[0].inB != nil {
+		t.Fatal("replica stack ran the batched kernels")
+	}
+}
+
+// BenchmarkTrainBlockSize sweeps the engine's block size over one epoch of
+// the e2 lounge CNN (64 samples, batch 16, one worker) — the evidence for
+// blockSize. Results are bit-identical across all sizes; only
+// samples_per_sec moves. block1 is the per-sample path.
+func BenchmarkTrainBlockSize(b *testing.B) {
+	s := rng.New(77)
+	samples := make([]Sample, 64)
+	for i := range samples {
+		samples[i] = Sample{Input: randomInput(s, 1, 17, 25), Label: i % 2}
+	}
+	perm := make([]int, len(samples))
+	for i := range perm {
+		perm[i] = i
+	}
+	for _, block := range []int{1, 4, 8, 16} {
+		b.Run(fmt.Sprintf("block%d", block), func(b *testing.B) {
+			net, _ := allocNetAnyBuild(6)
+			opt := NewSGD(0.01, 0.9)
+			step := func(bsz int) {
+				opt.StepNetwork(net, bsz)
+				net.ZeroGrads()
+			}
+			net.trainChunk(samples, perm, 16, block, 1, 0, step) // warm scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.trainChunk(samples, perm, 16, block, 1, 0, step)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)*float64(len(samples))/b.Elapsed().Seconds(), "samples_per_sec")
+		})
+	}
 }

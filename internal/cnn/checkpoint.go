@@ -8,149 +8,6 @@ import (
 	"zeiot/internal/rng"
 )
 
-// Trainer is Fit broken into resumable mini-batch steps for intermittent
-// execution: a harvest-powered node trains one batch whenever its capacitor
-// can fund it, and a power loss between batches checkpoints and later
-// resumes with results bit-identical to an uninterrupted Fit at the same
-// seed.
-//
-// The identity argument: Fit consumes the stream only through one Perm per
-// epoch, steps the optimizer at fixed batch boundaries, and accumulates the
-// epoch loss in sample order. Trainer preserves all three exactly — the
-// cursor only ever rests at a batch boundary (where gradients are zero, so
-// no partial accumulation needs saving), the permutation is recomputed on
-// resume from the stream state captured at epoch start, and chunked training
-// reuses the same per-sample forward/backward/reduce order as
-// TrainEpoch/TrainEpochParallel at any worker count.
-//
-// Trainer always uses the per-sample training paths; a batch kernel
-// configured on the network (SetBatchKernel) is ignored — the im2col blocks
-// do not checkpoint at batch granularity.
-type Trainer struct {
-	net     *Network
-	opt     Optimizer
-	stream  *rng.Stream
-	samples []Sample
-	epochs  int
-	batch   int
-	workers int
-
-	epoch      int   // completed epochs
-	cursor     int   // sample cursor within the current epoch (batch-aligned)
-	perm       []int // current epoch's shuffle; nil until the epoch starts
-	epochStart rng.State
-	lossSum    float64
-	lossCount  int
-	lastLoss   float64
-	batches    int // lifetime mini-batches run (kill-switch accounting)
-}
-
-// NewTrainer returns a trainer that will run `epochs` epochs of mini-batch
-// SGD over samples, shuffled per epoch from stream, exactly as
-// net.FitParallel(samples, epochs, batch, workers, opt, stream) would.
-func NewTrainer(net *Network, opt Optimizer, stream *rng.Stream, samples []Sample, epochs, batch, workers int) *Trainer {
-	if batch <= 0 {
-		panic("cnn: non-positive batch size")
-	}
-	return &Trainer{net: net, opt: opt, stream: stream, samples: samples,
-		epochs: epochs, batch: batch, workers: workers}
-}
-
-// Net returns the network under training.
-func (t *Trainer) Net() *Network { return t.net }
-
-// Done reports whether every epoch has completed.
-func (t *Trainer) Done() bool { return t.epoch >= t.epochs || len(t.samples) == 0 }
-
-// EpochsCompleted returns the number of fully trained epochs.
-func (t *Trainer) EpochsCompleted() int { return t.epoch }
-
-// BatchesRun returns the lifetime mini-batch count, checkpoints included.
-func (t *Trainer) BatchesRun() int { return t.batches }
-
-// LastLoss returns the mean training loss of the most recently completed
-// epoch — after the final epoch, the value Fit would have returned.
-func (t *Trainer) LastLoss() float64 { return t.lastLoss }
-
-// beginEpoch records the stream position (so resume can recompute the
-// shuffle) and draws the epoch's permutation.
-func (t *Trainer) beginEpoch() {
-	t.epochStart = t.stream.State()
-	t.perm = t.stream.Perm(len(t.samples))
-	t.cursor = 0
-	t.lossSum = 0
-	t.lossCount = 0
-	t.net.ZeroGrads()
-}
-
-// Step trains up to maxBatches mini-batches, crossing epoch boundaries as
-// needed, and returns the number actually run (0 when Done). Calling
-// Step(k) repeatedly until Done is bit-identical to one Fit call.
-func (t *Trainer) Step(maxBatches int) int {
-	ran := 0
-	for ran < maxBatches && !t.Done() {
-		if t.perm == nil {
-			t.beginEpoch()
-		}
-		want := maxBatches - ran
-		end := t.cursor + want*t.batch
-		if end > len(t.perm) {
-			end = len(t.perm)
-		}
-		chunk := t.perm[t.cursor:end]
-		ran += (len(chunk) + t.batch - 1) / t.batch
-		t.trainChunk(chunk)
-		t.cursor = end
-		if t.cursor == len(t.perm) {
-			if t.lossCount > 0 {
-				t.lastLoss = t.lossSum / float64(t.lossCount)
-			}
-			t.net.observeEpoch(t.lastLoss)
-			t.epoch++
-			t.perm = nil
-			t.cursor = 0
-		}
-	}
-	return ran
-}
-
-// trainChunk trains one batch-aligned slice of the epoch's permutation,
-// accumulating the loss total. Gradients are zero on entry and on exit
-// (batch boundaries), which is what makes the cursor checkpointable.
-func (t *Trainer) trainChunk(chunk []int) {
-	t.batches += (len(chunk) + t.batch - 1) / t.batch
-	if t.workers != 1 {
-		total, count, ok := t.net.trainChunkParallel(t.samples, chunk, t.batch, t.workers, func(bsz int) {
-			t.opt.StepNetwork(t.net, bsz)
-			t.net.ZeroGrads()
-		})
-		if ok {
-			t.lossSum += total
-			t.lossCount += count
-			return
-		}
-	}
-	inBatch := 0
-	for _, idx := range chunk {
-		s := t.samples[idx]
-		logits := t.net.Forward(s.Input)
-		loss, grad := CrossEntropy(logits, s.Label)
-		t.lossSum += loss
-		t.lossCount++
-		t.net.Backward(grad)
-		inBatch++
-		if inBatch == t.batch {
-			t.opt.StepNetwork(t.net, inBatch)
-			t.net.ZeroGrads()
-			inBatch = 0
-		}
-	}
-	if inBatch > 0 {
-		t.opt.StepNetwork(t.net, inBatch)
-		t.net.ZeroGrads()
-	}
-}
-
 // trainerBlob is the gob wire format of the training cursor.
 type trainerBlob struct {
 	Version    int

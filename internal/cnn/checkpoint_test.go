@@ -32,14 +32,14 @@ func TestSaveTrainingRoundTripSGD(t *testing.T) {
 	ref := buildTinyNet(7)
 	refOpt := NewSGD(0.05, 0.9)
 	refStream := rng.New(21).Split("fit")
-	ref.Fit(samples, 2, 8, refOpt, refStream)
+	ref.FitParallel(samples, 2, 8, 1, refOpt, refStream)
 
 	var buf bytes.Buffer
 	if err := ref.SaveTraining(&buf, refOpt, refStream); err != nil {
 		t.Fatal(err)
 	}
 
-	ref.Fit(samples, 3, 8, refOpt, refStream) // uninterrupted continuation
+	ref.FitParallel(samples, 3, 8, 1, refOpt, refStream) // uninterrupted continuation
 
 	net2, opt2, streams, err := LoadTraining(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -55,7 +55,7 @@ func TestSaveTrainingRoundTripSGD(t *testing.T) {
 	if len(streams) != 1 {
 		t.Fatalf("LoadTraining returned %d streams, want 1", len(streams))
 	}
-	net2.Fit(samples, 3, 8, sgd2, streams[0]) // resumed continuation
+	net2.FitParallel(samples, 3, 8, 1, sgd2, streams[0]) // resumed continuation
 
 	requireSameParams(t, ref, net2, "SGD resume after SaveTraining")
 }
@@ -105,9 +105,10 @@ func TestSaveTrainingRoundTripAdam(t *testing.T) {
 	requireSameParams(t, ref, net2, "Adam resume after SaveTraining")
 }
 
-// TestTrainerMatchesFit checks the resumable trainer IS Fit: irregular Step
-// chunk sizes, serial or parallel, must land on the identical weights and
-// final epoch loss as one FitParallel call.
+// TestTrainerMatchesFit checks that chunked training is FitParallel on a
+// batchable stack: irregular Step chunk sizes, serial or parallel, must run
+// the batched kernels and land on the identical weights and final epoch loss
+// as one FitParallel call.
 func TestTrainerMatchesFit(t *testing.T) {
 	samples := checkpointSamples(17, 42)
 	const epochs, batch = 3, 8
@@ -122,9 +123,12 @@ func TestTrainerMatchesFit(t *testing.T) {
 		for i := 0; !tr.Done(); i++ {
 			tr.Step(chunks[i%len(chunks)])
 		}
-		requireSameParams(t, ref, net, "trainer vs Fit")
+		requireSameParams(t, ref, net, "trainer vs FitParallel")
+		if net.slots[0].inB == nil {
+			t.Errorf("workers=%d: trainer did not run the batched kernels", workers)
+		}
 		if tr.LastLoss() != refLoss {
-			t.Errorf("workers=%d: trainer final loss %v, Fit returned %v", workers, tr.LastLoss(), refLoss)
+			t.Errorf("workers=%d: trainer final loss %v, FitParallel returned %v", workers, tr.LastLoss(), refLoss)
 		}
 		if tr.EpochsCompleted() != epochs {
 			t.Errorf("workers=%d: EpochsCompleted() = %d, want %d", workers, tr.EpochsCompleted(), epochs)
@@ -135,10 +139,11 @@ func TestTrainerMatchesFit(t *testing.T) {
 	}
 }
 
-// TestTrainerSaveResumeBitIdentity kills a trainer mid-epoch at a batch
-// boundary, resumes from the checkpoint — with a different worker count, as
-// a crashed node restarting well may choose — and requires the finished
-// weights, loss, and batch accounting to match the uninterrupted run.
+// TestTrainerSaveResumeBitIdentity kills a batched trainer mid-epoch at a
+// batch boundary, resumes from the checkpoint — with a different worker
+// count, as a crashed node restarting well may choose — and requires the
+// finished weights, loss, and batch accounting to match the uninterrupted
+// run.
 func TestTrainerSaveResumeBitIdentity(t *testing.T) {
 	samples := checkpointSamples(19, 42)
 	const epochs, batch = 3, 8
@@ -172,6 +177,9 @@ func TestTrainerSaveResumeBitIdentity(t *testing.T) {
 		}
 
 		requireSameParams(t, ref, resumed.Net(), "resumed trainer")
+		if resumed.Net().slots[0].inB == nil {
+			t.Fatalf("killAfter=%d: resumed trainer did not run the batched kernels", killAfter)
+		}
 		if resumed.LastLoss() != refTr.LastLoss() {
 			t.Errorf("killAfter=%d: resumed loss %v, uninterrupted %v", killAfter, resumed.LastLoss(), refTr.LastLoss())
 		}

@@ -291,7 +291,7 @@ func TestLearnsToyProblem(t *testing.T) {
 		NewDense(36, 2, s.Split("d")),
 	)
 	opt := NewSGD(0.05, 0.9)
-	net.Fit(samples, 15, 8, opt, s.Split("train"))
+	net.FitParallel(samples, 15, 8, 1, opt, s.Split("train"))
 	acc := net.Evaluate(samples)
 	if acc < 0.95 {
 		t.Fatalf("toy accuracy = %.3f, want >= 0.95", acc)
@@ -311,11 +311,8 @@ func TestTrainLossDecreases(t *testing.T) {
 	}
 	net := buildTinyNet(5)
 	opt := NewSGD(0.02, 0.9)
-	first := net.TrainEpoch(samples, s.Perm(len(samples)), 4, opt)
-	var last float64
-	for e := 0; e < 20; e++ {
-		last = net.TrainEpoch(samples, s.Perm(len(samples)), 4, opt)
-	}
+	first := net.FitParallel(samples, 1, 4, 1, opt, s)
+	last := net.FitParallel(samples, 20, 4, 1, opt, s)
 	if last >= first {
 		t.Fatalf("loss did not decrease: first %.4f last %.4f", first, last)
 	}

@@ -31,7 +31,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		samples = append(samples, Sample{Input: randomInput(s, 1, 8, 8), Label: i % 2})
 	}
-	net.Fit(samples, 3, 8, NewSGD(0.02, 0.9), s.Split("fit"))
+	net.FitParallel(samples, 3, 8, 1, NewSGD(0.02, 0.9), s.Split("fit"))
 
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err != nil {

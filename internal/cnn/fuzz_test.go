@@ -33,7 +33,7 @@ func FuzzLoad(f *testing.F) {
 	// of it: the training-state decode paths must be panic-free too.
 	opt := NewSGD(0.05, 0.9)
 	samples := fuzzQuantSamples()[:8]
-	net.Fit(samples[:6], 1, 2, opt, rng.New(5).Split("fit"))
+	net.FitParallel(samples[:6], 1, 2, 1, opt, rng.New(5).Split("fit"))
 	var tbuf bytes.Buffer
 	if err := net.SaveTraining(&tbuf, opt, rng.New(5)); err != nil {
 		f.Fatal(err)
@@ -65,7 +65,7 @@ func FuzzLoad(f *testing.F) {
 func FuzzQuantizedClassify(f *testing.F) {
 	net := buildTinyNet(31)
 	samples := fuzzQuantSamples()
-	net.Fit(samples, 4, 8, NewSGD(0.05, 0.9), rng.New(17).Split("fit"))
+	net.FitParallel(samples, 4, 8, 1, NewSGD(0.05, 0.9), rng.New(17).Split("fit"))
 	qn, err := QuantizeNetwork(net, samples)
 	if err != nil {
 		f.Fatal(err)

@@ -6,9 +6,11 @@
 // Tensors flow through layers in (channels, height, width) layout; Dense
 // layers operate on flattened 1-D activations. All layers record what they
 // need during Forward so Backward can run without re-supplying inputs;
-// a network therefore processes one sample at a time (mini-batches are
-// accumulated by the optimizer), which keeps the per-unit computation model
-// identical to the distributed execution in package microdeep.
+// Forward and Backward process one sample at a time, which keeps the
+// per-unit computation model identical to the distributed execution in
+// package microdeep. Training (Trainer, FitParallel) runs packed blocks of
+// samples through the bit-identical batched kernels of batch.go wherever the
+// layer stack allows.
 //
 // # Buffer ownership
 //
@@ -19,8 +21,8 @@
 // next call have to be Clone()d; (2) an input must stay unmodified until the
 // matching Backward has run; (3) a layer instance may appear at most once in
 // a network. This is what keeps the steady-state hot path allocation-free.
-// For concurrent training, TrainEpochParallel gives every in-flight sample
-// its own shadow layer stack (see shadowLayer).
+// For concurrent training, the engine gives every in-flight block its own
+// shadow layer stack (see shadowLayer).
 package cnn
 
 import (

@@ -3,8 +3,6 @@ package cnn
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"zeiot/internal/obs"
 	"zeiot/internal/rng"
@@ -13,25 +11,20 @@ import (
 
 // Network is an ordered stack of layers trained with softmax cross-entropy.
 //
-// A Network is not safe for concurrent use; TrainEpochParallel manages its
+// A Network is not safe for concurrent use; the training engine manages its
 // own internal worker goroutines over shadow layer stacks.
 type Network struct {
 	layers  []Layer
 	inShape []int
-	// slots are cached shadow networks (one per in-flight sample) used by
-	// TrainEpochParallel; they share parameter and gradient tensors with
-	// this network but own their scratch buffers.
-	slots []*Network
-	// rec, when non-nil, receives per-epoch training curves from Fit and
-	// FitParallel (see SetRecorder). Shadow networks never carry it.
+	// slots is the training engine's cached per-block state (see
+	// trainChunk): slot 0 runs on this network, the others on shadow
+	// networks sharing its parameter and gradient tensors.
+	slots []*trainSlot
+	// rec, when non-nil, receives per-epoch training curves from the
+	// training engine (see SetRecorder). Shadow networks never carry it.
 	rec       obs.Recorder
 	recPrefix string
 	recEval   []Sample
-	// batchKernel, when > 1, routes Fit, FitParallel and TrainEpochParallel
-	// through the batched im2col/GEMM engine in batch.go; bslots caches its
-	// per-block state (see SetBatchKernel).
-	batchKernel int
-	bslots      []*batchSlot
 }
 
 // NewNetwork returns a network accepting inputs of the given shape.
@@ -252,158 +245,11 @@ func (s *SGD) StepNetwork(n *Network, batch int) {
 	}
 }
 
-// TrainEpoch runs one epoch of mini-batch SGD over samples in the order
-// given by perm (pass stream.Perm(len(samples))). It returns the mean loss.
-func (n *Network) TrainEpoch(samples []Sample, perm []int, batch int, opt *SGD) float64 {
-	if batch <= 0 {
-		panic("cnn: non-positive batch size")
-	}
-	total := 0.0
-	count := 0
-	n.ZeroGrads()
-	inBatch := 0
-	for _, idx := range perm {
-		s := samples[idx]
-		logits := n.Forward(s.Input)
-		loss, grad := CrossEntropy(logits, s.Label)
-		total += loss
-		count++
-		n.Backward(grad)
-		inBatch++
-		if inBatch == batch {
-			opt.StepNetwork(n, inBatch)
-			n.ZeroGrads()
-			inBatch = 0
-		}
-	}
-	if inBatch > 0 {
-		opt.StepNetwork(n, inBatch)
-		n.ZeroGrads()
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
-}
-
-// ResetParallelState drops the cached shadow networks used by the parallel
-// training paths. Call it after structurally changing the layer stack's
-// hooks (e.g. installing conv replica hooks): stale shadows would otherwise
-// keep the old configuration.
-func (n *Network) ResetParallelState() { n.slots, n.bslots = nil, nil }
-
-// TrainEpochParallelFunc is the engine behind TrainEpochParallel and
-// microdeep's parallel local-update training. Each mini-batch's forward
-// passes are sharded across worker goroutines (workers <= 0 selects
-// runtime.NumCPU()) over cached shadow layer stacks sharing the canonical
-// parameter tensors; the backward passes then reduce their gradients
-// sequentially in sample order — the same elementary accumulation order as
-// TrainEpoch — so the result is bit-identical to the sequential path at any
-// worker count. step runs at every batch boundary with the batch's sample
-// count; the caller applies its optimizer there and zeroes its gradient
-// state (none of it is zeroed here, including up front — callers zero their
-// own state before the first sample). Returns ok=false, having done
-// nothing, when the stack cannot shadow or the effective worker count is 1;
-// the caller should then run its serial path.
-func (n *Network) TrainEpochParallelFunc(samples []Sample, perm []int, batch, workers int, step func(bsz int)) (loss float64, ok bool) {
-	total, count, ok := n.trainChunkParallel(samples, perm, batch, workers, step)
-	if !ok {
-		return 0, false
-	}
-	if count == 0 {
-		return 0, true
-	}
-	return total / float64(count), true
-}
-
-// trainChunkParallel is TrainEpochParallelFunc returning the raw loss total
-// and sample count instead of their quotient. The resumable Trainer
-// (checkpoint.go) accumulates totals across chunks of an epoch, so it needs
-// the exact sum — recovering it as mean×count would reintroduce a float
-// rounding step and break the bit-identity contract with TrainEpoch.
-func (n *Network) trainChunkParallel(samples []Sample, perm []int, batch, workers int, step func(bsz int)) (total float64, count int, ok bool) {
-	if batch <= 0 {
-		panic("cnn: non-positive batch size")
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > batch {
-		workers = batch
-	}
-	if workers == 1 {
-		return 0, 0, false
-	}
-	for len(n.slots) < batch {
-		sn := n.shadowNet()
-		if sn == nil {
-			// A layer without shadow support.
-			return 0, 0, false
-		}
-		n.slots = append(n.slots, sn)
-	}
-	logits := make([]*tensor.Tensor, batch)
-	for start := 0; start < len(perm); start += batch {
-		end := start + batch
-		if end > len(perm) {
-			end = len(perm)
-		}
-		bsz := end - start
-		w := workers
-		if w > bsz {
-			w = bsz
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for j := g; j < bsz; j += w {
-					logits[j] = n.slots[j].Forward(samples[perm[start+j]].Input)
-				}
-			}(g)
-		}
-		wg.Wait()
-		// Sequential reduction in sample order: backward accumulates into
-		// the shared gradient tensors exactly as TrainEpoch would.
-		for j := 0; j < bsz; j++ {
-			s := samples[perm[start+j]]
-			sampleLoss, grad := CrossEntropy(logits[j], s.Label)
-			total += sampleLoss
-			count++
-			n.slots[j].Backward(grad)
-		}
-		step(bsz)
-	}
-	return total, count, true
-}
-
-// TrainEpochParallel is TrainEpoch with each mini-batch's forward passes
-// sharded across worker goroutines (workers <= 0 selects runtime.NumCPU()).
-// Every in-flight sample runs on its own shadow layer stack sharing the
-// canonical parameter tensors, and the backward passes then reduce their
-// gradients sequentially in sample order — the same elementary accumulation
-// order as TrainEpoch — so the result is bit-identical to the sequential
-// path at every worker count.
-func (n *Network) TrainEpochParallel(samples []Sample, perm []int, batch, workers int, opt *SGD) float64 {
-	n.ZeroGrads()
-	step := func(bsz int) {
-		opt.StepNetwork(n, bsz)
-		n.ZeroGrads()
-	}
-	// A configured batch kernel routes through the batched im2col/GEMM
-	// engine (bit-identical; see batch.go) at any worker count, including 1.
-	if n.batchKernel > 1 {
-		if loss, ok := n.trainEpochBatched(samples, perm, batch, n.batchKernel, workers, step); ok {
-			return loss
-		}
-	}
-	loss, ok := n.TrainEpochParallelFunc(samples, perm, batch, workers, step)
-	if !ok {
-		return n.TrainEpoch(samples, perm, batch, opt)
-	}
-	return loss
-}
+// ResetParallelState drops the engine's cached slot stacks (see trainChunk).
+// Call it after structurally changing the layer stack's hooks (e.g.
+// installing conv replica hooks): stale shadows would otherwise keep the old
+// configuration.
+func (n *Network) ResetParallelState() { n.slots = nil }
 
 // Evaluate returns classification accuracy over samples.
 func (n *Network) Evaluate(samples []Sample) float64 {
@@ -419,13 +265,13 @@ func (n *Network) Evaluate(samples []Sample) float64 {
 	return float64(correct) / float64(len(samples))
 }
 
-// SetRecorder attaches an observability recorder: Fit and FitParallel then
-// record one training-loss point per epoch under <prefix>train_loss and —
-// when eval is non-empty — one accuracy point per epoch under
-// <prefix>eval_acc. Evaluation consumes no randomness, so attaching a
-// recorder never changes the trained weights or any rng stream; it only
-// spends wall time on the held-out passes. A nil recorder (the default)
-// disables recording with zero overhead.
+// SetRecorder attaches an observability recorder: training then records
+// one training-loss point per epoch under <prefix>train_loss and — when
+// eval is non-empty — one accuracy point per epoch under <prefix>eval_acc.
+// Evaluation consumes no randomness, so attaching a recorder never changes
+// the trained weights or any rng stream; it only spends wall time on the
+// held-out passes. A nil recorder (the default) disables recording with zero
+// overhead.
 func (n *Network) SetRecorder(r obs.Recorder, prefix string, eval []Sample) {
 	n.rec = r
 	n.recPrefix = prefix
@@ -445,29 +291,12 @@ func (n *Network) observeEpoch(loss float64) {
 	}
 }
 
-// Fit trains for epochs epochs with a fresh shuffle per epoch and returns
-// the final training loss.
-func (n *Network) Fit(samples []Sample, epochs, batch int, opt *SGD, stream *rng.Stream) float64 {
-	loss := 0.0
-	for e := 0; e < epochs; e++ {
-		if n.batchKernel > 1 {
-			loss = n.TrainEpochBatched(samples, stream.Perm(len(samples)), batch, n.batchKernel, opt)
-		} else {
-			loss = n.TrainEpoch(samples, stream.Perm(len(samples)), batch, opt)
-		}
-		n.observeEpoch(loss)
-	}
-	return loss
-}
-
-// FitParallel is Fit using TrainEpochParallel; it consumes the stream
-// identically to Fit, so at the same seed the trained weights are
-// bit-identical to the sequential path.
+// FitParallel trains for epochs epochs of mini-batch SGD, reshuffling from
+// stream at every epoch, and returns the last epoch's mean loss. It runs a
+// Trainer to completion; workers <= 0 selects runtime.NumCPU(), and every
+// worker count yields bit-identical weights.
 func (n *Network) FitParallel(samples []Sample, epochs, batch, workers int, opt *SGD, stream *rng.Stream) float64 {
-	loss := 0.0
-	for e := 0; e < epochs; e++ {
-		loss = n.TrainEpochParallel(samples, stream.Perm(len(samples)), batch, workers, opt)
-		n.observeEpoch(loss)
-	}
-	return loss
+	t := NewTrainer(n, opt, stream, samples, epochs, batch, workers)
+	t.Step(math.MaxInt)
+	return t.LastLoss()
 }

@@ -15,7 +15,7 @@ func TestSGDReleaseNetwork(t *testing.T) {
 	opt := NewSGD(0.01, 0.9)
 	net, in := allocNetAnyBuild(1)
 	samples := []Sample{{Input: in, Label: 1}}
-	net.TrainEpoch(samples, []int{0}, 1, opt)
+	net.FitParallel(samples, 1, 1, 1, opt, rng.New(1))
 	if opt.StateSize() == 0 {
 		t.Fatal("momentum SGD retained no velocity state after a step")
 	}
@@ -25,7 +25,7 @@ func TestSGDReleaseNetwork(t *testing.T) {
 	}
 
 	net2, _ := allocNetAnyBuild(2)
-	net2.TrainEpoch(samples, []int{0}, 1, opt)
+	net2.FitParallel(samples, 1, 1, 1, opt, rng.New(1))
 	if opt.StateSize() == 0 {
 		t.Fatal("optimizer unusable after ReleaseNetwork")
 	}
@@ -48,17 +48,16 @@ func TestSGDResetRestartsMomentum(t *testing.T) {
 		}
 		samples = append(samples, Sample{Input: in, Label: i % 2})
 	}
-	perm := []int{0, 1, 2, 3, 4, 5, 6, 7}
 
 	reused := NewSGD(0.01, 0.9)
 	warm, _ := allocNetAnyBuild(4)
-	warm.TrainEpoch(samples, perm, 4, reused) // build up velocity
+	warm.FitParallel(samples, 1, 4, 1, reused, rng.New(6)) // build up velocity
 	reused.Reset()
 	a, _ := allocNetAnyBuild(5)
-	a.TrainEpoch(samples, perm, 4, reused)
+	a.FitParallel(samples, 1, 4, 1, reused, rng.New(6))
 
 	b, _ := allocNetAnyBuild(5)
-	b.TrainEpoch(samples, perm, 4, NewSGD(0.01, 0.9))
+	b.FitParallel(samples, 1, 4, 1, NewSGD(0.01, 0.9), rng.New(6))
 
 	la, lb := a.Layers(), b.Layers()
 	for i := range la {

@@ -14,7 +14,7 @@ func trainedQuantPair(t *testing.T) (*Network, *QuantizedNetwork, []Sample) {
 	t.Helper()
 	net := buildTinyNet(31)
 	samples := spatialSamples(301, 60, 1, 6, 6, 3)
-	net.Fit(samples, 6, 8, NewSGD(0.05, 0.9), rng.New(17).Split("fit"))
+	net.FitParallel(samples, 6, 8, 1, NewSGD(0.05, 0.9), rng.New(17).Split("fit"))
 	qn, err := QuantizeNetwork(net, samples)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestQuantAvgPoolNetwork(t *testing.T) {
 	// Exercise qAvgPool (and its rounded mean) end to end.
 	net := buildFullNet(7)
 	samples := spatialSamples(311, 40, 1, 8, 8, 2)
-	net.Fit(samples, 4, 8, NewSGD(0.05, 0.9), rng.New(23).Split("fit"))
+	net.FitParallel(samples, 4, 8, 1, NewSGD(0.05, 0.9), rng.New(23).Split("fit"))
 	qn, err := QuantizeNetwork(net, samples)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestQuantFusedMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{31, 77} {
 		net := buildTinyNet(seed)
 		samples := spatialSamples(301+seed, 60, 1, 6, 6, 3)
-		net.Fit(samples, 4, 8, NewSGD(0.05, 0.9), rng.New(17).Split("fit"))
+		net.FitParallel(samples, 4, 8, 1, NewSGD(0.05, 0.9), rng.New(17).Split("fit"))
 		fused, err := QuantizeNetwork(net, samples)
 		if err != nil {
 			t.Fatal(err)

@@ -67,7 +67,9 @@ type optBlob struct {
 	M, V                [][]float64 // Adam moment estimates
 }
 
-// Optimizer is the interface SGD and Adam share; SaveTraining accepts either.
+// Optimizer steps a network's parameters over the gradients of one
+// mini-batch; the Trainer calls it at every mini-batch boundary. SGD and
+// Adam implement it, and SaveTraining serializes either.
 type Optimizer interface {
 	StepNetwork(n *Network, batch int)
 }

@@ -11,7 +11,7 @@ import (
 
 func TestLoungeDimensionsMatchPaper(t *testing.T) {
 	cfg := DefaultLoungeConfig()
-	samples, err := GenerateLounge(cfg)
+	samples, err := GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestLoungeDimensionsMatchPaper(t *testing.T) {
 func TestLoungeLabelsBalancedAndBinary(t *testing.T) {
 	cfg := DefaultLoungeConfig()
 	cfg.Samples = 600
-	samples, err := GenerateLounge(cfg)
+	samples, err := GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestLoungeLabelsBalancedAndBinary(t *testing.T) {
 func TestLoungeFieldsNormalized(t *testing.T) {
 	cfg := DefaultLoungeConfig()
 	cfg.Samples = 10
-	samples, err := GenerateLounge(cfg)
+	samples, err := GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestLoungeFieldsNormalized(t *testing.T) {
 func TestLoungeDeterministicBySeed(t *testing.T) {
 	cfg := DefaultLoungeConfig()
 	cfg.Samples = 20
-	a, err := GenerateLounge(cfg)
+	a, err := GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateLounge(cfg)
+	b, err := GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestLoungeDeterministicBySeed(t *testing.T) {
 		}
 	}
 	cfg.Seed = 2
-	c, err := GenerateLounge(cfg)
+	c, err := GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestLoungeDeterministicBySeed(t *testing.T) {
 func TestLoungeValidation(t *testing.T) {
 	cfg := DefaultLoungeConfig()
 	cfg.Rows = 0
-	if _, err := GenerateLounge(cfg); err == nil {
+	if _, err := GenerateLoungeFrom(cfg, rng.New(cfg.Seed)); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -104,7 +104,7 @@ func TestLoungeLearnable(t *testing.T) {
 	// otherwise the substitution would not exercise the paper's task.
 	cfg := DefaultLoungeConfig()
 	cfg.Samples = 400
-	samples, err := GenerateLounge(cfg)
+	samples, err := GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLoungeLearnable(t *testing.T) {
 		cnn.NewDense(4*5*8, 2, s.Split("d")),
 	)
 	train, test := samples[:320], samples[320:]
-	net.Fit(train, 8, 16, cnn.NewSGD(0.03, 0.9), s.Split("fit"))
+	net.FitParallel(train, 8, 16, 1, cnn.NewSGD(0.03, 0.9), s.Split("fit"))
 	if acc := net.Evaluate(test); acc < 0.8 {
 		t.Fatalf("lounge test accuracy = %.3f, want >= 0.8", acc)
 	}
@@ -125,7 +125,7 @@ func TestLoungeLearnable(t *testing.T) {
 
 func TestGaitStreamDimensions(t *testing.T) {
 	cfg := DefaultGaitConfig()
-	streams, err := GenerateGaitStreams(cfg)
+	streams, err := GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestGaitStreamDimensions(t *testing.T) {
 
 func TestWindowsCountAndLabels(t *testing.T) {
 	cfg := DefaultGaitConfig()
-	streams, err := GenerateGaitStreams(cfg)
+	streams, err := GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestWindowsCountAndLabels(t *testing.T) {
 func TestFallChangesFrames(t *testing.T) {
 	cfg := DefaultGaitConfig()
 	cfg.NoiseLevel = 0
-	streams, err := GenerateGaitStreams(cfg)
+	streams, err := GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFallChangesFrames(t *testing.T) {
 
 func TestBalancedWindows(t *testing.T) {
 	cfg := DefaultGaitConfig()
-	streams, err := GenerateGaitStreams(cfg)
+	streams, err := GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +240,12 @@ func TestBalancedWindows(t *testing.T) {
 func TestGaitValidation(t *testing.T) {
 	cfg := DefaultGaitConfig()
 	cfg.WindowFrames = 100
-	if _, err := GenerateGaitStreams(cfg); err == nil {
+	if _, err := GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed)); err == nil {
 		t.Fatal("window longer than stream accepted")
 	}
 	cfg = DefaultGaitConfig()
 	cfg.Streams = 0
-	if _, err := GenerateGaitStreams(cfg); err == nil {
+	if _, err := GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed)); err == nil {
 		t.Fatal("zero streams accepted")
 	}
 }
@@ -255,7 +255,7 @@ func TestGaitLearnable(t *testing.T) {
 	// above chance on the synthetic streams.
 	cfg := DefaultGaitConfig()
 	cfg.Streams = 30
-	streams, err := GenerateGaitStreams(cfg)
+	streams, err := GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestGaitLearnable(t *testing.T) {
 		cnn.NewDense(16, 2, s.Split("d2")),
 	)
 	cut := len(samples) * 3 / 4
-	net.Fit(samples[:cut], 10, 16, cnn.NewSGD(0.03, 0.9), s.Split("fit"))
+	net.FitParallel(samples[:cut], 10, 16, 1, cnn.NewSGD(0.03, 0.9), s.Split("fit"))
 	if acc := net.Evaluate(samples[cut:]); acc < 0.85 {
 		t.Fatalf("fall detection accuracy = %.3f", acc)
 	}

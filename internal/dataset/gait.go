@@ -27,7 +27,8 @@ type GaitConfig struct {
 	FallFraction float64
 	// NoiseLevel is per-pixel IR noise.
 	NoiseLevel float64
-	// Seed drives all randomness.
+	// Seed is the root seed callers derive the generator stream from
+	// (rng.New(Seed)); the generators themselves never read it.
 	Seed uint64
 }
 
@@ -84,16 +85,6 @@ func GenerateGaitStreamsFrom(cfg GaitConfig, stream *rng.Stream) ([]GaitStream, 
 		out = append(out, renderGaitStream(cfg, subject, speed, fallAt, cfg.FramesPerStream, stream))
 	}
 	return out, nil
-}
-
-// GenerateGaitStreams simulates the recording campaign seeded by cfg.Seed.
-//
-// Deprecated: GenerateGaitStreams is the one generator that takes its seed
-// through the config struct instead of a harness-owned *rng.Stream. New
-// code should call GenerateGaitStreamsFrom(cfg, stream); this shim is
-// exactly GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed)).
-func GenerateGaitStreams(cfg GaitConfig) ([]GaitStream, error) {
-	return GenerateGaitStreamsFrom(cfg, rng.New(cfg.Seed))
 }
 
 // renderGaitStream renders one recording of frames frames: the walk

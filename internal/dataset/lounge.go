@@ -29,7 +29,8 @@ type LoungeConfig struct {
 	EventProb float64
 	// NoiseC is the per-cell sensor noise in °C.
 	NoiseC float64
-	// Seed drives all randomness.
+	// Seed is the root seed callers derive the generator stream from
+	// (rng.New(Seed)); the generators themselves never read it.
 	Seed uint64
 }
 
@@ -62,17 +63,6 @@ func GenerateLoungeFrom(cfg LoungeConfig, stream *rng.Stream) ([]cnn.Sample, err
 		samples = append(samples, cnn.Sample{Input: field, Label: label})
 	}
 	return samples, nil
-}
-
-// GenerateLounge produces labelled temperature snapshots seeded by
-// cfg.Seed.
-//
-// Deprecated: GenerateLounge is the one generator besides the gait
-// campaign that takes its seed through the config struct instead of a
-// harness-owned *rng.Stream. New code should call GenerateLoungeFrom(cfg,
-// stream); this shim is exactly GenerateLoungeFrom(cfg, rng.New(cfg.Seed)).
-func GenerateLounge(cfg LoungeConfig) ([]cnn.Sample, error) {
-	return GenerateLoungeFrom(cfg, rng.New(cfg.Seed))
 }
 
 // drawLoungeEvent draws one thermal anomaly: a hot or cold blob of 3–6 °C

@@ -147,7 +147,7 @@ func TrainAndEvaluate(cfg Config, perClass, epochs int, stream *rng.Stream) (acc
 	cut := len(samples) * 3 / 4
 	train, test := samples[:cut], samples[cut:]
 	net := NewDetector(cfg, stream.Split("net"))
-	net.Fit(train, epochs, 16, cnn.NewSGD(0.02, 0.9), stream.Split("fit"))
+	net.FitParallel(train, epochs, 16, 1, cnn.NewSGD(0.02, 0.9), stream.Split("fit"))
 	correct := 0
 	hits := make([]int, NumClasses())
 	totals := make([]int, NumClasses())

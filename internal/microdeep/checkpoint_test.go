@@ -76,13 +76,13 @@ func TestModelSaveRestoreBitIdentity(t *testing.T) {
 	ref := buildLocalUpdateModel(t, 14, 3)
 	refOpt := cnn.NewSGD(0.05, 0.9)
 	refStream := rng.New(77).Split("fit")
-	ref.Fit(samples, 2, 8, refOpt, refStream)
+	ref.FitParallel(samples, 2, 8, 1, refOpt, refStream)
 
 	var ck bytes.Buffer
 	if err := ref.SaveTraining(&ck, refOpt, refStream); err != nil {
 		t.Fatal(err)
 	}
-	ref.Fit(samples, 3, 8, refOpt, refStream) // uninterrupted continuation
+	ref.FitParallel(samples, 3, 8, 1, refOpt, refStream) // uninterrupted continuation
 
 	// A fresh process rebuilds the model the same way (different init seed is
 	// fine — every weight is overwritten) and restores the checkpoint.
@@ -125,7 +125,7 @@ func TestModelRestoreRejectsMismatch(t *testing.T) {
 
 	src := buildLocalUpdateModel(t, 15, 0)
 	opt := cnn.NewSGD(0.05, 0.9)
-	src.Fit(samples, 1, 8, opt, rng.New(5).Split("fit"))
+	src.FitParallel(samples, 1, 8, 1, opt, rng.New(5).Split("fit"))
 	var ck bytes.Buffer
 	if err := src.SaveTraining(&ck, opt, rng.New(5)); err != nil {
 		t.Fatal(err)

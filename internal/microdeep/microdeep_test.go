@@ -384,7 +384,7 @@ func TestLocalUpdateTrainingDivergesReplicas(t *testing.T) {
 		t.Fatalf("replicas diverged before training: %v", m.ReplicaDivergence())
 	}
 	opt := cnn.NewSGD(0.05, 0.9)
-	m.Fit(samples, 10, 8, opt, s.Split("train"))
+	m.FitParallel(samples, 10, 8, 1, opt, s.Split("train"))
 	if m.ReplicaDivergence() < 1e-9 {
 		t.Fatalf("independent updates did not diverge replicas: %v", m.ReplicaDivergence())
 	}
@@ -406,7 +406,7 @@ func TestDistributedForwardMatchesInReplicaMode(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		samples = append(samples, cnn.Sample{Input: randInput(s), Label: i % 2})
 	}
-	m.Fit(samples, 3, 8, cnn.NewSGD(0.05, 0.9), s.Split("t"))
+	m.FitParallel(samples, 3, 8, 1, cnn.NewSGD(0.05, 0.9), s.Split("t"))
 	for trial := 0; trial < 5; trial++ {
 		in := randInput(s)
 		want := m.Net.Forward(in) // hooks make this the replica-aware result
@@ -586,7 +586,7 @@ func TestGossipReducesDivergence(t *testing.T) {
 		}
 		m.EnableLocalUpdate()
 		m.SetGossip(gossip)
-		m.Fit(samples, 8, 8, cnn.NewSGD(0.05, 0.9), rng.New(45))
+		m.FitParallel(samples, 8, 8, 1, cnn.NewSGD(0.05, 0.9), rng.New(45))
 		return m.ReplicaDivergence()
 	}
 	pure := run(0)

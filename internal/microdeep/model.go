@@ -49,7 +49,7 @@ type Model struct {
 	gossipEvery int
 	stepCount   int
 	// rec, when non-nil, receives per-epoch training curves and gossip
-	// counters from Fit/FitParallel (see SetRecorder).
+	// counters from FitParallel (see SetRecorder).
 	rec       obs.Recorder
 	recPrefix string
 	recEval   []cnn.Sample
@@ -132,13 +132,6 @@ func (m *Model) EnableLocalUpdate() {
 // LocalUpdate reports whether the local weight-update mode is active.
 func (m *Model) LocalUpdate() bool { return m.localUpdate }
 
-// SetBatchKernel routes the underlying network's training through the
-// batched im2col/GEMM engine with blocks of k samples (bit-identical to the
-// per-sample path; see cnn.Network.SetBatchKernel). In local-update mode the
-// per-position kernel replicas cannot share a GEMM, so the setting is a
-// documented no-op there: training keeps the per-sample replica path.
-func (m *Model) SetBatchKernel(k int) { m.Net.SetBatchKernel(k) }
-
 // ReplicaCount returns the number of conv kernel replicas across stages
 // (zero when local update is disabled).
 func (m *Model) ReplicaCount() int {
@@ -209,8 +202,8 @@ func (m *Model) stepReplicas(opt *cnn.SGD, batch int) {
 	}
 }
 
-// SetRecorder attaches an observability recorder: Fit and FitParallel then
-// record one training-loss point per epoch under <prefix>train_loss, an
+// SetRecorder attaches an observability recorder: FitParallel then records
+// one training-loss point per epoch under <prefix>train_loss, an
 // accuracy point per epoch under <prefix>eval_acc when eval is non-empty,
 // and — in local-update mode — a replica-divergence point per epoch under
 // <prefix>replica_divergence. Gossip rounds accumulate in the counter
@@ -282,95 +275,42 @@ func (m *Model) gossip() {
 	}
 }
 
-// TrainEpoch runs one epoch of mini-batch SGD. In local-update mode the
-// conv kernels train as independent per-node replicas; otherwise training
-// is numerically identical to the centralized CNN.
-func (m *Model) TrainEpoch(samples []cnn.Sample, perm []int, batch int, opt *cnn.SGD) float64 {
-	if !m.localUpdate {
-		return m.Net.TrainEpoch(samples, perm, batch, opt)
-	}
-	if batch <= 0 {
-		panic("microdeep: non-positive batch size")
-	}
-	total, count, inBatch := 0.0, 0, 0
-	m.Net.ZeroGrads()
-	m.zeroReplicaGrads()
-	for _, idx := range perm {
-		s := samples[idx]
-		logits := m.Net.Forward(s.Input)
-		loss, grad := cnn.CrossEntropy(logits, s.Label)
-		total += loss
-		count++
-		m.Net.Backward(grad)
-		inBatch++
-		if inBatch == batch {
-			opt.StepNetwork(m.Net, inBatch) // dense layers + conv biases
-			m.stepReplicas(opt, inBatch)
-			m.Net.ZeroGrads()
-			m.zeroReplicaGrads()
-			inBatch = 0
-		}
-	}
-	if inBatch > 0 {
-		opt.StepNetwork(m.Net, inBatch)
-		m.stepReplicas(opt, inBatch)
-		m.Net.ZeroGrads()
-		m.zeroReplicaGrads()
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
-}
-
-// TrainEpochParallel is TrainEpoch with the forward passes of each
-// mini-batch sharded across worker goroutines (workers <= 0 selects
-// runtime.NumCPU()). The shadow layer stacks share the canonical per-unit
-// kernel replicas — read-only during forwards — and the backward passes
-// reduce gradients (including the per-position replica grads) sequentially
-// in sample order, so the trained weights, replica kernels, gossip schedule,
-// and returned loss are bit-identical to TrainEpoch at any worker count.
-func (m *Model) TrainEpochParallel(samples []cnn.Sample, perm []int, batch, workers int, opt *cnn.SGD) float64 {
-	if !m.localUpdate {
-		return m.Net.TrainEpochParallel(samples, perm, batch, workers, opt)
-	}
-	if batch <= 0 {
-		panic("microdeep: non-positive batch size")
-	}
-	m.Net.ZeroGrads()
-	m.zeroReplicaGrads()
-	loss, ok := m.Net.TrainEpochParallelFunc(samples, perm, batch, workers, func(bsz int) {
-		opt.StepNetwork(m.Net, bsz) // dense layers + conv biases
-		m.stepReplicas(opt, bsz)
-		m.Net.ZeroGrads()
-		m.zeroReplicaGrads()
-	})
-	if !ok {
-		return m.TrainEpoch(samples, perm, batch, opt)
-	}
-	return loss
-}
-
-// Fit trains for the given number of epochs with a fresh shuffle per epoch.
-func (m *Model) Fit(samples []cnn.Sample, epochs, batch int, opt *cnn.SGD, stream *rng.Stream) float64 {
-	loss := 0.0
-	for e := 0; e < epochs; e++ {
-		loss = m.TrainEpoch(samples, stream.Perm(len(samples)), batch, opt)
-		m.observeEpoch(loss)
-	}
-	return loss
-}
-
-// FitParallel is Fit using TrainEpochParallel; it consumes the stream
-// identically to Fit, so at the same seed the trained model is bit-identical
-// to the sequential path.
+// FitParallel trains the model for epochs epochs of mini-batch SGD,
+// reshuffling from stream at every epoch, and returns the last epoch's mean
+// loss. It drives the CNN training engine (cnn.Trainer) one epoch at a time;
+// workers <= 0 selects runtime.NumCPU(), and every worker count yields
+// bit-identical weights. In local-update mode the conv kernels train as
+// independent per-node replicas, stepped (and gossiped) at every mini-batch
+// boundary; otherwise training is the centralized CNN's.
 func (m *Model) FitParallel(samples []cnn.Sample, epochs, batch, workers int, opt *cnn.SGD, stream *rng.Stream) float64 {
-	loss := 0.0
-	for e := 0; e < epochs; e++ {
-		loss = m.TrainEpochParallel(samples, stream.Perm(len(samples)), batch, workers, opt)
-		m.observeEpoch(loss)
+	var o cnn.Optimizer = opt
+	if m.localUpdate {
+		m.zeroReplicaGrads()
+		o = localSGD{m, opt}
 	}
-	return loss
+	t := cnn.NewTrainer(m.Net, o, stream, samples, epochs, batch, workers)
+	perEpoch := (len(samples) + batch - 1) / batch
+	for e := 0; e < epochs; e++ {
+		t.Step(perEpoch)
+		m.observeEpoch(t.LastLoss())
+	}
+	return t.LastLoss()
+}
+
+// localSGD is the optimizer of local-update training: every step applies
+// opt to the shared parameters (dense layers, conv biases) and to each
+// per-position kernel replica, zeroes the replica gradients, and runs gossip
+// on its schedule. The engine zeroes the network's own gradients after it.
+type localSGD struct {
+	m   *Model
+	opt *cnn.SGD
+}
+
+// StepNetwork implements cnn.Optimizer.
+func (l localSGD) StepNetwork(n *cnn.Network, batch int) {
+	l.opt.StepNetwork(n, batch)
+	l.m.stepReplicas(l.opt, batch)
+	l.m.zeroReplicaGrads()
 }
 
 // Evaluate returns accuracy using the model's effective weights (replicas

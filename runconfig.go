@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"zeiot/internal/microdeep"
@@ -42,12 +41,6 @@ type RunConfig struct {
 	// each experiment's own default (3 for e2, 1 for the single-run
 	// experiments).
 	Repeats int
-	// BatchKernel routes CNN training through the batched im2col/GEMM
-	// engine with blocks of this many samples per layer call. Results are
-	// bit-identical to per-sample training at every block size (and compose
-	// with TrainWorkers); only wall time moves. 0 or 1 keeps the per-sample
-	// paths.
-	BatchKernel int
 	// Nodes overrides the node count of the experiments that own a
 	// free-scale deployment (currently e16's crowd field, default 100,000).
 	// 0 keeps each experiment's default; experiments with paper-fixed
@@ -104,82 +97,11 @@ type RunConfig struct {
 	Recorder obs.Recorder
 }
 
-// Package default config backing the deprecated Set* shims. This is the
-// only mutable package-level config state left, and nothing reads it except
-// DefaultRunConfig and the shims themselves.
-var (
-	defaultMu           sync.Mutex
-	defaultTrainWorkers int
-	defaultLoss         LossConfig
-)
-
-// DefaultRunConfig returns the config that reproduces the historical
-// process-global behaviour exactly: seed 1, NumCPU training workers, fault
-// injection off, full sample counts, experiment-default repeats — plus
-// whatever the deprecated SetTrainWorkers/SetLossConfig shims installed.
+// DefaultRunConfig returns the default run: seed 1, NumCPU training
+// workers, fault injection off, full sample counts, experiment-default
+// repeats.
 func DefaultRunConfig() *RunConfig {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	return &RunConfig{
-		Seed:         1,
-		TrainWorkers: defaultTrainWorkers,
-		Loss:         defaultLoss,
-		SampleScale:  1,
-	}
-}
-
-// SetTrainWorkers overrides the training worker count in the package
-// default config; n <= 0 restores the NumCPU default.
-//
-// Deprecated: SetTrainWorkers mutates the package default config that
-// DefaultRunConfig snapshots. New code should set RunConfig.TrainWorkers on
-// a per-run config instead, which also makes concurrent mixed-worker runs
-// safe.
-func SetTrainWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultMu.Lock()
-	defaultTrainWorkers = n
-	defaultMu.Unlock()
-}
-
-// TrainWorkers returns the package default config's effective training
-// worker count.
-//
-// Deprecated: per-run worker counts live in RunConfig.TrainWorkers; this
-// reads only the default installed by SetTrainWorkers.
-func TrainWorkers() int {
-	defaultMu.Lock()
-	n := defaultTrainWorkers
-	defaultMu.Unlock()
-	if n > 0 {
-		return n
-	}
-	return runtime.NumCPU()
-}
-
-// SetLossConfig installs a fault-injection config in the package default
-// config.
-//
-// Deprecated: SetLossConfig mutates the package default config that
-// DefaultRunConfig snapshots. New code should set RunConfig.Loss on a
-// per-run config instead, which also makes concurrent mixed-loss runs safe.
-func SetLossConfig(c LossConfig) {
-	defaultMu.Lock()
-	defaultLoss = c
-	defaultMu.Unlock()
-}
-
-// CurrentLossConfig returns the package default config's fault-injection
-// settings.
-//
-// Deprecated: per-run fault injection lives in RunConfig.Loss; this reads
-// only the default installed by SetLossConfig.
-func CurrentLossConfig() LossConfig {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	return defaultLoss
+	return &RunConfig{Seed: 1, SampleScale: 1}
 }
 
 // Validate reports the first invalid field. A zero-value RunConfig is
@@ -195,9 +117,6 @@ func (c *RunConfig) Validate() error {
 	}
 	if c.Repeats < 0 {
 		return fmt.Errorf("zeiot: RunConfig.Repeats %d is negative (0 keeps the experiment default)", c.Repeats)
-	}
-	if c.BatchKernel < 0 {
-		return fmt.Errorf("zeiot: RunConfig.BatchKernel %d is negative (0 or 1 keeps per-sample training)", c.BatchKernel)
 	}
 	if c.Nodes < 0 {
 		return fmt.Errorf("zeiot: RunConfig.Nodes %d is negative (0 keeps the experiment default)", c.Nodes)
@@ -331,11 +250,8 @@ func beginRun(ctx context.Context, cfg *RunConfig) (*harness, error) {
 		rec.Gauge("config_trainworkers", float64(cfg.TrainWorkers))
 		rec.Gauge("config_sample_scale", cfg.SampleScale)
 		rec.Gauge("config_repeats", float64(cfg.Repeats))
-		// Only non-default knobs add gauges, so default-config exports stay
-		// byte-identical to pre-PR6 snapshots.
-		if cfg.BatchKernel > 1 {
-			rec.Gauge("config_batch_kernel", float64(cfg.BatchKernel))
-		}
+		// Only non-default knobs add gauges, so default-config exports keep
+		// their bytes as knobs are added.
 		if cfg.Quantize {
 			rec.Gauge("config_quantize", 1)
 		}

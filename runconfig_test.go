@@ -17,10 +17,7 @@ func TestRunConfigValidate(t *testing.T) {
 		{"negative workers", RunConfig{TrainWorkers: -1}, "TrainWorkers"},
 		{"negative scale", RunConfig{SampleScale: -0.5}, "SampleScale"},
 		{"negative repeats", RunConfig{Repeats: -2}, "Repeats"},
-		{"negative batch kernel", RunConfig{BatchKernel: -4}, "BatchKernel"},
-		{"batch kernel", RunConfig{BatchKernel: 8}, ""},
 		{"quantize", RunConfig{Quantize: true}, ""},
-		{"batch kernel with quantize", RunConfig{BatchKernel: 16, Quantize: true}, ""},
 		{"drop prob above one", RunConfig{Loss: LossConfig{Enabled: true, DropProb: 1.5}}, "DropProb"},
 		{"drop prob negative", RunConfig{Loss: LossConfig{Enabled: true, DropProb: -0.1}}, "DropProb"},
 		{"negative retries", RunConfig{Loss: LossConfig{Enabled: true, MaxRetries: -1}}, "MaxRetries"},
@@ -45,90 +42,6 @@ func TestRunConfigValidate(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDeprecatedShimsFlowIntoDefault checks the compatibility contract: the
-// deprecated Set* shims mutate the package default config that
-// DefaultRunConfig snapshots, and nothing else.
-func TestDeprecatedShimsFlowIntoDefault(t *testing.T) {
-	defer SetTrainWorkers(0)
-	defer SetLossConfig(LossConfig{})
-
-	SetTrainWorkers(3)
-	lc := DefaultLossConfig()
-	lc.Enabled = true
-	SetLossConfig(lc)
-
-	got := DefaultRunConfig()
-	if got.TrainWorkers != 3 {
-		t.Errorf("DefaultRunConfig().TrainWorkers = %d, want 3", got.TrainWorkers)
-	}
-	if TrainWorkers() != 3 {
-		t.Errorf("TrainWorkers() = %d, want 3", TrainWorkers())
-	}
-	if got.Loss != lc || CurrentLossConfig() != lc {
-		t.Errorf("loss config did not round-trip: %+v / %+v", got.Loss, CurrentLossConfig())
-	}
-
-	// A snapshot taken earlier must not see later shim calls.
-	SetTrainWorkers(5)
-	if got.TrainWorkers != 3 {
-		t.Error("DefaultRunConfig snapshot aliased the package default")
-	}
-
-	// Restoring the defaults restores NumCPU resolution.
-	SetTrainWorkers(0)
-	if TrainWorkers() < 1 {
-		t.Errorf("TrainWorkers() = %d after reset", TrainWorkers())
-	}
-}
-
-// TestDeprecatedShimsRaceWithRuns hammers the deprecated Set*/getter shims
-// from a background goroutine while experiments run — the scenario the
-// defaultMu guard exists for. Meaningful under -race (ci.sh runs the suite
-// with it): an unguarded package default is a detector hit here. The shim
-// values written are all valid configs, so runs snapshotting mid-hammer
-// still pass beginRun validation.
-func TestDeprecatedShimsRaceWithRuns(t *testing.T) {
-	defer SetTrainWorkers(0)
-	defer SetLossConfig(LossConfig{})
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		lossOn := DefaultLossConfig()
-		lossOn.Enabled = true
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			SetTrainWorkers(i % 4)
-			_ = TrainWorkers()
-			if i%2 == 0 {
-				SetLossConfig(lossOn)
-			} else {
-				SetLossConfig(LossConfig{})
-			}
-			_ = CurrentLossConfig()
-		}
-	}()
-
-	e, err := FindExperiment("e7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		// A nil config snapshots the package default mid-hammer — the
-		// racy read path the mutex must make safe.
-		if _, err := e.Run(context.Background(), nil); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-	close(stop)
-	<-done
 }
 
 func TestScaled(t *testing.T) {
