@@ -1,6 +1,7 @@
 #!/bin/sh
-# ci.sh — the gate every change must pass: build, vet, the full test suite
-# under the race detector (the data-parallel training path and the
+# ci.sh — the gate every change must pass: build, vet, gofmt over every
+# tracked Go file, the full test suite under the race detector (the
+# data-parallel training path, e8's parallel inference sweep and the
 # concurrent mixed-config runs make the race run load-bearing, not
 # optional), and two end-to-end smokes: e1 and e7 at seed 1 must emit
 # exactly the checked-in golden JSON, so a determinism regression anywhere
@@ -15,6 +16,14 @@ set -eux
 
 go build ./...
 go vet ./...
+# Formatting gate: gofmt -l must list no tracked Go file.
+gofiles="$(git ls-files '*.go')"
+test -n "$gofiles"
+unformatted="$(gofmt -l $gofiles)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists: $unformatted" >&2
+    exit 1
+fi
 go test -race ./...
 
 smoke="$(mktemp)"

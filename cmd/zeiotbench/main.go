@@ -6,7 +6,7 @@
 //	zeiotbench -e e1,e6        # run selected experiments
 //	zeiotbench -seed 7         # change the root seed
 //	zeiotbench -parallel 4     # run up to 4 experiments concurrently
-//	zeiotbench -trainworkers 4 # CNN training workers (results unchanged)
+//	zeiotbench -trainworkers 4 # CNN training and e8 inference workers (results unchanged)
 //	zeiotbench -samples 0.5    # scale dataset/trial sizes (quick sweeps)
 //	zeiotbench -repeats 5      # override accuracy-averaging repeat counts
 //	zeiotbench -loss 0.1       # lossy-link fault injection (e8/e11 gain loss dimensions)
@@ -89,7 +89,7 @@ func run() int {
 		jsonOut  = flag.Bool("json", false, "emit results as a JSON array instead of tables")
 		parallel = flag.Int("parallel", 1, "max experiments run concurrently (0 = NumCPU)")
 		timings  = flag.Bool("timings", false, "keep per-stage wall times in the output (nondeterministic, so off by default)")
-		trainW   = flag.String("trainworkers", "0", "CNN training workers per experiment (0 = NumCPU); any value yields bit-identical results")
+		trainW   = flag.String("trainworkers", "0", "CNN training workers per experiment, also bounding e8's inference sweep (0 = NumCPU); any value yields bit-identical results")
 		samples  = flag.String("samples", "1", "sample-count scale: multiplies dataset/trial sizes (1 = paper defaults)")
 		repeats  = flag.String("repeats", "0", "accuracy-averaging repeats (0 = experiment default)")
 		loss     = flag.String("loss", "0", "per-link drop probability for fault injection (0 = disabled; e8 gains a loss sweep, e11 charges retransmission energy)")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"zeiot/internal/cnn"
 	"zeiot/internal/dataset"
@@ -58,22 +59,46 @@ func RunE8Resilience(ctx context.Context, rc *RunConfig) (*Result, error) {
 	model.FitParallel(train, 6, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sNet.Split("fit"))
 	h.mark(StageTrain)
 
+	// evaluate runs the test set through the distributed executor under one
+	// failure pattern. The samples split into contiguous shares over
+	// h.cfg.workers() goroutines, each with its own executor (an Executor
+	// is not safe for concurrent use; the model is only read); the integer
+	// correct counts sum exactly, so the accuracy is the same at every
+	// worker count.
 	evaluate := func(assign *microdeep.Assignment, dead map[int]bool, deadSites map[int]bool) (float64, error) {
-		ex := microdeep.NewExecutor(model.Graph)
-		ex.Assign = assign
-		ex.DeadNodes = dead
-		ex.DeadSites = deadSites
-		correct := 0
-		for _, s := range test {
-			out, err := ex.Forward(s.Input)
-			if err != nil {
-				return 0, err
-			}
-			if out.Argmax() == s.Label {
-				correct++
-			}
+		workers := min(h.cfg.workers(), len(test))
+		correct := make([]int, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ex := microdeep.NewExecutor(model.Graph)
+				ex.Assign = assign
+				ex.DeadNodes = dead
+				ex.DeadSites = deadSites
+				for _, s := range test[g*len(test)/workers : (g+1)*len(test)/workers] {
+					out, err := ex.Forward(s.Input)
+					if err != nil {
+						errs[g] = err
+						return
+					}
+					if out.Argmax() == s.Label {
+						correct[g]++
+					}
+				}
+			}(g)
 		}
-		return float64(correct) / float64(len(test)), nil
+		wg.Wait()
+		total := 0
+		for g, n := range correct {
+			if errs[g] != nil {
+				return 0, errs[g]
+			}
+			total += n
+		}
+		return float64(total) / float64(len(test)), nil
 	}
 
 	res := &Result{
@@ -177,7 +202,9 @@ func RunE8Resilience(ctx context.Context, rc *RunConfig) (*Result, error) {
 	// growing per-link drop rates, with retries on and off. Accuracy shows
 	// the graceful degradation of zeroed undelivered inputs; the peak
 	// per-node comm cost per sample counts every transmission attempt, so
-	// retries buy accuracy with visible energy.
+	// retries buy accuracy with visible energy. This sweep stays on one
+	// executor: the per-link fault streams advance with every transfer, so
+	// the outcomes depend on the order the samples run in.
 	if lc := h.cfg.Loss; lc.Enabled {
 		evaluateLossy := func(rate float64, retries int, recPrefix string) (float64, float64, error) {
 			wLoss := loungeWSN()

@@ -29,10 +29,20 @@ package cnn
 //     adding ±0 never changes a sum that is not -0.0, and the running sums
 //     here cannot reach -0.0 (IEEE-754 round-to-nearest only yields -0.0
 //     from (-0.0)+(-0.0)).
+//   - Locally connected conv (a replica table, MicroDeep's local-update
+//     mode): every output position has its own kernel, so the layer is one
+//     GEMV per position, batched over the block's samples. forwardLocal
+//     walks each output row against a cached position-minor copy of the
+//     table (repT, dropped by invalidateBatchWeights like Dense's wT); each
+//     element is seeded with its bias and then receives its in-range
+//     (ic, ky, kx) terms in ascending order with the padding terms skipped,
+//     exactly as the per-sample replica loop does.
 //   - Conv backward: gradB/gradW/gradIn keep the serial sparse loops with
 //     the block's samples outermost, so each element sees its contributions
 //     in (sample, oy, ox, oc) order — the order the per-sample path produces
-//     across consecutive samples.
+//     across consecutive samples. Under a replica table the weight
+//     gradients of position p go to repG[p] and the input gradients scatter
+//     through repK[p], in that same order.
 //   - Dense: forward, the weight-gradient GEMM and the input-gradient GEMM
 //     all accumulate in ascending feature/sample/output order, matching the
 //     serial loops term for term (zero-skip differences are ±0 no-ops as
@@ -58,7 +68,6 @@ import (
 // false). Both return scratch owned by the layer, with the same ownership
 // rules as Forward/Backward.
 type batchLayer interface {
-	supportsBatch() bool
 	forwardBatch(in *tensor.Tensor) *tensor.Tensor
 	backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor
 }
@@ -75,11 +84,6 @@ func ensureView2(v *tensor.Tensor, data []float64, r, c int) *tensor.Tensor {
 
 // ---------------------------------------------------------------------------
 // Conv2D
-
-// supportsBatch implements batchLayer: per-position kernel replicas (the
-// MicroDeep local-update mode) make a shared-weight GEMM impossible, so a
-// stack with hooked layers trains in 1-sample blocks.
-func (c *Conv2D) supportsBatch() bool { return c.kernelFor == nil }
 
 // im2col packs the batched input (InC, B, H, W) into the patch matrix
 // (InC·KH·KW, B·oh·ow): row q = (ic, ky, kx) holds, for every flattened
@@ -138,7 +142,8 @@ func (c *Conv2D) im2col(ind []float64, bsz, h, w, oh, ow int) {
 }
 
 // forwardBatch implements batchLayer: one bias-seeded GEMM
-// (OutC, CKK) × (CKK, B·oh·ow) per block.
+// (OutC, CKK) × (CKK, B·oh·ow) per block, or under a replica table the
+// locally connected kernel (forwardLocal).
 func (c *Conv2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return c.forwardBatchImpl(in, false)
 }
@@ -162,6 +167,10 @@ func (c *Conv2D) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tensor {
 	}
 	c.lastInB = in
 	c.outB = tensor.Ensure(c.outB, c.OutC, bsz, oh, ow)
+	if c.repK != nil {
+		c.forwardLocal(in.Data(), c.outB.Data(), bsz, h, w, oh, ow, relu)
+		return c.outB
+	}
 	if c.InC == 1 && c.KH == 3 && c.KW == 3 && c.Stride == 1 && c.Pad == 1 && h >= 3 && w >= 3 {
 		c.forwardDirect3x1(in.Data(), c.outB.Data(), bsz, h, w, relu)
 		return c.outB
@@ -174,6 +183,184 @@ func (c *Conv2D) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tensor {
 	c.w2 = ensureView2(c.w2, c.weight.Data(), c.OutC, ckk)
 	tensor.MatMulBiasInto(c.out2, c.w2, c.patch, c.bias.Data(), relu)
 	return c.outB
+}
+
+// localTable returns the position-minor copy of the replica table, shaped
+// (OutC, InC·KH·KW, oh·ow): element (oc, q, p) is weight q of output channel
+// oc in position p's kernel, so the weights one output row needs for a given
+// (oc, q) are contiguous. The copy is rebuilt only after
+// invalidateBatchWeights has cleared repTok.
+func (c *Conv2D) localTable(oh, ow int) []float64 {
+	np := oh * ow
+	if len(c.repK) != np || c.repW != ow {
+		panic(fmt.Sprintf("cnn: replica table of %d kernels, width %d, for a %d×%d output", len(c.repK), c.repW, oh, ow))
+	}
+	nw := c.OutC * c.InC * c.KH * c.KW
+	c.repT = tensor.Ensure(c.repT, nw, np)
+	td := c.repT.Data()
+	if !c.repTok {
+		// Transpose in tiles of 8 positions, so each weight's 8 writes
+		// share a cache line while the 8 kernels are read in order.
+		var ks [8][]float64
+		for p0 := 0; p0 < np; p0 += len(ks) {
+			tile := ks[:min(len(ks), np-p0)]
+			for i := range tile {
+				tile[i] = c.repK[p0+i].Data()[:nw]
+			}
+			for j := 0; j < nw; j++ {
+				dst := td[j*np+p0 : j*np+p0+len(tile)]
+				for i, k := range tile {
+					dst[i] = k[j]
+				}
+			}
+		}
+		c.repTok = true
+	}
+	return td
+}
+
+// localGroup is the number of samples forwardLocal runs through one
+// position's kernel at a time, each with its own accumulator.
+const localGroup = 8
+
+// forwardLocal is the locally connected forward over a packed block: one
+// batched GEMV per output position. It walks the output rows position by
+// position, and at each position multiplies the position's kernel (read from
+// the position-minor copy, where the weights of consecutive positions are
+// adjacent) into the patches of localGroup samples at once, one register
+// accumulator per sample, so every weight load serves the whole group. The
+// input is first copied sample-minor (xT: (group, InC, H, W, localGroup),
+// zero-filled past the block's last sample) so a window cell's values for
+// the group are one contiguous run. Each output element receives bias, then
+// its in-range terms in ascending (ic, ky, kx) order with the padding terms
+// skipped — the per-sample replica loop's sequence — and relu applies the
+// fused ReLU at the store.
+func (c *Conv2D) forwardLocal(ind, outd []float64, bsz, h, w, oh, ow int, relu bool) {
+	const g8 = localGroup
+	np := oh * ow
+	td := c.localTable(oh, ow)
+	bd := c.bias.Data()
+	hw := h * w
+	groups := (bsz + g8 - 1) / g8
+	c.xT = tensor.Ensure(c.xT, groups*c.InC*hw*g8)
+	xt := c.xT.Data()
+	for gi := 0; gi < groups; gi++ {
+		for ic := 0; ic < c.InC; ic++ {
+			dst := xt[(gi*c.InC+ic)*hw*g8 : (gi*c.InC+ic+1)*hw*g8]
+			for j := 0; j < g8; j++ {
+				b := gi*g8 + j
+				if b >= bsz {
+					for i := 0; i < hw; i++ {
+						dst[i*g8+j] = 0
+					}
+					continue
+				}
+				src := ind[(ic*bsz+b)*hw : (ic*bsz+b+1)*hw]
+				for i, v := range src {
+					dst[i*g8+j] = v
+				}
+			}
+		}
+	}
+	khkw := c.KH * c.KW
+	st, pad := c.Stride, c.Pad
+	is3x3 := c.KH == 3 && c.KW == 3
+	for oc := 0; oc < c.OutC; oc++ {
+		bias := bd[oc]
+		wOC := oc * c.InC * khkw * np
+		for oy := 0; oy < oh; oy++ {
+			ky0, ky1 := kernelWindow(oy, st, pad, c.KH, h)
+			iyBase := oy*st - pad
+			for ox := 0; ox < ow; ox++ {
+				kx0, kx1 := kernelWindow(ox, st, pad, c.KW, w)
+				ixBase := ox*st - pad
+				p := oy*ow + ox
+				full3 := is3x3 && ky0 == 0 && ky1 == 3 && kx0 == 0 && kx1 == 3
+				for gi := 0; gi < groups; gi++ {
+					a0, a1, a2, a3 := bias, bias, bias, bias
+					a4, a5, a6, a7 := bias, bias, bias, bias
+					for ic := 0; ic < c.InC; ic++ {
+						// Cell index of the window origin in xT and td index
+						// of the channel's first kernel weight at p.
+						cell := ((gi*c.InC+ic)*h+iyBase)*w + ixBase
+						wi := wOC + ic*khkw*np + p
+						if full3 {
+							// Whole 3×3 window in range: per window row, the
+							// three cells' groups are one contiguous run.
+							for ky := 0; ky < 3; ky++ {
+								xs := xt[(cell+ky*w)*g8 : (cell+ky*w)*g8+3*g8]
+								w0, w1, w2 := td[wi], td[wi+np], td[wi+2*np]
+								a0 += w0 * xs[0]
+								a1 += w0 * xs[1]
+								a2 += w0 * xs[2]
+								a3 += w0 * xs[3]
+								a4 += w0 * xs[4]
+								a5 += w0 * xs[5]
+								a6 += w0 * xs[6]
+								a7 += w0 * xs[7]
+								a0 += w1 * xs[8]
+								a1 += w1 * xs[9]
+								a2 += w1 * xs[10]
+								a3 += w1 * xs[11]
+								a4 += w1 * xs[12]
+								a5 += w1 * xs[13]
+								a6 += w1 * xs[14]
+								a7 += w1 * xs[15]
+								a0 += w2 * xs[16]
+								a1 += w2 * xs[17]
+								a2 += w2 * xs[18]
+								a3 += w2 * xs[19]
+								a4 += w2 * xs[20]
+								a5 += w2 * xs[21]
+								a6 += w2 * xs[22]
+								a7 += w2 * xs[23]
+								wi += 3 * np
+							}
+							continue
+						}
+						for ky := ky0; ky < ky1; ky++ {
+							wk := wi + (ky*c.KW+kx0)*np
+							xi := (cell + ky*w + kx0) * g8
+							for kx := kx0; kx < kx1; kx++ {
+								wv := td[wk]
+								xs := xt[xi : xi+g8 : xi+g8]
+								a0 += wv * xs[0]
+								a1 += wv * xs[1]
+								a2 += wv * xs[2]
+								a3 += wv * xs[3]
+								a4 += wv * xs[4]
+								a5 += wv * xs[5]
+								a6 += wv * xs[6]
+								a7 += wv * xs[7]
+								wk += np
+								xi += g8
+							}
+						}
+					}
+					if relu {
+						a0, a1, a2, a3 = reluMask(a0), reluMask(a1), reluMask(a2), reluMask(a3)
+						a4, a5, a6, a7 = reluMask(a4), reluMask(a5), reluMask(a6), reluMask(a7)
+					}
+					o := (oc*bsz+gi*g8)*np + p
+					if n := bsz - gi*g8; n < g8 {
+						acc := [g8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+						for j := 0; j < n; j++ {
+							outd[o+j*np] = acc[j]
+						}
+						continue
+					}
+					outd[o] = a0
+					outd[o+np] = a1
+					outd[o+2*np] = a2
+					outd[o+3*np] = a3
+					outd[o+4*np] = a4
+					outd[o+5*np] = a5
+					outd[o+6*np] = a6
+					outd[o+7*np] = a7
+				}
+			}
+		}
+	}
 }
 
 // forwardDirect3x1 is the im2col-free fast path for single-input-channel
@@ -397,12 +584,13 @@ func (c *Conv2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.
 
 // scatterBatch accumulates the weight gradients (gathering from the packed
 // input) and, when gid is non-nil, the input gradients (scattering through
-// the shared kernel) for a packed block. Loop order is samples outermost,
-// then (oy, ox, oc) exactly as backwardInto, so every gradW/gradIn element
-// receives the same contributions in the same order as consecutive
-// per-sample Backward calls. Positions whose gradient is zero in every
-// channel are skipped before any window work, and full 3×3/stride-1 windows
-// unroll.
+// the kernel) for a packed block. Under a replica table position (oy, ox)
+// reads repK and accumulates into repG at oy*repW+ox instead of the shared
+// weight and gradW. Loop order is samples outermost, then (oy, ox, oc)
+// exactly as backwardInto, so every gradW/gradIn element receives the same
+// contributions in the same order as consecutive per-sample Backward calls.
+// Positions whose gradient is zero in every channel are skipped before any
+// window work, and full 3×3/stride-1 windows unroll.
 func (c *Conv2D) scatterBatch(gid, god, ind []float64, bsz, h, w, oh, ow int) {
 	khkw := c.KH * c.KW
 	kcs := c.InC * khkw
@@ -426,6 +614,10 @@ func (c *Conv2D) scatterBatch(gid, god, ind []float64, bsz, h, w, oh, ow int) {
 				}
 				if !any {
 					continue
+				}
+				if c.repK != nil {
+					kd = c.repK[oy*c.repW+ox].Data()
+					gwd = c.repG[oy*c.repW+ox].Data()
 				}
 				kx0, kx1 := kernelWindow(ox, c.Stride, c.Pad, c.KW, w)
 				ixBase := ox*c.Stride - c.Pad
@@ -514,11 +706,11 @@ type sparseWinner struct {
 }
 
 // backwardBatchSparse consumes the pooling layer's routed winner list
-// directly (see MaxPool2D.backwardBatchSparse): gradB and gradW accumulate
-// only the positions that actually carry gradient, in the same per-element
-// order as the dense scatter, without ever materializing or re-scanning the
-// zero-dominated gradient plane. Only valid as the stack's first layer (no
-// input gradient is produced).
+// directly (see MaxPool2D.backwardBatchSparse): gradB and gradW (repG[p]
+// under a replica table) accumulate only the positions that actually carry
+// gradient, in the same per-element order as the dense scatter, without ever
+// materializing or re-scanning the zero-dominated gradient plane. Only valid
+// as the stack's first layer (no input gradient is produced).
 func (c *Conv2D) backwardBatchSparse(winners []sparseWinner) {
 	if c.lastInB == nil {
 		panic("cnn: Conv2D batched backward before forward")
@@ -538,6 +730,9 @@ func (c *Conv2D) backwardBatchSparse(winners []sparseWinner) {
 		oc := int(s.oc)
 		gbd[oc] += g
 		oy, ox := int(s.y), int(s.x)
+		if c.repG != nil {
+			gwd = c.repG[oy*c.repW+ox].Data()
+		}
 		iyBase := oy*c.Stride - c.Pad
 		ixBase := ox*c.Stride - c.Pad
 		kocBase := oc * kcs
@@ -579,8 +774,6 @@ func (c *Conv2D) backwardBatchSparse(winners []sparseWinner) {
 
 // ---------------------------------------------------------------------------
 // Dense
-
-func (d *Dense) supportsBatch() bool { return true }
 
 // forwardBatch implements batchLayer: out = in × Wᵀ + bias as one GEMM. The
 // transposed weights let the GEMM stream independent output elements —
@@ -675,8 +868,6 @@ func (d *Dense) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.T
 // ---------------------------------------------------------------------------
 // ReLU
 
-func (r *ReLU) supportsBatch() bool { return true }
-
 // reluMask is the branchless ReLU select shared by the fused kernels: v for
 // v > 0, +0.0 otherwise — bit-for-bit the serial Forward's arithmetic.
 func reluMask(v float64) float64 {
@@ -719,8 +910,6 @@ func (r *ReLU) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Te
 
 // ---------------------------------------------------------------------------
 // Flatten
-
-func (f *Flatten) supportsBatch() bool { return true }
 
 // forwardBatch implements batchLayer: (C,B,H,W) gathers to (B, C·H·W), each
 // row the row-major (C,H,W) vector the serial Flatten produces; an already
@@ -776,8 +965,6 @@ func (f *Flatten) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor
 
 // ---------------------------------------------------------------------------
 // MaxPool2D
-
-func (p *MaxPool2D) supportsBatch() bool { return true }
 
 // forwardBatch implements batchLayer: every (channel, sample) plane of the
 // packed block is contiguous, so the serial per-plane window code runs
@@ -1307,8 +1494,6 @@ func (p *MaxPool2D) backwardBatchSparse(gradOut *tensor.Tensor) []sparseWinner {
 // ---------------------------------------------------------------------------
 // AvgPool2D
 
-func (p *AvgPool2D) supportsBatch() bool { return true }
-
 // forwardBatch implements batchLayer: the serial clipped-window mean per
 // contiguous (channel, sample) plane.
 func (p *AvgPool2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
@@ -1408,8 +1593,9 @@ func (p *AvgPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tens
 // ---------------------------------------------------------------------------
 // Network engine
 
-// batchable reports whether the batched kernels can run this stack: no
-// replica tables, a 1-D or 3-D input, and a 1-D output.
+// batchable reports whether the batched kernels can run this stack: every
+// layer a built-in one (Layer implementations from outside the package have
+// no batched kernels), a 1-D or 3-D input, and a 1-D output.
 func (n *Network) batchable() bool {
 	if len(n.layers) == 0 {
 		return false
@@ -1418,8 +1604,7 @@ func (n *Network) batchable() bool {
 		return false
 	}
 	for _, l := range n.layers {
-		bl, ok := l.(batchLayer)
-		if !ok || !bl.supportsBatch() {
+		if _, ok := l.(batchLayer); !ok {
 			return false
 		}
 	}
@@ -1509,14 +1694,17 @@ func (n *Network) backwardBatchAll(grad *tensor.Tensor) {
 }
 
 // invalidateBatchWeights drops every per-layer derived-weight cache (the
-// Dense wT transpose) across the engine's slot stacks. Must run whenever the
-// underlying parameters may have changed — at trainChunk entry and after
-// every optimizer step.
+// Dense wT transpose and the Conv2D replica copy repT) across the engine's
+// slot stacks. Must run whenever the underlying parameters may have changed
+// — at trainChunk entry and after every optimizer step.
 func (n *Network) invalidateBatchWeights() {
 	for _, s := range n.slots {
 		for _, l := range s.net.layers {
-			if d, ok := l.(*Dense); ok {
-				d.wTok = false
+			switch l := l.(type) {
+			case *Dense:
+				l.wTok = false
+			case *Conv2D:
+				l.repTok = false
 			}
 		}
 	}

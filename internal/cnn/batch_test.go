@@ -2,6 +2,7 @@ package cnn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"zeiot/internal/rng"
@@ -13,7 +14,7 @@ import (
 // a fixed stream, and returns the last epoch's mean loss. Block 1 at one
 // worker — Forward, CrossEntropy and Backward one sample at a time — is the
 // reference every other configuration must reproduce bit for bit.
-func trainBlocks(net *Network, samples []Sample, epochs, batch, block, workers int, opt *SGD) float64 {
+func trainBlocks(net *Network, samples []Sample, epochs, batch, block, workers int, opt Optimizer) float64 {
 	s := rng.New(424242)
 	loss := 0.0
 	for e := 0; e < epochs; e++ {
@@ -28,12 +29,30 @@ func trainBlocks(net *Network, samples []Sample, epochs, batch, block, workers i
 }
 
 // trainRef is trainBlocks at the per-sample reference configuration.
-func trainRef(net *Network, samples []Sample, epochs, batch int, opt *SGD) float64 {
+func trainRef(net *Network, samples []Sample, epochs, batch int, opt Optimizer) float64 {
 	return trainBlocks(net, samples, epochs, batch, 1, 1, opt)
 }
 
-// requireSameParams fails unless every parameter tensor of a and b is
-// bit-identical (tolerance zero).
+// replicaSGD is SGD that, like MicroDeep's local-update optimizer, also
+// steps every per-position kernel replica with its own gradient and then
+// zeroes the replica gradients.
+type replicaSGD struct{ *SGD }
+
+// StepNetwork implements Optimizer.
+func (o replicaSGD) StepNetwork(n *Network, batch int) {
+	o.SGD.StepNetwork(n, batch)
+	for _, l := range n.layers {
+		if c, ok := l.(*Conv2D); ok {
+			for p, k := range c.repK {
+				o.StepOne(k, c.repG[p], batch)
+				c.repG[p].Zero()
+			}
+		}
+	}
+}
+
+// requireSameParams fails unless every parameter tensor of a and b, and
+// every conv kernel replica of a, is bit-identical to b's (tolerance zero).
 func requireSameParams(t *testing.T, a, b *Network, ctx string) {
 	t.Helper()
 	for li, l := range a.Layers() {
@@ -47,7 +66,37 @@ func requireSameParams(t *testing.T, a, b *Network, ctx string) {
 				t.Fatalf("%s: layer %d (%s) param %d differs from reference", ctx, li, l.Name(), pi)
 			}
 		}
+		if ca, ok := l.(*Conv2D); ok && ca.repK != nil {
+			cb := b.Layers()[li].(*Conv2D)
+			if len(ca.repK) != len(cb.repK) {
+				t.Fatalf("%s: layer %d has %d replicas, reference %d", ctx, li, len(cb.repK), len(ca.repK))
+			}
+			for p, k := range ca.repK {
+				if !tensor.Equal(k, cb.repK[p], 0) {
+					t.Fatalf("%s: layer %d replica %d differs from reference", ctx, li, p)
+				}
+			}
+		}
 	}
+}
+
+// installReplicas gives conv a replica table over its oh×ow output
+// positions: position p starts from the shared kernel perturbed by its own
+// noise draw, so every position computes with a distinct kernel (a locally
+// connected layer), and gradients accumulate per position.
+func installReplicas(conv *Conv2D, oh, ow int, s *rng.Stream) {
+	kernels := make([]*tensor.Tensor, oh*ow)
+	grads := make([]*tensor.Tensor, oh*ow)
+	for p := range kernels {
+		k := conv.Weight().Clone()
+		kd := k.Data()
+		for i := range kd {
+			kd[i] += 0.2 * s.NormMeanStd(0, 1)
+		}
+		kernels[p] = k
+		grads[p] = tensor.New(conv.Weight().Shape()...)
+	}
+	conv.SetReplicaTable(kernels, grads, ow)
 }
 
 func spatialSamples(seed uint64, n, ch, h, w, classes int) []Sample {
@@ -70,8 +119,12 @@ func flatSamples(seed uint64, n, f, classes int) []Sample {
 
 // batchNets returns the architectures the bit-identity suite covers: padded
 // 3×3 convs with max pooling (the fast paths), a stride-2 5×5 conv (the
-// general im2col/scatter path), average pooling, and a dense-only stack on
-// flat input.
+// general im2col/scatter path), average pooling, a dense-only stack on flat
+// input, and four locally connected stacks (replica tables with a distinct
+// kernel per position): e2's MicroDeep CNN (single-channel input, the
+// sparse-winner backward), e1's feasible CNN (multi-channel input), a
+// stride-2 5×5 replica conv (the general scatter) and a replica conv behind a
+// plain conv (the input gradient through the replicas).
 func batchNets() map[string]struct {
 	build   func() *Network
 	samples []Sample
@@ -111,6 +164,69 @@ func batchNets() map[string]struct {
 			},
 			samples: flatSamples(104, 33, 10, 5),
 		},
+		"local-e2-lounge": {
+			build: func() *Network {
+				s := rng.New(15)
+				conv := NewConv2D(1, 4, 3, 3, 1, 1, s.Split("c"))
+				installReplicas(conv, 17, 25, s.Split("r"))
+				return NewNetwork([]int{1, 17, 25},
+					conv,
+					NewReLU(),
+					NewMaxPool2D(3, 3),
+					NewFlatten(),
+					NewDense(4*5*8, 16, s.Split("d1")),
+					NewReLU(),
+					NewDense(16, 2, s.Split("d2")),
+				)
+			},
+			samples: spatialSamples(105, 19, 1, 17, 25, 2),
+		},
+		"local-e1-feasible": {
+			build: func() *Network {
+				s := rng.New(16)
+				conv := NewConv2D(10, 6, 3, 3, 1, 1, s.Split("c"))
+				installReplicas(conv, 8, 8, s.Split("r"))
+				return NewNetwork([]int{10, 8, 8},
+					conv,
+					NewReLU(),
+					NewMaxPool2D(2, 2),
+					NewFlatten(),
+					NewDense(6*4*4, 24, s.Split("d1")),
+					NewReLU(),
+					NewDense(24, 2, s.Split("d2")),
+				)
+			},
+			samples: spatialSamples(106, 19, 10, 8, 8, 2),
+		},
+		"local-5x5-stride2": {
+			build: func() *Network {
+				s := rng.New(17)
+				conv := NewConv2D(2, 3, 5, 5, 2, 1, s.Split("c"))
+				installReplicas(conv, 4, 4, s.Split("r"))
+				return NewNetwork([]int{2, 9, 9},
+					conv,
+					NewFlatten(),
+					NewDense(3*4*4, 4, s.Split("d")),
+				)
+			},
+			samples: spatialSamples(107, 19, 2, 9, 9, 4),
+		},
+		"local-after-conv": {
+			build: func() *Network {
+				s := rng.New(18)
+				conv := NewConv2D(2, 3, 3, 3, 1, 1, s.Split("c2"))
+				installReplicas(conv, 6, 6, s.Split("r"))
+				return NewNetwork([]int{1, 6, 6},
+					NewConv2D(1, 2, 3, 3, 1, 1, s.Split("c1")),
+					NewReLU(),
+					conv,
+					NewReLU(),
+					NewFlatten(),
+					NewDense(3*6*6, 3, s.Split("d")),
+				)
+			},
+			samples: spatialSamples(108, 21, 1, 6, 6, 3),
+		},
 	}
 }
 
@@ -123,11 +239,11 @@ func TestTrainEpochBatchedBitIdentical(t *testing.T) {
 	for name, tc := range batchNets() {
 		t.Run(name, func(t *testing.T) {
 			ref := tc.build()
-			refLoss := trainRef(ref, tc.samples, 3, 8, NewSGD(0.05, 0.9))
+			refLoss := trainRef(ref, tc.samples, 3, 8, replicaSGD{NewSGD(0.05, 0.9)})
 			for _, block := range []int{1, 2, 3, 4, 8, 16} {
 				for _, workers := range []int{1, 2, 4} {
 					net := tc.build()
-					loss := trainBlocks(net, tc.samples, 3, 8, block, workers, NewSGD(0.05, 0.9))
+					loss := trainBlocks(net, tc.samples, 3, 8, block, workers, replicaSGD{NewSGD(0.05, 0.9)})
 					ctx := fmt.Sprintf("block %d, workers %d", block, workers)
 					if loss != refLoss {
 						t.Fatalf("%s: loss %.17g != reference %.17g", ctx, loss, refLoss)
@@ -140,23 +256,25 @@ func TestTrainEpochBatchedBitIdentical(t *testing.T) {
 }
 
 // TestTrainEpochParallelUsesBatchKernel checks the public fit path on every
-// batchable stack: FitParallel runs the packed kernels (the slot holds a
-// packed input block afterwards) and lands on the per-sample reference's
-// bits at every worker count.
+// batchable stack: a Trainer — FitParallel's loop, here with replicaSGD so
+// replica stacks train their replicas as MicroDeep does — runs the packed
+// kernels (the slot holds a packed input block afterwards) and lands on the
+// per-sample reference's bits at every worker count.
 func TestTrainEpochParallelUsesBatchKernel(t *testing.T) {
 	for name, tc := range batchNets() {
 		t.Run(name, func(t *testing.T) {
 			ref := tc.build()
-			refLoss := trainRef(ref, tc.samples, 3, 8, NewSGD(0.05, 0.9))
+			refLoss := trainRef(ref, tc.samples, 3, 8, replicaSGD{NewSGD(0.05, 0.9)})
 			for _, workers := range []int{1, 2, 4} {
 				net := tc.build()
-				loss := net.FitParallel(tc.samples, 3, 8, workers, NewSGD(0.05, 0.9), rng.New(424242))
-				if loss != refLoss {
+				tr := NewTrainer(net, replicaSGD{NewSGD(0.05, 0.9)}, rng.New(424242), tc.samples, 3, 8, workers)
+				tr.Step(math.MaxInt)
+				if loss := tr.LastLoss(); loss != refLoss {
 					t.Fatalf("workers %d: loss %.17g != reference %.17g", workers, loss, refLoss)
 				}
 				requireSameParams(t, net, ref, name)
 				if net.slots[0].inB == nil {
-					t.Fatalf("workers %d: FitParallel did not run the batched kernels", workers)
+					t.Fatalf("workers %d: the Trainer did not run the batched kernels", workers)
 				}
 			}
 		})
@@ -184,25 +302,24 @@ func TestFitRoutesThroughBatchKernel(t *testing.T) {
 	}
 }
 
-// TestBatchedFallsBackOnReplicaConv pins the replica-mode fallback: a conv
-// with per-position kernel tables cannot run batched, so the engine must
-// train it in 1-sample blocks whatever block size it is asked for.
-func TestBatchedFallsBackOnReplicaConv(t *testing.T) {
+// TestBatchedReplicaAliasMatchesPlainConv pins the locally connected
+// kernel against the shared-weight one: a replica table whose every
+// position aliases the shared kernel and gradient is the plain conv, so
+// packed training through the replica path (block 8, two workers) must land
+// on the plain conv's per-sample bits.
+func TestBatchedReplicaAliasMatchesPlainConv(t *testing.T) {
 	build := func(replica bool) *Network {
 		s := rng.New(21)
 		conv := NewConv2D(1, 2, 3, 3, 1, 1, s.Split("c"))
 		net := NewNetwork([]int{1, 6, 6}, conv, NewReLU(), NewFlatten(), NewDense(2*6*6, 3, s.Split("d")))
 		if replica {
-			// One shared replica per output position: numerically identical
-			// to the plain conv, but it must force the per-sample path.
-			oh, ow := 6, 6
-			kernels := make([]*tensor.Tensor, oh*ow)
-			grads := make([]*tensor.Tensor, oh*ow)
+			kernels := make([]*tensor.Tensor, 6*6)
+			grads := make([]*tensor.Tensor, 6*6)
 			for i := range kernels {
 				kernels[i] = conv.Params()[0]
 				grads[i] = conv.Grads()[0]
 			}
-			conv.SetReplicaTable(kernels, grads, ow)
+			conv.SetReplicaTable(kernels, grads, 6)
 		}
 		return net
 	}
@@ -212,23 +329,57 @@ func TestBatchedFallsBackOnReplicaConv(t *testing.T) {
 	refLoss := trainRef(ref, samples, 2, 4, NewSGD(0.05, 0.9))
 
 	net := build(true)
-	if net.batchable() {
-		t.Fatal("replica-hooked conv reported batchable")
-	}
 	loss := trainBlocks(net, samples, 2, 4, 8, 2, NewSGD(0.05, 0.9))
 	if loss != refLoss {
-		t.Fatalf("fallback loss %.17g != reference %.17g", loss, refLoss)
+		t.Fatalf("aliased replica loss %.17g != plain conv %.17g", loss, refLoss)
 	}
-	requireSameParams(t, net, ref, "replica fallback")
-	if net.slots[0].inB != nil {
-		t.Fatal("replica stack ran the batched kernels")
+	requireSameParams(t, ref, net, "aliased replicas")
+	if net.slots[0].inB == nil {
+		t.Fatal("replica stack did not run the batched kernels")
+	}
+}
+
+// TestBatchedReplicaEditNotStale pins the invalidation of the cached
+// position-minor replica copy: a replica edited in place between two
+// FitParallel calls must be what the second call trains with, exactly as in
+// the per-sample reference that makes the same edit.
+func TestBatchedReplicaEditNotStale(t *testing.T) {
+	tc := batchNets()["local-e2-lounge"]
+	edit := func(net *Network) {
+		k := net.Layers()[0].(*Conv2D).repK[3*25+7]
+		k.Data()[4] += 0.75
+	}
+	ref := tc.build()
+	trainRef(ref, tc.samples, 1, 8, NewSGD(0.05, 0.9))
+	edit(ref)
+	refLoss := trainRef(ref, tc.samples, 1, 8, NewSGD(0.05, 0.9))
+
+	for _, workers := range []int{1, 2} {
+		net := tc.build()
+		net.FitParallel(tc.samples, 1, 8, workers, NewSGD(0.05, 0.9), rng.New(424242))
+		edit(net)
+		loss := net.FitParallel(tc.samples, 1, 8, workers, NewSGD(0.05, 0.9), rng.New(424242))
+		ctx := fmt.Sprintf("workers %d", workers)
+		if loss != refLoss {
+			t.Fatalf("%s: loss %.17g after the edit != reference %.17g", ctx, loss, refLoss)
+		}
+		requireSameParams(t, net, ref, ctx)
+		if net.slots[0].inB == nil {
+			t.Fatalf("%s: FitParallel did not run the batched kernels", ctx)
+		}
 	}
 }
 
 // BenchmarkTrainBlockSize sweeps the engine's block size over one epoch of
 // the e2 lounge CNN (64 samples, batch 16, one worker) — the evidence for
-// blockSize. Results are bit-identical across all sizes; only
-// samples_per_sec moves. block1 is the per-sample path.
+// blockSize. The local-block variants run the same CNN with a replica table
+// on its conv, as MicroDeep's local-update mode trains it (the locally
+// connected kernel at block 8 against the per-sample replica path at block
+// 1). Results are bit-identical across all sizes; only samples_per_sec
+// moves. block1 is the per-sample path. Keep the default -benchtime for
+// the local variants: the same 64 samples train on, so after some 6k
+// optimizer steps the net has fit them and most replica momenta have
+// decayed into subnormal floats, which slows StepOne.
 func BenchmarkTrainBlockSize(b *testing.B) {
 	s := rng.New(77)
 	samples := make([]Sample, 64)
@@ -239,10 +390,14 @@ func BenchmarkTrainBlockSize(b *testing.B) {
 	for i := range perm {
 		perm[i] = i
 	}
-	for _, block := range []int{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("block%d", block), func(b *testing.B) {
+	run := func(name string, block int, local bool) {
+		b.Run(name, func(b *testing.B) {
 			net, _ := allocNetAnyBuild(6)
-			opt := NewSGD(0.01, 0.9)
+			var opt Optimizer = NewSGD(0.01, 0.9)
+			if local {
+				installReplicas(net.Layers()[0].(*Conv2D), 17, 25, rng.New(78))
+				opt = replicaSGD{NewSGD(0.01, 0.9)}
+			}
 			step := func(bsz int) {
 				opt.StepNetwork(net, bsz)
 				net.ZeroGrads()
@@ -256,5 +411,11 @@ func BenchmarkTrainBlockSize(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)*float64(len(samples))/b.Elapsed().Seconds(), "samples_per_sec")
 		})
+	}
+	for _, block := range []int{1, 4, 8, 16} {
+		run(fmt.Sprintf("block%d", block), block, false)
+	}
+	for _, block := range []int{1, 8} {
+		run(fmt.Sprintf("local-block%d", block), block, true)
 	}
 }

@@ -332,8 +332,8 @@ func TestSGDWeightDecayShrinksParams(t *testing.T) {
 	}
 }
 
-func TestReplicaHooksMatchSharedWhenIdentical(t *testing.T) {
-	// Installing replica hooks that all return the shared kernel must not
+func TestReplicaTableMatchesSharedWhenIdentical(t *testing.T) {
+	// A replica table whose every position holds the shared kernel must not
 	// change the forward output.
 	s := rng.New(31)
 	c := NewConv2D(1, 3, 3, 3, 1, 1, s)
@@ -341,12 +341,14 @@ func TestReplicaHooksMatchSharedWhenIdentical(t *testing.T) {
 	// Clone: layer outputs are reusable scratch, and the second Forward
 	// below would otherwise overwrite (and alias) the first result.
 	want := c.Forward(in).Clone()
-	c.SetReplicaHooks(
-		func(oy, ox int) *tensor.Tensor { return c.Weight() },
-		func(oy, ox int) *tensor.Tensor { return c.Grads()[0] },
-	)
+	kernels := make([]*tensor.Tensor, 5*5)
+	grads := make([]*tensor.Tensor, 5*5)
+	for p := range kernels {
+		kernels[p], grads[p] = c.Weight(), c.Grads()[0]
+	}
+	c.SetReplicaTable(kernels, grads, 5)
 	got := c.Forward(in)
 	if !tensor.Equal(want, got, 0) {
-		t.Fatal("identity replica hooks changed output")
+		t.Fatal("identity replica table changed output")
 	}
 }

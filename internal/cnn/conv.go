@@ -29,25 +29,26 @@ type Conv2D struct {
 	// routing most channel gradients are zero).
 	nzOC []int
 	nzG  []float64
-	// kernelFor, when non-nil, returns the kernel replica to use at output
-	// position (oy, ox) instead of the shared weight tensor. Package
-	// microdeep installs this hook to emulate per-node weight replicas;
-	// the matching gradient routing goes through gradFor.
-	kernelFor func(oy, ox int) *tensor.Tensor
-	gradFor   func(oy, ox int) *tensor.Tensor
-	// repK/repG, when set via SetReplicaTable, hold the same per-position
-	// replicas as the hooks but as flat tables (position oy*repW+ox) that
-	// the fast paths index directly instead of through an indirect call.
+	// repK/repG, when set via SetReplicaTable, replace the shared kernel
+	// per output position: position (oy, ox) computes with repK[oy*repW+ox]
+	// and accumulates its weight gradients into repG[oy*repW+ox]. Package
+	// microdeep installs them to emulate per-node weight replicas (a
+	// locally connected layer).
 	repK, repG []*tensor.Tensor
 	repW       int
 	// Batched-path scratch (see batch.go): the packed (C,B,H,W) output and
 	// input-gradient blocks, the im2col patch matrix, cached 2-D GEMM views
 	// over the weight/output storage, and the packed input reference kept
-	// for backwardBatch.
+	// for backwardBatch. Under a replica table, repT is the position-minor
+	// copy of the table, valid while repTok holds (the engine clears it
+	// whenever the replicas may have changed, like Dense's wT), and xT the
+	// sample-minor copy of the input block (see forwardLocal).
 	outB, gradInB *tensor.Tensor
 	patch         *tensor.Tensor
 	w2, out2      *tensor.Tensor
 	lastInB       *tensor.Tensor
+	repT, xT      *tensor.Tensor
+	repTok        bool
 }
 
 var (
@@ -100,38 +101,25 @@ func (c *Conv2D) Weight() *tensor.Tensor { return c.weight }
 // Bias returns the bias tensor (outC).
 func (c *Conv2D) Bias() *tensor.Tensor { return c.bias }
 
-// SetReplicaHooks installs per-position kernel selection: kernelFor supplies
-// the weight tensor used when computing output position (oy, ox) and gradFor
-// the tensor its weight gradients accumulate into. Both tensors must have
-// the layer's (outC, inC, kh, kw) shape. Passing nil, nil restores shared
-// weights.
-func (c *Conv2D) SetReplicaHooks(kernelFor, gradFor func(oy, ox int) *tensor.Tensor) {
-	c.kernelFor = kernelFor
-	c.gradFor = gradFor
-	c.repK, c.repG, c.repW = nil, nil, 0
-}
-
-// SetReplicaTable installs per-position kernel replicas as direct tables:
-// output position (oy, ox) uses kernels[oy*w+ox] and accumulates its weight
-// gradients into grads[oy*w+ox]. It is equivalent to SetReplicaHooks with
-// indexing closures, but lets the convolution fast paths look replicas up
-// without an indirect call per output position.
+// SetReplicaTable installs per-position kernel replicas: output position
+// (oy, ox) computes with kernels[oy*w+ox] instead of the shared weight and
+// accumulates its weight gradients into grads[oy*w+ox]. Every tensor must
+// have the layer's (outC, inC, kh, kw) shape, and w must be the output
+// width. The bias stays shared.
 func (c *Conv2D) SetReplicaTable(kernels, grads []*tensor.Tensor, w int) {
 	if len(kernels) != len(grads) || w <= 0 {
 		panic("cnn: invalid replica table")
 	}
 	c.repK, c.repG, c.repW = kernels, grads, w
-	c.kernelFor = func(oy, ox int) *tensor.Tensor { return kernels[oy*w+ox] }
-	c.gradFor = func(oy, ox int) *tensor.Tensor { return grads[oy*w+ox] }
+	c.repTok = false
 }
 
 // shadow implements shadowLayer: the clone shares parameters, gradients and
-// replica hooks with c but owns its forward/backward scratch.
+// replica tables with c but owns its forward/backward scratch.
 func (c *Conv2D) shadow() Layer {
 	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW, Stride: c.Stride, Pad: c.Pad,
 		weight: c.weight, bias: c.bias, gradW: c.gradW, gradB: c.gradB,
-		kernelFor: c.kernelFor, gradFor: c.gradFor,
 		repK: c.repK, repG: c.repG, repW: c.repW,
 	}
 }
@@ -203,8 +191,8 @@ func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 		iyBase := oy*c.Stride - c.Pad
 		for ox := 0; ox < ow; ox++ {
 			kernel := c.weight
-			if c.kernelFor != nil {
-				kernel = c.kernelFor(oy, ox)
+			if c.repK != nil {
+				kernel = c.repK[oy*c.repW+ox]
 			}
 			kd := kernel.Data()
 			kx0, kx1 := kernelWindow(ox, c.Stride, c.Pad, c.KW, w)
@@ -275,9 +263,6 @@ func (c *Conv2D) backward3x3(ind, gid, god, gbd []float64, h, w, oh, ow int) {
 			if c.repK != nil {
 				kernel = c.repK[oy*c.repW+ox]
 				gw = c.repG[oy*c.repW+ox]
-			} else if c.kernelFor != nil {
-				kernel = c.kernelFor(oy, ox)
-				gw = c.gradFor(oy, ox)
 			}
 			kd := kernel.Data()
 			gwd := gw.Data()
@@ -510,14 +495,14 @@ func (c *Conv2D) forward3x3(ind, outd []float64, h, w, oh, ow int) {
 	}
 	chw := h * w
 	var kd []float64
-	if c.kernelFor == nil {
+	if c.repK == nil {
 		kd = c.weight.Data()
 	}
 	for oy := 0; oy < oh; oy++ {
 		ky0, ky1 := kernelWindow(oy, 1, c.Pad, 3, h)
 		iyBase := oy - c.Pad
 		fullRow := ky0 == 0 && ky1 == 3
-		if fullRow && c.kernelFor == nil {
+		if fullRow && c.repK == nil {
 			// Shared weights: hoist each (oc, ic) kernel row and stream it
 			// along the interior columns.
 			for oc := 0; oc < c.OutC; oc++ {
@@ -560,7 +545,7 @@ func (c *Conv2D) forward3x3(ind, outd []float64, h, w, oh, ow int) {
 			}
 			continue
 		}
-		if fullRow && c.kernelFor != nil && c.InC == 1 {
+		if fullRow && c.repK != nil && c.InC == 1 {
 			// Replica mode, single input channel (the locally connected
 			// layers MicroDeep trains): resolve the per-position kernel once
 			// and hoist the 9 input loads across output channels. The
@@ -573,18 +558,9 @@ func (c *Conv2D) forward3x3(ind, outd []float64, h, w, oh, ow int) {
 			for ox := 0; ox < xlo; ox++ {
 				c.forwardPoint3x3(ind, outd, h, w, oh, ow, oy, ox)
 			}
-			var krow []*tensor.Tensor
-			if c.repK != nil {
-				krow = c.repK[oy*c.repW : oy*c.repW+c.repW]
-			}
+			krow := c.repK[oy*c.repW : oy*c.repW+c.repW]
 			for ox := xlo; ox < xhi; ox++ {
-				var kt *tensor.Tensor
-				if krow != nil {
-					kt = krow[ox]
-				} else {
-					kt = c.kernelFor(oy, ox)
-				}
-				kd := kt.Data()
+				kd := krow[ox].Data()
 				ix := ox - c.Pad
 				x0, x1, x2 := r0[ix], r0[ix+1], r0[ix+2]
 				y0, y1, y2 := r1[ix], r1[ix+1], r1[ix+2]
@@ -609,7 +585,7 @@ func (c *Conv2D) forward3x3(ind, outd []float64, h, w, oh, ow int) {
 			}
 			continue
 		}
-		if fullRow && c.kernelFor != nil {
+		if fullRow && c.repK != nil {
 			// Replica mode, multi-channel interior: iterate input channels
 			// outermost so the 9 input loads are shared across all output
 			// channels, with one running sum per output channel in accBuf.
@@ -621,18 +597,9 @@ func (c *Conv2D) forward3x3(ind, outd []float64, h, w, oh, ow int) {
 				c.forwardPoint3x3(ind, outd, h, w, oh, ow, oy, ox)
 			}
 			oyBase := oy * ow
-			var krow []*tensor.Tensor
-			if c.repK != nil {
-				krow = c.repK[oy*c.repW : oy*c.repW+c.repW]
-			}
+			krow := c.repK[oy*c.repW : oy*c.repW+c.repW]
 			for ox := xlo; ox < xhi; ox++ {
-				var kt *tensor.Tensor
-				if krow != nil {
-					kt = krow[ox]
-				} else {
-					kt = c.kernelFor(oy, ox)
-				}
-				kd := kt.Data()
+				kd := krow[ox].Data()
 				ix := ox - c.Pad
 				copy(acc, biasd[:c.OutC])
 				for ic := 0; ic < c.InC; ic++ {
@@ -671,7 +638,7 @@ func (c *Conv2D) forward3x3(ind, outd []float64, h, w, oh, ow int) {
 		// corner/edge columns fall back to the per-position helper. Per
 		// element the terms still accumulate in (ic, ky, kx) ascending
 		// order.
-		if c.kernelFor == nil {
+		if c.repK == nil {
 			for oc := 0; oc < c.OutC; oc++ {
 				outRow := outd[(oc*oh+oy)*ow : (oc*oh+oy)*ow+ow]
 				b := biasd[oc]
@@ -709,18 +676,9 @@ func (c *Conv2D) forward3x3(ind, outd []float64, h, w, oh, ow int) {
 			c.forwardPoint3x3(ind, outd, h, w, oh, ow, oy, ox)
 		}
 		oyBase := oy * ow
-		var krow []*tensor.Tensor
-		if c.repK != nil {
-			krow = c.repK[oy*c.repW : oy*c.repW+c.repW]
-		}
+		krow := c.repK[oy*c.repW : oy*c.repW+c.repW]
 		for ox := xlo; ox < xhi; ox++ {
-			var kt *tensor.Tensor
-			if krow != nil {
-				kt = krow[ox]
-			} else {
-				kt = c.kernelFor(oy, ox)
-			}
-			kdr := kt.Data()
+			kdr := krow[ox].Data()
 			ix := ox - c.Pad
 			copy(acc, biasd[:c.OutC])
 			for ic := 0; ic < c.InC; ic++ {
@@ -756,8 +714,6 @@ func (c *Conv2D) forwardPoint3x3(ind, outd []float64, h, w, oh, ow, oy, ox int) 
 	kernel := c.weight
 	if c.repK != nil {
 		kernel = c.repK[oy*c.repW+ox]
-	} else if c.kernelFor != nil {
-		kernel = c.kernelFor(oy, ox)
 	}
 	kd := kernel.Data()
 	biasd := c.bias.Data()
@@ -865,9 +821,9 @@ func (c *Conv2D) backwardInto(gid []float64, gradOut *tensor.Tensor) {
 		for ox := 0; ox < ow; ox++ {
 			kernel := c.weight
 			gw := c.gradW
-			if c.kernelFor != nil {
-				kernel = c.kernelFor(oy, ox)
-				gw = c.gradFor(oy, ox)
+			if c.repK != nil {
+				kernel = c.repK[oy*c.repW+ox]
+				gw = c.repG[oy*c.repW+ox]
 			}
 			kd := kernel.Data()
 			gwd := gw.Data()

@@ -72,7 +72,7 @@ type SpatialLayer interface {
 }
 
 // shadowLayer is implemented by every built-in layer. shadow returns a
-// layer that shares parameter and gradient tensors (and replica hooks) with
+// layer that shares parameter and gradient tensors (and replica tables) with
 // the receiver but owns its forward/backward scratch state, so several
 // samples can be in flight concurrently while gradients still reduce into
 // the one canonical set of tensors.

@@ -246,9 +246,8 @@ func (s *SGD) StepNetwork(n *Network, batch int) {
 }
 
 // ResetParallelState drops the engine's cached slot stacks (see trainChunk).
-// Call it after structurally changing the layer stack's hooks (e.g.
-// installing conv replica hooks): stale shadows would otherwise keep the old
-// configuration.
+// Call it after structurally changing the layer stack (e.g. installing conv
+// replica tables): stale shadows would otherwise keep the old configuration.
 func (n *Network) ResetParallelState() { n.slots = nil }
 
 // Evaluate returns classification accuracy over samples.

@@ -112,10 +112,10 @@ type qConv struct {
 	outC, outH, outW int
 	kh, kw           int
 	stride, pad      int
-	w    []int8  // (outC, inC, kh, kw), at wScale
-	b    []int32 // at inScale·wScale
-	mult int64
-	out  []int8
+	w                []int8  // (outC, inC, kh, kw), at wScale
+	b                []int32 // at inScale·wScale
+	mult             int64
+	out              []int8
 }
 
 func (c *qConv) qforward(in []int8) []int8 {
@@ -162,7 +162,7 @@ func (c *qConv) qforward(in []int8) []int8 {
 //     accumulates two output channels at once (w'_a in the low lane, w'_b in
 //     the high lane: Σu·w' ≤ 9·255·255 never carries across bit 32). The true
 //     accumulator is recovered per lane from
-//       Σw·x = Σw'u − 128·Σu − 128·Σw' + 9·16384,
+//     Σw·x = Σw'u − 128·Σu − 128·Σw' + 9·16384,
 //     where Σu is a 3×3 box sum shared by every output channel and
 //     −128·Σw' + 9·16384 folds into a per-channel constant with the bias.
 //   - Halo: pad-1 zeros quantize to u = 128, so a one-cell halo of 128s makes
@@ -679,7 +679,7 @@ func QuantizeNetwork(n *Network, calib []Sample) (*QuantizedNetwork, error) {
 		// accumulator domain (bit-identical to the layered lowering; see the
 		// qConvReLUPool comment).
 		if !quantDisableFusion && li+2 < len(n.layers) {
-			if t, ok := l.(*Conv2D); ok && t.kernelFor == nil &&
+			if t, ok := l.(*Conv2D); ok && t.repK == nil &&
 				t.InC == 1 && t.KH == 3 && t.KW == 3 && t.Stride == 1 && t.Pad == 1 {
 				if _, ok := n.layers[li+1].(*ReLU); ok {
 					if p, ok := n.layers[li+2].(*MaxPool2D); ok {
@@ -694,7 +694,7 @@ func QuantizeNetwork(n *Network, calib []Sample) (*QuantizedNetwork, error) {
 		}
 		switch t := l.(type) {
 		case *Conv2D:
-			if t.kernelFor != nil {
+			if t.repK != nil {
 				return nil, errors.New("cnn: cannot quantize a conv with per-position kernel replicas")
 			}
 			if lastLayer {

@@ -341,7 +341,7 @@ func LoadTraining(r io.Reader) (*Network, Optimizer, []*rng.Stream, error) {
 
 // RestoreTraining reads a blob written by SaveTraining *into* an existing
 // network with the same architecture: parameter data is copied into n's own
-// tensors (pointer identity preserved — conv replica hooks and cached
+// tensors (pointer identity preserved — conv replica tables and cached
 // executors stay valid) and the optimizer state is rebuilt keyed to those
 // tensors. It returns the restored streams. MicroDeep's checkpoint path uses
 // this; standalone callers usually want LoadTraining.

@@ -68,7 +68,7 @@ func (m *Model) SaveTraining(w io.Writer, opt *cnn.SGD, streams ...*rng.Stream) 
 // which must have been built the same way (same network architecture, same
 // WSN/assignment, EnableLocalUpdate called iff it was on the saved model).
 // Kernel data is copied into the model's existing replica tensors — pointer
-// identity is preserved, so the conv hooks and any cached distributed
+// identity is preserved, so the conv replica tables and any cached distributed
 // executor stay valid — and opt receives the saved momentum for both shared
 // parameters and replicas. It returns streams positioned exactly where the
 // saved ones were.

@@ -40,7 +40,7 @@ type Model struct {
 	// distributed-executor path.
 	repByStage []*convReplica
 	// exec is the cached distributed executor used by ForwardDistributed;
-	// it is invalidated when EnableLocalUpdate changes the kernel hooks.
+	// it is invalidated when EnableLocalUpdate installs the replica tables.
 	exec *Executor
 	// gossipEvery > 0 averages each conv unit's kernel with its four
 	// spatial neighbours every that-many optimizer steps — one-hop-only
@@ -124,7 +124,7 @@ func (m *Model) EnableLocalUpdate() {
 		m.replicas = append(m.replicas, r)
 		m.repByStage[si] = r
 	}
-	// The hook change invalidates any cached shadow stacks and executor.
+	// The replica tables invalidate any cached shadow stacks and executor.
 	m.Net.ResetParallelState()
 	m.exec = nil
 }
@@ -314,7 +314,7 @@ func (l localSGD) StepNetwork(n *cnn.Network, batch int) {
 }
 
 // Evaluate returns accuracy using the model's effective weights (replicas
-// included via the conv hooks).
+// included via the conv replica tables).
 func (m *Model) Evaluate(samples []cnn.Sample) float64 { return m.Net.Evaluate(samples) }
 
 // ForwardDistributed runs the site-by-site distributed executor, returning

@@ -75,9 +75,12 @@ func referenceFit(m *Model, samples []cnn.Sample, epochs, batch int, opt *cnn.SG
 // gossip through FitParallel at several worker counts and requires results
 // bit-identical to the per-sample reference loop at tolerance zero: the
 // returned loss, every shared network parameter, and every per-position
-// kernel replica. Replica stacks train in 1-sample blocks whose forwards run
-// on shadow stacks reading the canonical replicas, and all gradients reduce
-// in sample order, so any drift is a reordering bug rather than float noise.
+// kernel replica. Replica stacks train in packed 8-sample blocks through the
+// locally connected kernel, whose forwards run on shadow stacks that each
+// cache their own position-minor copy of the canonical replicas (rebuilt
+// after every step, so gossip and replica updates are seen), and all
+// gradients reduce in sample order, so any drift is a reordering or
+// staleness bug rather than float noise.
 func TestTrainEpochParallelReplicaBitIdentical(t *testing.T) {
 	samples := parallelTestSamples(rng.New(77), 92) // 92 % 8 != 0: a short last batch
 	const epochs, batch = 2, 8

@@ -24,7 +24,8 @@ type RunConfig struct {
 	// derived from it by named splits.
 	Seed uint64
 	// TrainWorkers is the worker count handed to the data-parallel CNN
-	// training paths; 0 selects runtime.NumCPU(). Parallel training is
+	// training paths, and it also bounds the goroutines of e8's
+	// distributed-inference sweep; 0 selects runtime.NumCPU(). Both are
 	// bit-identical to sequential at every worker count, so this moves
 	// wall time only, never results.
 	TrainWorkers int
