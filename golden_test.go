@@ -21,21 +21,27 @@ func TestGoldenDefaultConfig(t *testing.T) {
 	cases := []struct {
 		id     string
 		golden string
+		// slow is why -short skips the row; empty keeps it.
+		slow string
 	}{
-		{"e1", "e1_seed1.golden.json"},
-		{"e2", "e2_seed1.golden.json"},
-		{"e7", "e7_seed1.golden.json"},
-		{"e8", "e8_seed1.golden.json"},
-		{"e13", "e13_seed1.golden.json"},
-		{"e14", "e14_seed1.golden.json"},
-		{"e17", "e17_seed1.golden.json"},
-		{"e18", "e18_seed1.golden.json"},
+		{"e1", "e1_seed1.golden.json", "trains CNNs"},
+		{"e2", "e2_seed1.golden.json", "trains CNNs"},
+		{"e3", "e3_seed1.golden.json", "simulates train RSSI sweeps"},
+		{"e4", "e4_seed1.golden.json", "simulates room RSSI sweeps"},
+		{"e5", "e5_seed1.golden.json", "extracts CSI features"},
+		{"e7", "e7_seed1.golden.json", ""},
+		{"e8", "e8_seed1.golden.json", "trains CNNs"},
+		{"e12", "e12_seed1.golden.json", ""},
+		{"e13", "e13_seed1.golden.json", "trains CNNs"},
+		{"e14", "e14_seed1.golden.json", "trains CNNs"},
+		{"e17", "e17_seed1.golden.json", "trains CNNs"},
+		{"e18", "e18_seed1.golden.json", "trains CNNs"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.id, func(t *testing.T) {
-			if tc.id != "e7" && testing.Short() {
-				t.Skip("trains CNNs")
+			if tc.slow != "" && testing.Short() {
+				t.Skip(tc.slow)
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 			if err != nil {
