@@ -9,11 +9,13 @@ import (
 
 	"zeiot"
 	"zeiot/internal/cnn"
+	"zeiot/internal/congestion"
 	"zeiot/internal/csi"
 	"zeiot/internal/dataset"
 	"zeiot/internal/geom"
 	"zeiot/internal/mac"
 	"zeiot/internal/microdeep"
+	"zeiot/internal/ml"
 	"zeiot/internal/modality"
 	"zeiot/internal/rng"
 	"zeiot/internal/tensor"
@@ -248,6 +250,86 @@ func BenchmarkCSIFeatureExtraction(b *testing.B) {
 		if _, err := room.Feedback.Features(snapshot); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// e5AblationFold returns one fold of e5's classifier ablation: the
+// walk/divergent pattern's 7 positions × 32 snapshots of 624 angle
+// features, split 168 train / 56 test and standardized on the training
+// rows as ml.CrossValidate does.
+func e5AblationFold(b *testing.B) (train, test ml.Dataset) {
+	b.Helper()
+	room := csi.DefaultRoom(csi.PaperPatterns()[0])
+	stream := rng.New(1).Split("classifier-ablation")
+	var trainIdx, testIdx []int
+	var all ml.Dataset
+	for posIdx, pos := range csi.SevenPositions() {
+		for s := 0; s < 32; s++ {
+			feat, err := room.Feedback.Features(room.Snapshot(pos, stream))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(all.X)%4 == 0 {
+				testIdx = append(testIdx, len(all.X))
+			} else {
+				trainIdx = append(trainIdx, len(all.X))
+			}
+			all.X = append(all.X, feat)
+			all.Y = append(all.Y, posIdx)
+		}
+	}
+	std := ml.FitStandardizer(all.Subset(trainIdx))
+	return std.Apply(all.Subset(trainIdx)), std.Apply(all.Subset(testIdx))
+}
+
+// BenchmarkSoftmaxFit fits e5's ablation softmax (7 classes, 150 epochs)
+// to one 168×624 fold.
+func BenchmarkSoftmaxFit(b *testing.B) {
+	train, _ := e5AblationFold(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (ml.Softmax{LR: 0.3, Epochs: 150, Seed: 1}).Fit(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKNNPredict classifies one held-out e5 row per operation against
+// the fold's 168×624 training rows with k = 3.
+func BenchmarkKNNPredict(b *testing.B) {
+	train, test := e5AblationFold(b)
+	m, err := ml.KNN{K: 3}.Fit(train)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = m.Predict(test.X[i%test.Len()])
+	}
+}
+
+// benchSink keeps benchmarked results alive.
+var benchSink int
+
+// BenchmarkTrainCarMeasure runs one congestion.Measure RSSI sweep of e3's
+// six-car train with every car at high congestion (40 phones each).
+func BenchmarkTrainCarMeasure(b *testing.B) {
+	cfg := congestion.DefaultTrainConfig()
+	perCar := make([]int, cfg.Cars)
+	for c := range perCar {
+		perCar[c] = 40
+	}
+	stream := rng.New(1)
+	sc, err := congestion.Generate(cfg, perCar, stream)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		congestion.Measure(sc, stream)
 	}
 }
 

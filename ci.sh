@@ -3,7 +3,8 @@
 # tracked Go file, the full test suite under the race detector (the
 # data-parallel training path, e8's parallel inference sweep and the
 # concurrent mixed-config runs make the race run load-bearing, not
-# optional), and two end-to-end smokes: e1 and e7 at seed 1 must emit
+# optional), a 10 s fuzz of geom.SegmentIntersectsCircle against its
+# distance oracle, and two end-to-end smokes: e1 and e7 at seed 1 must emit
 # exactly the checked-in golden JSON, so a determinism regression anywhere
 # in the stack fails CI even if no unit test covers it, and a
 # mixed-config parallel run — two experiments with different per-run
@@ -25,6 +26,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 go test -race ./...
+# Fuzz step: the squared-distance test in SegmentIntersectsCircle must
+# agree with SegmentPointDist(a, b, c) <= r on every fuzzed input.
+go test -run '^$' -fuzz FuzzSegmentIntersectsCircle -fuzztime 10s ./internal/geom
 
 smoke="$(mktemp)"
 m1="$(mktemp)"

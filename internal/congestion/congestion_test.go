@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zeiot/internal/geom"
+	"zeiot/internal/radio"
 	"zeiot/internal/rng"
 	"zeiot/internal/wsn"
 )
@@ -246,8 +247,8 @@ func TestLinkRSSIMonotoneInDistance(t *testing.T) {
 	cfg := DefaultTrainConfig()
 	cfg.Model.ShadowSigmaDB = 0
 	a := geom.Point{X: 1, Y: 1}
-	near := linkRSSI(cfg, a, geom.Point{X: 3, Y: 1}, nil, nil)
-	far := linkRSSI(cfg, a, geom.Point{X: 15, Y: 1}, nil, nil)
+	near := linkRSSI(cfg, a, geom.Point{X: 3, Y: 1}, radio.Obstacles{}, nil)
+	far := linkRSSI(cfg, a, geom.Point{X: 15, Y: 1}, radio.Obstacles{}, nil)
 	if far >= near {
 		t.Fatal("RSSI not monotone in distance")
 	}

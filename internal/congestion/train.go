@@ -143,12 +143,12 @@ const (
 )
 
 // linkRSSI computes one link's RSSI including door and body losses.
-func linkRSSI(cfg TrainConfig, a, b geom.Point, people []geom.Point, stream *rng.Stream) float64 {
+func linkRSSI(cfg TrainConfig, a, b geom.Point, people radio.Obstacles, stream *rng.Stream) float64 {
 	d := geom.Dist(a, b)
 	rssi := cfg.Model.RSSI(cfg.PhoneTxDBm, 0, 0, d, stream)
 	doors := int(math.Abs(float64(cfg.carOfX(a.X) - cfg.carOfX(b.X))))
 	rssi -= float64(doors) * cfg.DoorLossDB
-	rssi -= radio.ObstructionLossDB(a, b, people, cfg.BodyRadius)
+	rssi -= people.LossDB(a, b)
 	return rssi
 }
 
@@ -166,10 +166,11 @@ func Measure(s Scenario, stream *rng.Stream) Measurements {
 		StrongPeers: make([]int, len(s.Users)),
 		BestRef:     make([]float64, len(s.Users)),
 	}
+	people := radio.NewObstacles(s.Users, cfg.BodyRadius)
 	for u, up := range s.Users {
 		m.UserRef[u] = make([]float64, cfg.Cars)
 		for r := 0; r < cfg.Cars; r++ {
-			m.UserRef[u][r] = linkRSSI(cfg, up, cfg.refPos(r), s.Users, stream)
+			m.UserRef[u][r] = linkRSSI(cfg, up, cfg.refPos(r), people, stream)
 		}
 	}
 	for u, up := range s.Users {
@@ -178,7 +179,7 @@ func Measure(s Scenario, stream *rng.Stream) Measurements {
 			if u == v {
 				continue
 			}
-			rssi := linkRSSI(cfg, up, vp, s.Users, stream)
+			rssi := linkRSSI(cfg, up, vp, people, stream)
 			if rssi >= audibleDBm {
 				sum += rssi
 				n++

@@ -29,10 +29,16 @@ func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // SegmentPointDist returns the distance from point c to segment ab.
 func SegmentPointDist(a, b, c Point) float64 {
+	return math.Hypot(segmentOffset(a, b, c))
+}
+
+// segmentOffset returns the vector from c to the point of segment ab
+// nearest to it.
+func segmentOffset(a, b, c Point) (dx, dy float64) {
 	ab := b.Sub(a)
 	den := ab.X*ab.X + ab.Y*ab.Y
 	if den == 0 {
-		return Dist(a, c)
+		return a.X - c.X, a.Y - c.Y
 	}
 	t := ((c.X-a.X)*ab.X + (c.Y-a.Y)*ab.Y) / den
 	if t < 0 {
@@ -41,14 +47,34 @@ func SegmentPointDist(a, b, c Point) float64 {
 		t = 1
 	}
 	closest := a.Add(ab.Scale(t))
-	return Dist(closest, c)
+	return closest.X - c.X, closest.Y - c.Y
 }
+
+// circleBand is the relative half-width of the band around r² inside
+// which SegmentIntersectsCircle falls back to math.Hypot. It is far wider
+// than the few-ulp errors of dx²+dy², r² and Hypot, so the squares decide
+// every point outside it, and so narrow that almost no point falls in it.
+const circleBand = 0x1p-30
 
 // SegmentIntersectsCircle reports whether segment ab passes within radius r
 // of centre c — the test used to decide whether a person standing at c
-// shadows the radio link a→b.
+// shadows the radio link a→b. It returns SegmentPointDist(a, b, c) <= r
+// for every input. For r in [2^-500, 2^500] it decides by comparing
+// dx²+dy² with r², whose errors cannot cross the relative circleBand
+// around r², and calls math.Hypot only inside the band or when dx²+dy² is
+// NaN. Any other r goes straight to Hypot.
 func SegmentIntersectsCircle(a, b, c Point, r float64) bool {
-	return SegmentPointDist(a, b, c) <= r
+	dx, dy := segmentOffset(a, b, c)
+	if r >= 0x1p-500 && r <= 0x1p500 {
+		d2, r2 := dx*dx+dy*dy, r*r
+		if d2 < r2*(1-circleBand) {
+			return true
+		}
+		if d2 > r2*(1+circleBand) {
+			return false
+		}
+	}
+	return math.Hypot(dx, dy) <= r
 }
 
 // orient returns the orientation of the triple (a, b, c): positive for

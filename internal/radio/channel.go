@@ -1,8 +1,10 @@
 package radio
 
 import (
+	"cmp"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"zeiot/internal/geom"
 	"zeiot/internal/rng"
@@ -104,15 +106,46 @@ func (s Scene) Channel(stream *rng.Stream) MultipathChannel {
 // estimators' likelihood models.
 const BodyAttenuationDB = 6.0
 
-// ObstructionLossDB counts how many of the given obstacle positions (each a
-// person with the given body radius) intersect the a→b link and returns the
-// total body attenuation in dB.
-func ObstructionLossDB(a, b geom.Point, people []geom.Point, bodyRadius float64) float64 {
-	loss := 0.0
-	for _, p := range people {
-		if geom.SegmentIntersectsCircle(a, b, p, bodyRadius) {
-			loss += BodyAttenuationDB
+// Obstacles is one sweep's people, each a body of one radius that
+// attenuates every link passing through it, indexed by X so a link tests
+// only the people beside its X-range.
+type Obstacles struct {
+	pts []geom.Point // sorted by X, NaN first
+	r   float64
+}
+
+// NewObstacles indexes people, each with the given body radius. It copies
+// people, so the caller may reuse the slice.
+func NewObstacles(people []geom.Point, bodyRadius float64) Obstacles {
+	pts := slices.Clone(people)
+	slices.SortFunc(pts, func(p, q geom.Point) int { return cmp.Compare(p.X, q.X) })
+	return Obstacles{pts: pts, r: bodyRadius}
+}
+
+// LossDB returns the body attenuation of link a→b: BodyAttenuationDB for
+// every person whose body the link crosses. It tests only the people whose
+// X lies within the link's X-range widened by the radius and a rounding
+// margin. Skipping the rest is exact: geom.SegmentIntersectsCircle's
+// distance is math.Hypot(dx, dy) >= |dx|, and the margin exceeds the
+// rounding of the nearest point's X and of dx. An infinite radius tests
+// everyone, since a person with a NaN X can then still count.
+func (o Obstacles) LossDB(a, b geom.Point) float64 {
+	pts, hi := o.pts, math.Inf(1)
+	if !math.IsInf(o.r, 1) {
+		lo := math.Min(a.X, b.X)
+		hi = math.Max(a.X, b.X)
+		pad := o.r + (o.r+math.Abs(lo)+math.Abs(hi))*0x1p-40
+		i, _ := slices.BinarySearchFunc(pts, lo-pad, func(p geom.Point, x float64) int { return cmp.Compare(p.X, x) })
+		pts, hi = pts[i:], hi+pad
+	}
+	n := 0
+	for _, p := range pts {
+		if p.X > hi {
+			break
+		}
+		if geom.SegmentIntersectsCircle(a, b, p, o.r) {
+			n++
 		}
 	}
-	return loss
+	return float64(n) * BodyAttenuationDB
 }

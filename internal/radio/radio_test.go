@@ -247,9 +247,104 @@ func TestLoSBlockingWeakensDirectPath(t *testing.T) {
 func TestObstructionLoss(t *testing.T) {
 	a, b := geom.Point{X: 0, Y: 0}, geom.Point{X: 10, Y: 0}
 	people := []geom.Point{{X: 3, Y: 0}, {X: 7, Y: 0.1}, {X: 5, Y: 5}}
-	got := ObstructionLossDB(a, b, people, 0.3)
+	got := NewObstacles(people, 0.3).LossDB(a, b)
 	if got != 2*BodyAttenuationDB {
 		t.Fatalf("obstruction loss = %v", got)
+	}
+}
+
+// refObstructionLossDB is the linear scan Obstacles replaces: every person
+// tested against the link.
+func refObstructionLossDB(a, b geom.Point, people []geom.Point, bodyRadius float64) float64 {
+	loss := 0.0
+	for _, p := range people {
+		if geom.SegmentIntersectsCircle(a, b, p, bodyRadius) {
+			loss += BodyAttenuationDB
+		}
+	}
+	return loss
+}
+
+// ulps returns x moved k ulps (k may be negative).
+func ulps(x float64, k int) float64 {
+	dir := math.Inf(1)
+	if k < 0 {
+		dir, k = math.Inf(-1), -k
+	}
+	for ; k > 0; k-- {
+		x = math.Nextafter(x, dir)
+	}
+	return x
+}
+
+func TestObstaclesMatchLinearScan(t *testing.T) {
+	s := rng.New(21)
+	const r = 0.35
+	pt := func() geom.Point { return geom.Point{X: 120 * s.Float64(), Y: 3 * s.Float64()} }
+	for scene := 0; scene < 30; scene++ {
+		people := make([]geom.Point, s.Intn(200))
+		for i := range people {
+			people[i] = pt()
+		}
+		var links [][2]geom.Point
+		for i := 0; i < 60; i++ {
+			a, b := pt(), pt()
+			switch i % 4 {
+			case 1:
+				b.X = a.X // vertical link
+			case 2:
+				b = a // degenerate link
+			}
+			links = append(links, [2]geom.Point{a, b})
+			// People whose distance to the link is within a few ulps of
+			// r, beside each end of its X-range, where the window is cut.
+			lo, hi := a, b
+			if lo.X > hi.X {
+				lo, hi = hi, lo
+			}
+			for k := -3; k <= 3; k++ {
+				people = append(people,
+					geom.Point{X: ulps(lo.X-r, k), Y: lo.Y},
+					geom.Point{X: ulps(hi.X+r, k), Y: hi.Y})
+			}
+		}
+		orig := append([]geom.Point(nil), people...)
+		idx := NewObstacles(people, r)
+		for i := range people {
+			if people[i] != orig[i] {
+				t.Fatal("NewObstacles reordered the caller's slice")
+			}
+		}
+		for _, l := range links {
+			if got, want := idx.LossDB(l[0], l[1]), refObstructionLossDB(l[0], l[1], people, r); got != want {
+				t.Fatalf("scene %d, link %v: LossDB = %v, linear scan %v", scene, l, got, want)
+			}
+		}
+	}
+}
+
+func TestObstaclesEdgeCases(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	a, b := geom.Point{X: 1, Y: 1}, geom.Point{X: 4, Y: 2}
+	for _, people := range [][]geom.Point{nil, {}} {
+		if got := NewObstacles(people, 0.3).LossDB(a, b); got != 0 {
+			t.Fatalf("no people: LossDB = %v", got)
+		}
+	}
+	if got := (Obstacles{}).LossDB(a, b); got != 0 {
+		t.Fatalf("zero Obstacles: LossDB = %v", got)
+	}
+	people := []geom.Point{{X: 2, Y: 1.3}, {X: nan, Y: 1}, {X: nan, Y: inf}, {X: inf, Y: 1},
+		{X: -inf, Y: 2}, {X: 1, Y: nan}, {X: 1, Y: 1}, {X: 4, Y: 2}}
+	links := [][2]geom.Point{{a, b}, {a, a}, {b, a}, {{X: nan, Y: 1}, b}, {a, {X: inf, Y: 2}},
+		{{X: -inf, Y: 0}, {X: inf, Y: 0}}, {{X: 1, Y: nan}, b}, {{X: 1e300, Y: 0}, {X: -1e300, Y: 1}}}
+	for _, r := range []float64{0.3, 0, -1, nan, inf, -inf, 1e300} {
+		idx := NewObstacles(people, r)
+		for _, l := range links {
+			if got, want := idx.LossDB(l[0], l[1]), refObstructionLossDB(l[0], l[1], people, r); got != want {
+				t.Fatalf("r=%v, link %v: LossDB = %v, linear scan %v", r, l, got, want)
+			}
+		}
 	}
 }
 

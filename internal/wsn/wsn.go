@@ -510,6 +510,7 @@ type LinkRSSI struct {
 // person whose body (radius bodyR) cuts the line of sight.
 func (n *Network) MeasureInterNode(model radio.LogDistance, txDBm float64, people []geom.Point, bodyR float64, stream *rng.Stream) []LinkRSSI {
 	n.ensure()
+	bodies := radio.NewObstacles(people, bodyR)
 	var out []LinkRSSI
 	var scratch []int
 	for i := range n.nodes {
@@ -525,7 +526,7 @@ func (n *Network) MeasureInterNode(model radio.LogDistance, txDBm float64, peopl
 		}
 		for _, j := range nbrs {
 			rssi := model.RSSI(txDBm, 0, 0, geom.Dist(n.nodes[i].Pos, n.nodes[j].Pos), stream)
-			rssi -= radio.ObstructionLossDB(n.nodes[i].Pos, n.nodes[j].Pos, people, bodyR)
+			rssi -= bodies.LossDB(n.nodes[i].Pos, n.nodes[j].Pos)
 			out = append(out, LinkRSSI{From: i, To: j, DBm: rssi})
 		}
 	}
