@@ -27,8 +27,7 @@ import (
 // `go test -bench=.` regenerates (and records) every table and figure.
 // The metric-publishing run happens before the timer starts so ReportMetric
 // bookkeeping never pollutes ns/op. Per-stage wall times from the warm-up
-// run are published with a _stage_sec suffix so cmd/benchjson can carry
-// them into the per-PR snapshot.
+// run are published as <stage>_stage_sec metrics.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	exp, err := zeiot.FindExperiment(id)

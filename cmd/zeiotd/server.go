@@ -198,13 +198,19 @@ func (s *server) status(snap jobs.Snapshot, withMetrics bool) jobStatus {
 		Started:    rfc3339(snap.Started),
 		Finished:   rfc3339(snap.Finished),
 	}
+	// runJob sets info.timings under s.mu when the job finishes, so read
+	// the field under the lock too; the map itself is never written again.
 	s.mu.Lock()
 	info := s.info[snap.ID]
+	var timings zeiot.Timings
+	if info != nil {
+		timings = info.timings
+	}
 	s.mu.Unlock()
 	if info != nil {
-		if len(info.timings) > 0 {
-			st.TimingsSec = make(map[string]float64, len(info.timings))
-			for stage, d := range info.timings {
+		if len(timings) > 0 {
+			st.TimingsSec = make(map[string]float64, len(timings))
+			for stage, d := range timings {
 				st.TimingsSec[stage] = d.Seconds()
 			}
 		}

@@ -43,12 +43,12 @@ func RunE14Intrusion(ctx context.Context, rc *RunConfig) (*Result, error) {
 	correct := 0
 	hits := make([]int, intrusion.NumClasses())
 	totals := make([]int, intrusion.NumClasses())
-	for _, s := range test {
-		got := net.Predict(s.Input)
-		totals[s.Label]++
-		if got == s.Label {
+	for i, got := range net.PredictAll(test) {
+		label := test[i].Label
+		totals[label]++
+		if got == label {
 			correct++
-			hits[s.Label]++
+			hits[label]++
 		}
 	}
 	recall := make([]float64, intrusion.NumClasses())

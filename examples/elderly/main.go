@@ -81,8 +81,9 @@ func run() error {
 
 	// Alarm semantics: a detected fall window raises the nurse call.
 	falls := 0
-	for _, w := range samples[cut:] {
-		if w.Label == 1 && model.Net.Predict(w.Input) == 1 {
+	held := samples[cut:]
+	for i, class := range model.Net.PredictAll(held) {
+		if held[i].Label == 1 && class == 1 {
 			falls++
 		}
 	}

@@ -72,8 +72,8 @@ func run() error {
 	model.FitParallel(train, 8, 16, 0, cnn.NewSGD(0.02, 0.9), root.Split("fit")) // 0 workers: one per CPU
 
 	cm := ml.NewConfusionMatrix(2)
-	for _, sample := range test {
-		cm.Add(sample.Label, model.Net.Predict(sample.Input))
+	for i, class := range model.Net.PredictAll(test) {
+		cm.Add(test[i].Label, class)
 	}
 	fmt.Printf("fall detection accuracy: %.1f%%  (fall F1 %.3f)\n",
 		100*cm.Accuracy(), cm.F1(1))

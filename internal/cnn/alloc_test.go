@@ -45,7 +45,8 @@ func TestForwardAllocFree(t *testing.T) {
 	}
 }
 
-// TestConvBackwardAllocFree guards Conv2D's backward scratch reuse.
+// TestConvBackwardAllocFree guards Conv2D's scratch reuse on a block of
+// one.
 func TestConvBackwardAllocFree(t *testing.T) {
 	s := rng.New(2)
 	c := NewConv2D(1, 4, 3, 3, 1, 1, s.Split("c"))
@@ -54,24 +55,43 @@ func TestConvBackwardAllocFree(t *testing.T) {
 	for i := range d {
 		d[i] = s.NormMeanStd(0, 1)
 	}
-	out := c.Forward(in)
+	block := block1(in)
+	out := c.forwardBatch(block)
 	gradOut := tensor.New(out.Shape()...)
 	g := gradOut.Data()
 	for i := range g {
 		g[i] = s.NormMeanStd(0, 1)
 	}
-	c.Backward(gradOut) // warm the scratch buffers
+	c.backwardBatch(gradOut, true) // warm the scratch buffers
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Forward(in)
-		c.Backward(gradOut)
+		c.forwardBatch(block)
+		c.backwardBatch(gradOut, true)
 	})
 	if allocs > 2 {
-		t.Errorf("Conv2D Forward+Backward allocates %.1f objects/op after warm-up, want <= 2", allocs)
+		t.Errorf("Conv2D forward+backward on a block of one allocates %.1f objects/op after warm-up, want <= 2", allocs)
+	}
+}
+
+// TestEvaluateAllocFree guards the inference blocks: once warmed, Evaluate
+// over a sample set that ends in a partial block must not allocate.
+func TestEvaluateAllocFree(t *testing.T) {
+	net, _ := allocNet(4)
+	s := rng.New(13)
+	samples := make([]Sample, 19)
+	for i := range samples {
+		samples[i] = Sample{Input: randomInput(s, 1, 17, 25), Label: i % 2}
+	}
+	net.Evaluate(samples) // warm the slot and the scratch buffers
+	allocs := testing.AllocsPerRun(20, func() {
+		net.Evaluate(samples)
+	})
+	if allocs > 2 {
+		t.Errorf("Network.Evaluate allocates %.1f objects/op after warm-up, want <= 2", allocs)
 	}
 }
 
 // TestTrainEpochBatchedAllocSteadyState pins the training engine's
-// steady-state allocation budget on a batchable stack: after the first epoch
+// steady-state allocation budget: after the first epoch
 // builds the slot and per-layer scratch, a later one-epoch FitParallel must
 // stay within a small fixed budget (the trainer, the epoch's permutation and
 // worker bookkeeping, not per-sample or per-block buffers — the im2col

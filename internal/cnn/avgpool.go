@@ -12,10 +12,8 @@ import (
 // property the distributed executor's in-network aggregation relies on.
 type AvgPool2D struct {
 	Size, Stride int
-	inShape      []int
 	counts       []int // cells actually inside each output's window
-	out, gradIn  *tensor.Tensor
-	// Batched-path scratch (see batch.go).
+	// Scratch (see batch.go).
 	bInShape      []int
 	outB, gradInB *tensor.Tensor
 }
@@ -43,7 +41,7 @@ func NewAvgPool2D(size, stride int) *AvgPool2D {
 // Name implements Layer.
 func (p *AvgPool2D) Name() string { return fmt.Sprintf("avgpool%dx%d", p.Size, p.Size) }
 
-// shadow implements shadowLayer.
+// shadow implements Layer.
 func (p *AvgPool2D) shadow() Layer { return &AvgPool2D{Size: p.Size, Stride: p.Stride} }
 
 // OutShape implements Layer.
@@ -64,98 +62,4 @@ func (p *AvgPool2D) Receptive(oy, ox int) (y0, y1, x0, x1 int) {
 	y0 = oy * p.Stride
 	x0 = ox * p.Stride
 	return y0, y0 + p.Size - 1, x0, x0 + p.Size - 1
-}
-
-// Forward implements Layer. The returned tensor is owned by the layer until
-// its next Forward call.
-func (p *AvgPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Dims() != 3 {
-		panic(fmt.Sprintf("cnn: pool input shape %v, want 3-d", in.Shape()))
-	}
-	p.inShape = append(p.inShape[:0], in.Shape()...)
-	ch, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	// Inline OutShape: building the shape slice would allocate per call.
-	oh := (h-p.Size)/p.Stride + 1
-	ow := (w-p.Size)/p.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("cnn: pool output collapses for input %v", in.Shape()))
-	}
-	p.out = tensor.Ensure(p.out, ch, oh, ow)
-	ind := in.Data()
-	outd := p.out.Data()
-	if cap(p.counts) < oh*ow {
-		p.counts = make([]int, oh*ow)
-	}
-	p.counts = p.counts[:oh*ow]
-	idx := 0
-	for c := 0; c < ch; c++ {
-		cBase := c * h * w
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy * p.Stride
-			ky1 := p.Size
-			if iy0+ky1 > h {
-				ky1 = h - iy0
-			}
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox * p.Stride
-				kx1 := p.Size
-				if ix0+kx1 > w {
-					kx1 = w - ix0
-				}
-				sum := 0.0
-				for ky := 0; ky < ky1; ky++ {
-					row := ind[cBase+(iy0+ky)*w+ix0 : cBase+(iy0+ky)*w+ix0+kx1]
-					for _, v := range row {
-						sum += v
-					}
-				}
-				count := ky1 * kx1
-				outd[idx] = sum / float64(count)
-				if c == 0 {
-					p.counts[oy*ow+ox] = count
-				}
-				idx++
-			}
-		}
-	}
-	return p.out
-}
-
-// Backward implements Layer. The returned gradient tensor is owned by the
-// layer until its next Backward call.
-func (p *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if len(p.inShape) == 0 {
-		panic("cnn: AvgPool2D backward before forward")
-	}
-	p.gradIn = tensor.Ensure(p.gradIn, p.inShape...)
-	p.gradIn.Zero()
-	ch, oh, ow := gradOut.Dim(0), gradOut.Dim(1), gradOut.Dim(2)
-	h, w := p.inShape[1], p.inShape[2]
-	gid := p.gradIn.Data()
-	god := gradOut.Data()
-	for c := 0; c < ch; c++ {
-		cBase := c * h * w
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy * p.Stride
-			ky1 := p.Size
-			if iy0+ky1 > h {
-				ky1 = h - iy0
-			}
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox * p.Stride
-				kx1 := p.Size
-				if ix0+kx1 > w {
-					kx1 = w - ix0
-				}
-				g := god[(c*oh+oy)*ow+ox] / float64(p.counts[oy*ow+ox])
-				for ky := 0; ky < ky1; ky++ {
-					row := gid[cBase+(iy0+ky)*w+ix0 : cBase+(iy0+ky)*w+ix0+kx1]
-					for i := range row {
-						row[i] += g
-					}
-				}
-			}
-		}
-	}
-	return p.gradIn
 }

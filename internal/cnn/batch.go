@@ -1,9 +1,9 @@
 package cnn
 
-// Batched kernels: im2col/GEMM layer kernels that process a block of B
-// samples per layer call instead of one, bit-identical to the per-sample
-// Forward/Backward path. The training engine (train.go) runs them on every
-// batchable stack.
+// The layer kernels: im2col/GEMM and direct kernels that process a packed
+// block of B samples per layer call. They are the only layer arithmetic in
+// the package: training runs blocks of up to blockSize samples (train.go),
+// inference blocks of blockSize or of one (network.go).
 //
 // # Packed layouts
 //
@@ -15,17 +15,18 @@ package cnn
 //
 // # Bit-identity argument
 //
-// The per-sample path is the reference. Its result is fixed by the
-// per-element elementary accumulation order: every output/gradient tensor
-// element is an independent accumulator, float64 stores are exact (no
-// extended precision), so any reorganization that feeds each element the
-// same terms in the same order produces the same bits. The batched kernels
-// preserve that order everywhere:
+// The plain per-sample loops of ref_test.go are the reference. Their result
+// is fixed by the per-element elementary accumulation order: every
+// output/gradient tensor element is an independent accumulator, float64
+// stores are exact (no extended precision), so any reorganization that feeds
+// each element the same terms in the same order produces the same bits. The
+// kernels preserve that order everywhere, and no sample's terms depend on
+// the other samples of its block, so any block size gives the same bits:
 //
 //   - Conv forward: each output element is seeded with its bias and then
 //     receives its im2col column terms in ascending (ic, ky, kx) order via
-//     MatMulAddInto — the serial loop's exact order. Padding cells hold 0 in
-//     the patch matrix, so the GEMM adds w·0 terms the serial path skips;
+//     MatMulAddInto — the reference loop's exact order. Padding cells hold 0
+//     in the patch matrix, so the GEMM adds w·0 terms the reference skips;
 //     adding ±0 never changes a sum that is not -0.0, and the running sums
 //     here cannot reach -0.0 (IEEE-754 round-to-nearest only yields -0.0
 //     from (-0.0)+(-0.0)).
@@ -36,50 +37,39 @@ package cnn
 //     table (repT, dropped by invalidateBatchWeights like Dense's wT); each
 //     element is seeded with its bias and then receives its in-range
 //     (ic, ky, kx) terms in ascending order with the padding terms skipped,
-//     exactly as the per-sample replica loop does.
-//   - Conv backward: gradB/gradW/gradIn keep the serial sparse loops with
-//     the block's samples outermost, so each element sees its contributions
-//     in (sample, oy, ox, oc) order — the order the per-sample path produces
-//     across consecutive samples. Under a replica table the weight
+//     exactly as the reference loop does.
+//   - Conv backward: gradB/gradW/gradIn keep the reference's sparse loops
+//     with the block's samples outermost, so each element sees its
+//     contributions in (sample, oy, ox, oc) order — the order the reference
+//     produces across consecutive samples. Under a replica table the weight
 //     gradients of position p go to repG[p] and the input gradients scatter
 //     through repK[p], in that same order.
 //   - Dense: forward, the weight-gradient GEMM and the input-gradient GEMM
 //     all accumulate in ascending feature/sample/output order, matching the
-//     serial loops term for term (zero-skip differences are ±0 no-ops as
+//     reference loops term for term (zero-skip differences are ±0 no-ops as
 //     above, on accumulators that start at +0).
 //   - ReLU/pooling/flatten: element-wise or per-plane operations applied in
-//     the serial scan order; only the memory layout changes.
+//     the reference's scan order; only the memory layout changes.
 //   - Cross-entropy: crossEntropyRows runs CrossEntropy's arithmetic row by
 //     row.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"zeiot/internal/tensor"
 )
 
-// batchLayer is implemented by layers that can process a packed block of
-// samples in one call. forwardBatch consumes a packed batch (spatial
-// (C,B,H,W) or flat (B,F)) and returns the packed outputs; backwardBatch
-// consumes packed output gradients, accumulates parameter gradients in the
-// same per-element order as per-sample Backward over the block's samples in
-// order, and returns the packed input gradients (nil when withInGrad is
-// false). Both return scratch owned by the layer, with the same ownership
-// rules as Forward/Backward.
-type batchLayer interface {
-	forwardBatch(in *tensor.Tensor) *tensor.Tensor
-	backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor
-}
-
-// ensureView2 returns a cached 2-D tensor viewing data, rebuilding the
-// wrapper only when the backing array or shape changed (so steady-state
-// blocks allocate nothing).
-func ensureView2(v *tensor.Tensor, data []float64, r, c int) *tensor.Tensor {
-	if v != nil && sameBacking(v.Data(), data) && v.Dim(0) == r && v.Dim(1) == c {
+// ensureView returns a cached tensor of the given shape viewing data,
+// rebuilding the wrapper only when the backing array or shape changed (so
+// steady-state blocks allocate nothing; shape is cloned on a rebuild so the
+// caller's argument list never escapes).
+func ensureView(v *tensor.Tensor, data []float64, shape ...int) *tensor.Tensor {
+	if v != nil && sameBacking(v.Data(), data) && slices.Equal(v.Shape(), shape) {
 		return v
 	}
-	return tensor.FromSlice(data, r, c)
+	return tensor.FromSlice(data, slices.Clone(shape)...)
 }
 
 // ---------------------------------------------------------------------------
@@ -141,7 +131,7 @@ func (c *Conv2D) im2col(ind []float64, bsz, h, w, oh, ow int) {
 	}
 }
 
-// forwardBatch implements batchLayer: one bias-seeded GEMM
+// forwardBatch implements Layer: one bias-seeded GEMM
 // (OutC, CKK) × (CKK, B·oh·ow) per block, or under a replica table the
 // locally connected kernel (forwardLocal).
 func (c *Conv2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
@@ -179,8 +169,8 @@ func (c *Conv2D) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tensor {
 	ckk := c.InC * c.KH * c.KW
 	c.patch = tensor.Ensure(c.patch, ckk, bp)
 	c.im2col(in.Data(), bsz, h, w, oh, ow)
-	c.out2 = ensureView2(c.out2, c.outB.Data(), c.OutC, bp)
-	c.w2 = ensureView2(c.w2, c.weight.Data(), c.OutC, ckk)
+	c.out2 = ensureView(c.out2, c.outB.Data(), c.OutC, bp)
+	c.w2 = ensureView(c.w2, c.weight.Data(), c.OutC, ckk)
 	tensor.MatMulBiasInto(c.out2, c.w2, c.patch, c.bias.Data(), relu)
 	return c.outB
 }
@@ -233,7 +223,7 @@ const localGroup = 8
 // zero-filled past the block's last sample) so a window cell's values for
 // the group are one contiguous run. Each output element receives bias, then
 // its in-range terms in ascending (ic, ky, kx) order with the padding terms
-// skipped — the per-sample replica loop's sequence — and relu applies the
+// skipped — the reference loop's sequence — and relu applies the
 // fused ReLU at the store.
 func (c *Conv2D) forwardLocal(ind, outd []float64, bsz, h, w, oh, ow int, relu bool) {
 	const g8 = localGroup
@@ -368,7 +358,7 @@ func (c *Conv2D) forwardLocal(ind, outd []float64, bsz, h, w, oh, ow int, relu b
 // slide over three input row slices per output row, writing each output (and
 // its fused ReLU) in one pass with no patch matrix. Every output element
 // still accumulates bias first and then its window terms in (ky, kx)
-// ascending order with the padding terms skipped — the serial loop's exact
+// ascending order with the padding terms skipped — the reference loop's exact
 // sequence, so the result is bit-identical to the GEMM path (which adds the
 // padding terms as ±0 no-ops instead).
 func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool) {
@@ -549,8 +539,8 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 	}
 }
 
-// backwardBatch implements batchLayer. gradB accumulates per channel over
-// the flattened (b, oy, ox) gradient row; gradW and gradIn keep the serial
+// backwardBatch implements Layer. gradB accumulates per channel over
+// the flattened (b, oy, ox) gradient row; gradW and gradIn keep the reference's
 // sparse gather/scatter loops with samples outermost (see scatterBatch).
 func (c *Conv2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor {
 	if c.lastInB == nil {
@@ -587,8 +577,9 @@ func (c *Conv2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.
 // the kernel) for a packed block. Under a replica table position (oy, ox)
 // reads repK and accumulates into repG at oy*repW+ox instead of the shared
 // weight and gradW. Loop order is samples outermost, then (oy, ox, oc)
-// exactly as backwardInto, so every gradW/gradIn element receives the same
-// contributions in the same order as consecutive per-sample Backward calls.
+// exactly as the reference's, so every gradW/gradIn element receives the
+// same contributions in the same order as the reference over the block's
+// samples in turn.
 // Positions whose gradient is zero in every channel are skipped before any
 // window work, and full 3×3/stride-1 windows unroll.
 func (c *Conv2D) scatterBatch(gid, god, ind []float64, bsz, h, w, oh, ow int) {
@@ -775,11 +766,11 @@ func (c *Conv2D) backwardBatchSparse(winners []sparseWinner) {
 // ---------------------------------------------------------------------------
 // Dense
 
-// forwardBatch implements batchLayer: out = in × Wᵀ + bias as one GEMM. The
+// forwardBatch implements Layer: out = in × Wᵀ + bias as one GEMM. The
 // transposed weights let the GEMM stream independent output elements —
-// escaping the serial dot product's add-latency chain — while each element
+// escaping a per-output dot product's add-latency chain — while each element
 // still accumulates its terms in ascending feature order, then adds the
-// bias last, exactly like the serial loop. The transpose is cached until the
+// bias last, exactly like the reference loop. The transpose is cached until the
 // engine invalidates it after an optimizer step.
 func (d *Dense) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return d.forwardBatchImpl(in, false)
@@ -829,12 +820,12 @@ func (d *Dense) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tensor {
 	return d.outB
 }
 
-// backwardBatch implements batchLayer. gradB reduces the block's gradient
+// backwardBatch implements Layer. gradB reduces the block's gradient
 // rows in sample order; gradW runs as one GEMM over the transposed block
-// gradient (terms arrive per element in ascending sample order — the serial
-// order — with the serial path's zero-skips appearing as exact ±0 no-ops);
+// gradient (terms arrive per element in ascending sample order — the reference
+// order — with the reference's zero-skips appearing as exact ±0 no-ops);
 // gradIn is gradOut × W via MatMulInto, whose zero-skip and ascending-output
-// accumulation match the serial input-gradient loop term for term.
+// accumulation match the reference input-gradient loop term for term.
 func (d *Dense) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor {
 	if d.lastInB == nil {
 		panic("cnn: Dense batched backward before forward")
@@ -856,7 +847,7 @@ func (d *Dense) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.T
 			gtd[o*bsz+b] = g
 		}
 	}
-	d.gw2 = ensureView2(d.gw2, d.gradW.Data(), d.Out, d.In)
+	d.gw2 = ensureView(d.gw2, d.gradW.Data(), d.Out, d.In)
 	tensor.MatMulAddInto(d.gw2, d.godT, d.lastInB)
 	if !withInGrad {
 		return nil
@@ -869,15 +860,15 @@ func (d *Dense) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.T
 // ReLU
 
 // reluMask is the branchless ReLU select shared by the fused kernels: v for
-// v > 0, +0.0 otherwise — bit-for-bit the serial Forward's arithmetic.
+// v > 0, +0.0 otherwise — bit for bit the reference ReLU.
 func reluMask(v float64) float64 {
 	t := math.Float64bits(v)
 	keep := ((t | -t) >> 63) &^ (t >> 63)
 	return math.Float64frombits(t & -keep)
 }
 
-// forwardBatch implements batchLayer: the element-wise branchless select of
-// Forward on the packed block.
+// forwardBatch implements Layer: reluMask's branchless select, element-wise
+// over the packed block.
 func (r *ReLU) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	r.outB = tensor.Ensure(r.outB, in.Shape()...)
 	data := r.outB.Data()
@@ -889,7 +880,7 @@ func (r *ReLU) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return r.outB
 }
 
-// backwardBatch implements batchLayer.
+// backwardBatch implements Layer.
 func (r *ReLU) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor {
 	if !withInGrad {
 		return nil
@@ -911,8 +902,8 @@ func (r *ReLU) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Te
 // ---------------------------------------------------------------------------
 // Flatten
 
-// forwardBatch implements batchLayer: (C,B,H,W) gathers to (B, C·H·W), each
-// row the row-major (C,H,W) vector the serial Flatten produces; an already
+// forwardBatch implements Layer: (C,B,H,W) gathers to (B, C·H·W), each
+// row the row-major (C,H,W) vector the reference Flatten produces; an already
 // flat (B,F) block passes through unchanged.
 func (f *Flatten) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	f.bInShape = append(f.bInShape[:0], in.Shape()...)
@@ -937,7 +928,7 @@ func (f *Flatten) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return f.outB
 }
 
-// backwardBatch implements batchLayer: the inverse scatter of forwardBatch.
+// backwardBatch implements Layer: the inverse scatter of forwardBatch.
 func (f *Flatten) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor {
 	if !withInGrad {
 		return nil
@@ -966,9 +957,9 @@ func (f *Flatten) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor
 // ---------------------------------------------------------------------------
 // MaxPool2D
 
-// forwardBatch implements batchLayer: every (channel, sample) plane of the
-// packed block is contiguous, so the serial per-plane window code runs
-// unchanged over C·B planes — identical max folds in identical scan order.
+// forwardBatch implements Layer: every (channel, sample) plane of the
+// packed block is contiguous, so the reference's per-plane window fold runs
+// over C·B planes — identical max folds in identical scan order.
 func (p *MaxPool2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return p.forwardBatchImpl(in, false)
 }
@@ -1001,7 +992,7 @@ func (p *MaxPool2D) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tenso
 		switch {
 		// The size-2/3 fast paths fold each window as a balanced max tree:
 		// the builtin max is associative and commutative (NaN and ±0
-		// included), so regrouping the serial left fold is exact while
+		// included), so regrouping the reference's left fold is exact while
 		// cutting the dependency chain in half.
 		case p.Size == 2:
 			for oy := 0; oy < oh; oy++ {
@@ -1069,8 +1060,8 @@ func (p *MaxPool2D) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tenso
 	return p.outB
 }
 
-// backwardBatch implements batchLayer: per plane, the serial
-// first-equal-to-max routing in the serial scan order.
+// backwardBatch implements Layer: per plane, the reference's
+// first-equal-to-max routing in its scan order.
 func (p *MaxPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor {
 	if !withInGrad {
 		return nil
@@ -1190,12 +1181,12 @@ func (p *MaxPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tens
 }
 
 // backwardBatchReLUGated is backwardBatch with the preceding ReLU layer's
-// backward fused in (see backwardBatchAll). The pool input is the ReLU
-// output, so the ReLU pass mask at the winner cell is just outd != 0 (the
-// winner equals the pooled max): gradient routed to a cell the serial ReLU
-// backward would zero is dropped at the scatter instead of by a full-plane
-// masking pass. Serial order is preserved — non-winner cells stay zero in
-// both formulations, and the winner receives either the identical g or the
+// backward fused in (see backwardBatchAll). The pool input is the ReLU output,
+// so the ReLU pass mask at the winner cell is just outd != 0 (the winner
+// equals the pooled max): gradient routed to a cell the ReLU backward would
+// zero is dropped at the scatter instead of by a full-plane masking pass. The
+// reference order is preserved — non-winner cells stay zero in both
+// formulations, and the winner receives either the identical g or the
 // identical +0 skip.
 func (p *MaxPool2D) backwardBatchReLUGated(gradOut *tensor.Tensor) *tensor.Tensor {
 	if len(p.bInShape) != 4 || p.lastInB == nil {
@@ -1494,7 +1485,7 @@ func (p *MaxPool2D) backwardBatchSparse(gradOut *tensor.Tensor) []sparseWinner {
 // ---------------------------------------------------------------------------
 // AvgPool2D
 
-// forwardBatch implements batchLayer: the serial clipped-window mean per
+// forwardBatch implements Layer: the reference's clipped-window mean per
 // contiguous (channel, sample) plane.
 func (p *AvgPool2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	if in.Dims() != 4 {
@@ -1548,7 +1539,7 @@ func (p *AvgPool2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return p.outB
 }
 
-// backwardBatch implements batchLayer.
+// backwardBatch implements Layer.
 func (p *AvgPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor {
 	if !withInGrad {
 		return nil
@@ -1593,31 +1584,12 @@ func (p *AvgPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tens
 // ---------------------------------------------------------------------------
 // Network engine
 
-// batchable reports whether the batched kernels can run this stack: every
-// layer a built-in one (Layer implementations from outside the package have
-// no batched kernels), a 1-D or 3-D input, and a 1-D output.
-func (n *Network) batchable() bool {
-	if len(n.layers) == 0 {
-		return false
-	}
-	if len(n.inShape) != 1 && len(n.inShape) != 3 {
-		return false
-	}
-	for _, l := range n.layers {
-		if _, ok := l.(batchLayer); !ok {
-			return false
-		}
-	}
-	out := n.OutShape()
-	return len(out) == 1
-}
-
 // forwardBatchAll runs all layers over a packed block. Conv2D+ReLU and
 // Dense+ReLU pairs run fused — the ReLU select folds into the producer's
 // bias pass, skipping one full read-modify-write sweep of the activation
 // block. The skipped ReLU layer's outB is aliased to the fused output so its
 // backwardBatch (and the pool fusion's gate) still see the activation bits
-// they key on; reluMask reproduces the serial ReLU arithmetic bit for bit,
+// they key on; reluMask reproduces the reference ReLU bit for bit,
 // so the fused path stays bit-identical.
 func (n *Network) forwardBatchAll(in *tensor.Tensor) *tensor.Tensor {
 	x := in
@@ -1653,19 +1625,19 @@ func (n *Network) forwardBatchAll(in *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-		x = ls[i].(batchLayer).forwardBatch(x)
+		x = ls[i].forwardBatch(x)
 	}
 	return x
 }
 
 // backwardBatchAll propagates packed dLoss/dLogits rows through all layers,
-// skipping the first layer's input gradient like Backward. A ReLU feeding a
-// MaxPool2D runs fused: the pool scatter gates each routed gradient on the
-// winner's activation instead of materializing a full-plane masked gradient
-// block. Every non-winner cell's gradient is zero either way, and the winner
-// cell's serial ReLU backward mask is exactly the best != 0 test (post-ReLU
-// values are never -0, and a NaN max keeps the gradient in both paths), so
-// the fusion is bit-identical.
+// skipping the first layer's input gradient, which nothing consumes. A ReLU
+// feeding a MaxPool2D runs fused: the pool scatter gates each routed gradient
+// on the winner's activation instead of materializing a full-plane masked
+// gradient block. Every non-winner cell's gradient is zero either way, and the
+// winner cell's ReLU backward mask is exactly the best != 0 test (post-ReLU
+// values are never -0, and a NaN max keeps the gradient in both paths), so the
+// fusion is bit-identical.
 func (n *Network) backwardBatchAll(grad *tensor.Tensor) {
 	g := grad
 	ls := n.layers
@@ -1685,27 +1657,34 @@ func (n *Network) backwardBatchAll(grad *tensor.Tensor) {
 				continue
 			}
 		}
-		g = ls[i].(batchLayer).backwardBatch(g, true)
+		g = ls[i].backwardBatch(g, true)
 		i--
 	}
 	if i == 0 {
-		ls[0].(batchLayer).backwardBatch(g, false)
+		ls[0].backwardBatch(g, false)
 	}
 }
 
 // invalidateBatchWeights drops every per-layer derived-weight cache (the
-// Dense wT transpose and the Conv2D replica copy repT) across the engine's
-// slot stacks. Must run whenever the underlying parameters may have changed
-// — at trainChunk entry and after every optimizer step.
+// Dense wT transpose and the Conv2D replica copy repT) on the network's own
+// layers and its shadow stacks. Callers edit parameters in place between
+// calls (optimizers, gradient checks, checkpoint restore, replica edits), so
+// every network-level entry point runs it first, and trainChunk again after
+// each optimizer step.
 func (n *Network) invalidateBatchWeights() {
+	dropWeightCaches(n.layers)
 	for _, s := range n.slots {
-		for _, l := range s.net.layers {
-			switch l := l.(type) {
-			case *Dense:
-				l.wTok = false
-			case *Conv2D:
-				l.repTok = false
-			}
+		dropWeightCaches(s.net.layers)
+	}
+}
+
+func dropWeightCaches(layers []Layer) {
+	for _, l := range layers {
+		switch l := l.(type) {
+		case *Dense:
+			l.wTok = false
+		case *Conv2D:
+			l.repTok = false
 		}
 	}
 }

@@ -32,6 +32,41 @@ func buildTinyNet(seed uint64) *Network {
 	return NewNetwork([]int{1, 6, 6}, conv, NewReLU(), pool, flat, d1, NewReLU(), d2)
 }
 
+// block1 views one (C,H,W) or (F) sample as a packed block of one: a
+// (C,1,H,W) or (1,F) tensor over the same data.
+func block1(t *tensor.Tensor) *tensor.Tensor {
+	if s := t.Shape(); len(s) == 3 {
+		return tensor.FromSlice(t.Data(), s[0], 1, s[1], s[2])
+	}
+	return tensor.FromSlice(t.Data(), 1, t.Size())
+}
+
+// unblock1 views a packed block of one as its sample: (C,1,H,W) as (C,H,W)
+// and (1,F) as (F).
+func unblock1(t *tensor.Tensor) *tensor.Tensor {
+	if s := t.Shape(); len(s) == 4 {
+		return tensor.FromSlice(t.Data(), s[0], s[2], s[3])
+	}
+	return tensor.FromSlice(t.Data(), t.Size())
+}
+
+// inputGrad runs in through net's layers one by one (unfused, so every
+// layer's backward sees its own forward state) as a block of one and
+// returns dLoss/dInput for label, accumulating the parameter gradients.
+func inputGrad(net *Network, in *tensor.Tensor, label int) *tensor.Tensor {
+	x := block1(in)
+	for _, l := range net.Layers() {
+		x = l.forwardBatch(x)
+	}
+	_, grad := CrossEntropy(unblock1(x), label)
+	g := block1(grad)
+	layers := net.Layers()
+	for i := len(layers) - 1; i >= 0; i-- {
+		g = layers[i].backwardBatch(g, true)
+	}
+	return unblock1(g)
+}
+
 func randomInput(s *rng.Stream, shape ...int) *tensor.Tensor {
 	in := tensor.New(shape...)
 	d := in.Data()
@@ -86,12 +121,7 @@ func TestGradientCheckInputGrad(t *testing.T) {
 	label := 0
 
 	n.ZeroGrads()
-	_, grad := CrossEntropy(n.Forward(in), label)
-	g := grad
-	layers := n.Layers()
-	for i := len(layers) - 1; i >= 0; i-- {
-		g = layers[i].Backward(g)
-	}
+	g := inputGrad(n, in, label)
 	const h = 1e-5
 	for i := 0; i < in.Size(); i += 7 {
 		orig := in.Data()[i]
@@ -173,7 +203,7 @@ func TestConvKnownValues(t *testing.T) {
 	c.Weight().Set(2, 0, 0, 0, 0)
 	c.Bias().Set(1, 0)
 	in := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 2, 2)
-	out := c.Forward(in)
+	out := unblock1(c.forwardBatch(block1(in)))
 	want := tensor.FromSlice([]float64{3, 5, 7, 9}, 1, 2, 2)
 	if !tensor.Equal(out, want, 1e-12) {
 		t.Fatalf("conv 1x1 = %v", out)
@@ -197,13 +227,13 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		0, 0, 9, 2,
 		0, 0, 3, 8,
 	}, 1, 4, 4)
-	out := p.Forward(in)
+	out := unblock1(p.forwardBatch(block1(in)))
 	want := tensor.FromSlice([]float64{5, 2, 0, 9}, 1, 2, 2)
 	if !tensor.Equal(out, want, 0) {
 		t.Fatalf("pool forward = %v", out)
 	}
 	grad := tensor.FromSlice([]float64{1, 1, 1, 1}, 1, 2, 2)
-	gin := p.Backward(grad)
+	gin := unblock1(p.backwardBatch(block1(grad), true))
 	// Gradient must land exactly on the argmax positions.
 	if gin.At(0, 0, 1) != 1 || gin.At(0, 2, 2) != 1 {
 		t.Fatalf("pool backward = %v", gin)
@@ -216,8 +246,8 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 func TestPoolTieBreaksToFirst(t *testing.T) {
 	p := NewMaxPool2D(2, 2)
 	in := tensor.FromSlice([]float64{7, 7, 7, 7}, 1, 2, 2)
-	p.Forward(in)
-	gin := p.Backward(tensor.FromSlice([]float64{1}, 1, 1, 1))
+	p.forwardBatch(block1(in))
+	gin := unblock1(p.backwardBatch(block1(tensor.FromSlice([]float64{1}, 1, 1, 1)), true))
 	if gin.At(0, 0, 0) != 1 {
 		t.Fatalf("tie did not route to first element: %v", gin)
 	}
@@ -226,11 +256,11 @@ func TestPoolTieBreaksToFirst(t *testing.T) {
 func TestReLU(t *testing.T) {
 	r := NewReLU()
 	in := tensor.FromSlice([]float64{-1, 0, 2}, 3)
-	out := r.Forward(in)
+	out := unblock1(r.forwardBatch(block1(in)))
 	if out.At(0) != 0 || out.At(1) != 0 || out.At(2) != 2 {
 		t.Fatalf("relu = %v", out)
 	}
-	gin := r.Backward(tensor.FromSlice([]float64{5, 5, 5}, 3))
+	gin := unblock1(r.backwardBatch(block1(tensor.FromSlice([]float64{5, 5, 5}, 3)), true))
 	if gin.At(0) != 0 || gin.At(2) != 5 {
 		t.Fatalf("relu backward = %v", gin)
 	}
@@ -239,11 +269,11 @@ func TestReLU(t *testing.T) {
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten()
 	in := randomInput(rng.New(1), 2, 3, 4)
-	out := f.Forward(in)
+	out := unblock1(f.forwardBatch(block1(in)))
 	if out.Dims() != 1 || out.Dim(0) != 24 {
 		t.Fatalf("flatten shape = %v", out.Shape())
 	}
-	back := f.Backward(out)
+	back := unblock1(f.backwardBatch(block1(out), true))
 	if !tensor.Equal(back, in, 0) {
 		t.Fatal("flatten backward not inverse")
 	}
@@ -338,16 +368,16 @@ func TestReplicaTableMatchesSharedWhenIdentical(t *testing.T) {
 	s := rng.New(31)
 	c := NewConv2D(1, 3, 3, 3, 1, 1, s)
 	in := randomInput(s, 1, 5, 5)
-	// Clone: layer outputs are reusable scratch, and the second Forward
+	// Clone: layer outputs are reusable scratch, and the second forward
 	// below would otherwise overwrite (and alias) the first result.
-	want := c.Forward(in).Clone()
+	want := c.forwardBatch(block1(in)).Clone()
 	kernels := make([]*tensor.Tensor, 5*5)
 	grads := make([]*tensor.Tensor, 5*5)
 	for p := range kernels {
 		kernels[p], grads[p] = c.Weight(), c.Grads()[0]
 	}
 	c.SetReplicaTable(kernels, grads, 5)
-	got := c.Forward(in)
+	got := c.forwardBatch(block1(in))
 	if !tensor.Equal(want, got, 0) {
 		t.Fatal("identity replica table changed output")
 	}

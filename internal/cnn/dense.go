@@ -14,18 +14,16 @@ type Dense struct {
 	In, Out      int
 	weight, bias *tensor.Tensor
 	gradW, gradB *tensor.Tensor
-	lastIn       *tensor.Tensor
-	out, gradIn  *tensor.Tensor
-	// Batched-path scratch (see batch.go): packed (B,Out) outputs and
+	// Scratch (see batch.go): packed (B,Out) outputs and
 	// (B,In) input gradients, the transposed weight/gradient blocks the
 	// batched GEMMs consume, a cached 2-D view of gradW, and the packed
 	// input reference kept for backwardBatch.
 	outB, gradInB *tensor.Tensor
 	wT, godT, gw2 *tensor.Tensor
 	lastInB       *tensor.Tensor
-	// wTok marks wT as in sync with weight; the batched engine clears it
-	// after every optimizer step so the transpose is rebuilt at most once
-	// per step instead of once per block.
+	// wTok marks wT as in sync with weight; the engine clears it on entry
+	// and after every optimizer step, so the transpose is rebuilt at most
+	// once per step instead of once per block.
 	wTok bool
 }
 
@@ -73,7 +71,7 @@ func (d *Dense) ZeroGrads() {
 // Weight returns the (out, in) weight matrix.
 func (d *Dense) Weight() *tensor.Tensor { return d.weight }
 
-// shadow implements shadowLayer.
+// shadow implements Layer.
 func (d *Dense) shadow() Layer {
 	return &Dense{
 		In: d.In, Out: d.Out,
@@ -87,78 +85,4 @@ func (d *Dense) OutShape(in []int) []int {
 		panic(fmt.Sprintf("cnn: dense input shape %v, want (%d)", in, d.In))
 	}
 	return []int{d.Out}
-}
-
-// Forward implements Layer. The returned tensor is owned by the layer until
-// its next Forward call; the input must stay unmodified until Backward runs.
-func (d *Dense) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Dims() != 1 || in.Dim(0) != d.In {
-		panic(fmt.Sprintf("cnn: dense forward shape %v, want (%d)", in.Shape(), d.In))
-	}
-	d.lastIn = in
-	d.out = tensor.Ensure(d.out, d.Out)
-	od := d.out.Data()
-	wd := d.weight.Data()
-	bd := d.bias.Data()
-	xd := in.Data()
-	for o := 0; o < d.Out; o++ {
-		sum := 0.0
-		row := wd[o*d.In : (o+1)*d.In]
-		x := xd[:len(row)]
-		for p, w := range row {
-			sum += w * x[p]
-		}
-		od[o] = sum + bd[o]
-	}
-	return d.out
-}
-
-// BackwardNoInputGrad implements inputGradSkipper: parameter gradients only,
-// for use when d is the stack's first layer.
-func (d *Dense) BackwardNoInputGrad(gradOut *tensor.Tensor) {
-	d.backwardParams(gradOut)
-}
-
-// backwardParams accumulates the weight and bias gradients for gradOut.
-func (d *Dense) backwardParams(gradOut *tensor.Tensor) {
-	if d.lastIn == nil {
-		panic("cnn: Dense backward before forward")
-	}
-	d.gradB.AddInPlace(gradOut)
-	gw := d.gradW.Data()
-	in := d.lastIn.Data()
-	go2 := gradOut.Data()
-	for o := 0; o < d.Out; o++ {
-		g := go2[o]
-		if g == 0 {
-			continue
-		}
-		row := gw[o*d.In : (o+1)*d.In]
-		x := in[:len(row)]
-		for i := range row {
-			row[i] += g * x[i]
-		}
-	}
-}
-
-// Backward implements Layer. The returned gradient tensor is owned by the
-// layer until its next Backward call.
-func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	d.backwardParams(gradOut)
-	go2 := gradOut.Data()
-	d.gradIn = tensor.Ensure(d.gradIn, d.In)
-	d.gradIn.Zero()
-	gi := d.gradIn.Data()
-	wd := d.weight.Data()
-	for o := 0; o < d.Out; o++ {
-		g := go2[o]
-		if g == 0 {
-			continue
-		}
-		row := wd[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			gi[i] += g * row[i]
-		}
-	}
-	return d.gradIn
 }

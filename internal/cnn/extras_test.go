@@ -66,7 +66,7 @@ func TestAvgPoolForwardKnown(t *testing.T) {
 		2, 2, 8, 8,
 		2, 2, 8, 8,
 	}, 1, 4, 4)
-	out := p.Forward(in)
+	out := unblock1(p.forwardBatch(block1(in)))
 	want := tensor.FromSlice([]float64{2, 6, 2, 8}, 1, 2, 2)
 	if !tensor.Equal(out, want, 1e-12) {
 		t.Fatalf("avg pool = %v", out)
@@ -81,13 +81,13 @@ func TestAvgPoolOverlappingStride(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 3, 3)
-	out := p.Forward(in)
+	out := unblock1(p.forwardBatch(block1(in)))
 	want := tensor.FromSlice([]float64{3, 4, 6, 7}, 1, 2, 2)
 	if !tensor.Equal(out, want, 1e-12) {
 		t.Fatalf("avg pool stride-1 = %v", out)
 	}
 	// Backward conserves total gradient mass.
-	gin := p.Backward(tensor.FromSlice([]float64{1, 1, 1, 1}, 1, 2, 2))
+	gin := p.backwardBatch(block1(tensor.FromSlice([]float64{1, 1, 1, 1}, 1, 2, 2)), true)
 	if math.Abs(gin.Sum()-4) > 1e-12 {
 		t.Fatalf("gradient mass = %v, want 4", gin.Sum())
 	}
@@ -102,12 +102,7 @@ func TestAvgPoolGradientCheck(t *testing.T) {
 	)
 	in := randomInput(s, 1, 5, 5)
 	net.ZeroGrads()
-	_, grad := CrossEntropy(net.Forward(in), 1)
-	g := grad
-	layers := net.Layers()
-	for i := len(layers) - 1; i >= 0; i-- {
-		g = layers[i].Backward(g)
-	}
+	g := inputGrad(net, in, 1)
 	const h = 1e-5
 	for i := 0; i < in.Size(); i += 3 {
 		orig := in.Data()[i]

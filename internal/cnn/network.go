@@ -3,6 +3,7 @@ package cnn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"zeiot/internal/obs"
 	"zeiot/internal/rng"
@@ -16,9 +17,10 @@ import (
 type Network struct {
 	layers  []Layer
 	inShape []int
-	// slots is the training engine's cached per-block state (see
-	// trainChunk): slot 0 runs on this network, the others on shadow
-	// networks sharing its parameter and gradient tensors.
+	// slots is the engine's cached per-block state (see trainChunk): slot 0
+	// runs on this network and also serves Forward, Backward, PredictAll
+	// and Evaluate; the others run on shadow networks sharing its parameter
+	// and gradient tensors.
 	slots []*trainSlot
 	// rec, when non-nil, receives per-epoch training curves from the
 	// training engine (see SetRecorder). Shadow networks never carry it.
@@ -27,14 +29,18 @@ type Network struct {
 	recEval   []Sample
 }
 
-// NewNetwork returns a network accepting inputs of the given shape.
+// NewNetwork returns a network accepting inputs of the given shape: a
+// (C,H,W) map or an (F) vector. The stack must end in 1-D logits. NewNetwork
+// panics on any other input or output shape, and on a stack whose layer
+// geometry does not chain, so such errors surface at construction rather
+// than mid-training.
 func NewNetwork(inShape []int, layers ...Layer) *Network {
+	if len(inShape) != 1 && len(inShape) != 3 {
+		panic(fmt.Sprintf("cnn: network input shape %v, want (C,H,W) or (F)", inShape))
+	}
 	n := &Network{layers: layers, inShape: append([]int(nil), inShape...)}
-	// Validate the stack once up front so geometry errors surface at
-	// construction, not mid-training.
-	shape := n.inShape
-	for _, l := range layers {
-		shape = l.OutShape(shape)
+	if out := n.OutShape(); len(out) != 1 {
+		panic(fmt.Sprintf("cnn: network output shape %v, want 1-D logits", out))
 	}
 	return n
 }
@@ -54,40 +60,25 @@ func (n *Network) OutShape() []int {
 	return shape
 }
 
-// Forward runs all layers and returns the logits. The returned tensor is
-// scratch owned by the final layer: it is valid until the next Forward call
-// (Clone it to keep it).
+// Forward runs one sample through all layers as a packed block of one and
+// returns its 1-D logits. The returned tensor is scratch owned by the
+// network: it is valid until the next call (Clone it to keep it).
 func (n *Network) Forward(in *tensor.Tensor) *tensor.Tensor {
-	x := in
-	for _, l := range n.layers {
-		x = l.Forward(x)
-	}
-	return x
+	n.invalidateBatchWeights()
+	s := n.slot0()
+	logits := n.forwardBatchAll(s.pack([]Sample{{Input: in}}, []int{0}))
+	s.logits1 = ensureView(s.logits1, logits.Data(), logits.Size())
+	return s.logits1
 }
 
-// inputGradSkipper is implemented by layers that can run a cheaper backward
-// pass when their input gradient is not needed. The stack's first layer
-// qualifies: nothing consumes dLoss/dInput of the network input.
-type inputGradSkipper interface {
-	BackwardNoInputGrad(gradOut *tensor.Tensor)
-}
-
-// Backward propagates dLoss/dLogits through all layers, accumulating
-// parameter gradients. The first layer's input gradient is never consumed,
-// so layers that support it skip that half of their backward work.
+// Backward propagates dLoss/dLogits of the last Forward's sample through
+// all layers, accumulating parameter gradients. The first layer's input
+// gradient is never consumed, so it is never computed.
 func (n *Network) Backward(gradLogits *tensor.Tensor) {
-	g := gradLogits
-	for i := len(n.layers) - 1; i >= 1; i-- {
-		g = n.layers[i].Backward(g)
-	}
-	if len(n.layers) == 0 {
-		return
-	}
-	if s, ok := n.layers[0].(inputGradSkipper); ok {
-		s.BackwardNoInputGrad(g)
-		return
-	}
-	n.layers[0].Backward(g)
+	n.invalidateBatchWeights()
+	s := n.slot0()
+	s.grad1 = ensureView(s.grad1, gradLogits.Data(), 1, gradLogits.Size())
+	n.backwardBatchAll(s.grad1)
 }
 
 // ZeroGrads clears gradients in every parameterized layer.
@@ -99,22 +90,71 @@ func (n *Network) ZeroGrads() {
 	}
 }
 
-// Predict returns the argmax class for in.
+// Predict returns the argmax class for in. Classifying a sample set is
+// faster with PredictAll, which runs blocks of samples per pass.
 func (n *Network) Predict(in *tensor.Tensor) int {
 	return n.Forward(in).Argmax()
 }
 
+// PredictAll returns the argmax class of every sample, running blockSize
+// samples per packed pass. Each class is the one Predict returns for that
+// sample.
+func (n *Network) PredictAll(samples []Sample) []int {
+	classes := make([]int, len(samples))
+	n.predictInto(samples, classes)
+	return classes
+}
+
+// Evaluate returns classification accuracy over samples: the share whose
+// PredictAll class equals the label.
+func (n *Network) Evaluate(samples []Sample) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := n.slot0()
+	s.classes = slices.Grow(s.classes[:0], len(samples))[:len(samples)]
+	n.predictInto(samples, s.classes)
+	correct := 0
+	for i, c := range s.classes {
+		if c == samples[i].Label {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(samples))
+}
+
+// predictInto writes the argmax class of every sample into dst, one packed
+// block of up to blockSize samples per forward pass.
+func (n *Network) predictInto(samples []Sample, dst []int) {
+	n.invalidateBatchWeights()
+	s := n.slot0()
+	for lo := 0; lo < len(samples); lo += blockSize {
+		hi := min(lo+blockSize, len(samples))
+		logits := n.forwardBatchAll(s.pack(samples, s.span(lo, hi)))
+		ld, nc := logits.Data(), logits.Dim(1)
+		for j := range hi - lo {
+			dst[lo+j] = argmax(ld[j*nc : (j+1)*nc])
+		}
+	}
+}
+
+// argmax is Tensor.Argmax over one row: the first index of the maximum.
+func argmax(row []float64) int {
+	best, bestIdx := math.Inf(-1), 0
+	for i, v := range row {
+		if v > best {
+			best, bestIdx = v, i
+		}
+	}
+	return bestIdx
+}
+
 // shadowNet returns a network sharing every parameter and gradient tensor
-// with n but owning per-layer scratch state, or nil if any layer does not
-// support shadowing (external Layer implementations).
+// with n but owning per-layer scratch state.
 func (n *Network) shadowNet() *Network {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
-		s, ok := l.(shadowLayer)
-		if !ok {
-			return nil
-		}
-		layers[i] = s.shadow()
+		layers[i] = l.shadow()
 	}
 	return &Network{layers: layers, inShape: n.inShape}
 }
@@ -137,18 +177,14 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 }
 
 // CrossEntropy returns the softmax cross-entropy loss for logits against the
-// integer label and the gradient dLoss/dLogits.
+// integer label and the gradient dLoss/dLogits: the training engine's
+// crossEntropyRows over one row.
 func CrossEntropy(logits *tensor.Tensor, label int) (loss float64, grad *tensor.Tensor) {
-	if label < 0 || label >= logits.Size() {
-		panic(fmt.Sprintf("cnn: label %d for %d classes", label, logits.Size()))
-	}
-	probs := Softmax(logits)
-	p := probs.Data()[label]
-	const eps = 1e-12
-	loss = -math.Log(p + eps)
-	grad = probs
-	grad.Data()[label] -= 1
-	return loss, grad
+	nc := logits.Size()
+	grad = tensor.New(nc)
+	var losses [1]float64
+	crossEntropyRows(tensor.FromSlice(logits.Data(), 1, nc), []int{label}, tensor.FromSlice(grad.Data(), 1, nc), losses[:])
+	return losses[0], grad
 }
 
 // Sample is one labelled training example.
@@ -249,20 +285,6 @@ func (s *SGD) StepNetwork(n *Network, batch int) {
 // Call it after structurally changing the layer stack (e.g. installing conv
 // replica tables): stale shadows would otherwise keep the old configuration.
 func (n *Network) ResetParallelState() { n.slots = nil }
-
-// Evaluate returns classification accuracy over samples.
-func (n *Network) Evaluate(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, s := range samples {
-		if n.Predict(s.Input) == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples))
-}
 
 // SetRecorder attaches an observability recorder: training then records
 // one training-loss point per epoch under <prefix>train_loss and — when

@@ -9,11 +9,8 @@ import (
 // MaxPool2D is a max pooling layer over (channels, height, width) input.
 type MaxPool2D struct {
 	Size, Stride int
-	inShape      []int
-	lastIn       *tensor.Tensor
-	out, gradIn  *tensor.Tensor
-	// Batched-path scratch (see batch.go). spw is the reused sparse winner
-	// list for the fused first-layer backward.
+	// Scratch (see batch.go). spw is the reused sparse winner list for the
+	// fused first-layer backward.
 	bInShape      []int
 	lastInB       *tensor.Tensor
 	outB, gradInB *tensor.Tensor
@@ -47,7 +44,7 @@ func NewMaxPool2D(size, stride int) *MaxPool2D {
 // Name implements Layer.
 func (p *MaxPool2D) Name() string { return fmt.Sprintf("maxpool%dx%d", p.Size, p.Size) }
 
-// shadow implements shadowLayer.
+// shadow implements Layer.
 func (p *MaxPool2D) shadow() Layer { return &MaxPool2D{Size: p.Size, Stride: p.Stride} }
 
 // OutShape implements Layer.
@@ -68,232 +65,4 @@ func (p *MaxPool2D) Receptive(oy, ox int) (y0, y1, x0, x1 int) {
 	y0 = oy * p.Stride
 	x0 = ox * p.Stride
 	return y0, y0 + p.Size - 1, x0, x0 + p.Size - 1
-}
-
-// Forward implements Layer. The returned tensor is owned by the layer until
-// its next Forward call; the input must stay unmodified until Backward runs
-// (Backward re-derives each window's argmax from the cached input instead of
-// maintaining an index array on the forward hot path, where the
-// data-dependent compare-and-track branch dominated the cost).
-func (p *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Dims() != 3 {
-		panic(fmt.Sprintf("cnn: pool input shape %v, want 3-d", in.Shape()))
-	}
-	p.inShape = append(p.inShape[:0], in.Shape()...)
-	p.lastIn = in
-	ch, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	// Inline OutShape: building the shape slice would allocate per call.
-	oh := (h-p.Size)/p.Stride + 1
-	ow := (w-p.Size)/p.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("cnn: pool output collapses for input %v", in.Shape()))
-	}
-	p.out = tensor.Ensure(p.out, ch, oh, ow)
-	ind := in.Data()
-	outd := p.out.Data()
-	// Windows never clip: the output extent guarantees iy0+Size <= h and
-	// ix0+Size <= w, so the common 2×2 and 3×3 sizes unroll without bounds
-	// logic. The max chain folds left exactly like the general loop.
-	switch {
-	case p.Size == 2:
-		idx := 0
-		for c := 0; c < ch; c++ {
-			cBase := c * h * w
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					o := row + ox*p.Stride
-					best := ind[o]
-					best = max(best, ind[o+1])
-					best = max(best, ind[o+w])
-					best = max(best, ind[o+w+1])
-					outd[idx] = best
-					idx++
-				}
-			}
-		}
-		return p.out
-	case p.Size == 3:
-		idx := 0
-		for c := 0; c < ch; c++ {
-			cBase := c * h * w
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					o := row + ox*p.Stride
-					best := ind[o]
-					best = max(best, ind[o+1])
-					best = max(best, ind[o+2])
-					best = max(best, ind[o+w])
-					best = max(best, ind[o+w+1])
-					best = max(best, ind[o+w+2])
-					best = max(best, ind[o+2*w])
-					best = max(best, ind[o+2*w+1])
-					best = max(best, ind[o+2*w+2])
-					outd[idx] = best
-					idx++
-				}
-			}
-		}
-		return p.out
-	}
-	idx := 0
-	for c := 0; c < ch; c++ {
-		cBase := c * h * w
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy * p.Stride
-			ky1 := p.Size
-			if iy0+ky1 > h {
-				ky1 = h - iy0
-			}
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox * p.Stride
-				kx1 := p.Size
-				if ix0+kx1 > w {
-					kx1 = w - ix0
-				}
-				best := ind[cBase+iy0*w+ix0]
-				for ky := 0; ky < ky1; ky++ {
-					row := cBase + (iy0+ky)*w + ix0
-					for _, v := range ind[row : row+kx1] {
-						best = max(best, v)
-					}
-				}
-				outd[idx] = best
-				idx++
-			}
-		}
-	}
-	return p.out
-}
-
-// Backward implements Layer. The returned gradient tensor is owned by the
-// layer until its next Backward call. The routed input index is the first
-// window element equal to the stored maximum — the same element the
-// strict-greater tracking of a fused argmax would keep.
-func (p *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if len(p.inShape) == 0 || p.lastIn == nil {
-		panic("cnn: MaxPool2D backward before forward")
-	}
-	p.gradIn = tensor.Ensure(p.gradIn, p.inShape...)
-	p.gradIn.Zero()
-	gi := p.gradIn.Data()
-	ind := p.lastIn.Data()
-	outd := p.out.Data()
-	god := gradOut.Data()
-	ch, h, w := p.inShape[0], p.inShape[1], p.inShape[2]
-	oh := (h-p.Size)/p.Stride + 1
-	ow := (w-p.Size)/p.Stride + 1
-	// Mirror Forward's unclipped 2×2/3×3 fast paths: scan the window in the
-	// same order for the first element equal to the stored maximum.
-	switch {
-	case p.Size == 2:
-		idx := 0
-		for c := 0; c < ch; c++ {
-			cBase := c * h * w
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					if g == 0 {
-						idx++
-						continue
-					}
-					o := row + ox*p.Stride
-					best := outd[idx]
-					t := o
-					switch {
-					case ind[o] == best:
-					case ind[o+1] == best:
-						t = o + 1
-					case ind[o+w] == best:
-						t = o + w
-					case ind[o+w+1] == best:
-						t = o + w + 1
-					}
-					gi[t] += g
-					idx++
-				}
-			}
-		}
-		return p.gradIn
-	case p.Size == 3:
-		idx := 0
-		for c := 0; c < ch; c++ {
-			cBase := c * h * w
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					if g == 0 {
-						idx++
-						continue
-					}
-					o := row + ox*p.Stride
-					best := outd[idx]
-					t := o
-					switch {
-					case ind[o] == best:
-					case ind[o+1] == best:
-						t = o + 1
-					case ind[o+2] == best:
-						t = o + 2
-					case ind[o+w] == best:
-						t = o + w
-					case ind[o+w+1] == best:
-						t = o + w + 1
-					case ind[o+w+2] == best:
-						t = o + w + 2
-					case ind[o+2*w] == best:
-						t = o + 2*w
-					case ind[o+2*w+1] == best:
-						t = o + 2*w + 1
-					case ind[o+2*w+2] == best:
-						t = o + 2*w + 2
-					}
-					gi[t] += g
-					idx++
-				}
-			}
-		}
-		return p.gradIn
-	}
-	idx := 0
-	for c := 0; c < ch; c++ {
-		cBase := c * h * w
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy * p.Stride
-			ky1 := p.Size
-			if iy0+ky1 > h {
-				ky1 = h - iy0
-			}
-			for ox := 0; ox < ow; ox++ {
-				g := god[idx]
-				if g == 0 {
-					idx++
-					continue
-				}
-				ix0 := ox * p.Stride
-				kx1 := p.Size
-				if ix0+kx1 > w {
-					kx1 = w - ix0
-				}
-				best := outd[idx]
-				bestFlat := cBase + iy0*w + ix0
-			find:
-				for ky := 0; ky < ky1; ky++ {
-					row := cBase + (iy0+ky)*w + ix0
-					for kx := 0; kx < kx1; kx++ {
-						if ind[row+kx] == best {
-							bestFlat = row + kx
-							break find
-						}
-					}
-				}
-				gi[bestFlat] += g
-				idx++
-			}
-		}
-	}
-	return p.gradIn
 }

@@ -635,8 +635,8 @@ type QuantizedNetwork struct {
 // calib (which must be non-empty and representative of inference inputs).
 // The source network is only read — its weights are unchanged — but its
 // forward scratch is clobbered by the calibration passes. Networks with
-// per-position kernel replicas or layers outside the built-in set cannot be
-// quantized; the network must end in a Dense layer (the integer logits).
+// per-position kernel replicas cannot be quantized; the network must end in
+// a Dense layer (the integer logits).
 func QuantizeNetwork(n *Network, calib []Sample) (*QuantizedNetwork, error) {
 	if len(calib) == 0 {
 		return nil, errors.New("cnn: quantization needs a non-empty calibration set")
@@ -644,16 +644,20 @@ func QuantizeNetwork(n *Network, calib []Sample) (*QuantizedNetwork, error) {
 	if len(n.layers) == 0 {
 		return nil, errors.New("cnn: cannot quantize an empty network")
 	}
-	// Calibrate: per-layer output magnitude over the calibration set.
+	// Calibrate: per-layer output magnitude over the calibration set, layer
+	// by layer (unfused, so every layer's own output is visible) in packed
+	// blocks. max|x| does not depend on how samples are grouped.
 	actMax := make([]float64, len(n.layers))
 	inMax := 0.0
-	for _, s := range calib {
-		if m := maxAbs(s.Input.Data()); m > inMax {
+	n.invalidateBatchWeights()
+	slot := n.slot0()
+	for lo := 0; lo < len(calib); lo += blockSize {
+		x := slot.pack(calib, slot.span(lo, min(lo+blockSize, len(calib))))
+		if m := maxAbs(x.Data()); m > inMax {
 			inMax = m
 		}
-		x := s.Input
 		for li, l := range n.layers {
-			x = l.Forward(x)
+			x = l.forwardBatch(x)
 			if m := maxAbs(x.Data()); m > actMax[li] {
 				actMax[li] = m
 			}

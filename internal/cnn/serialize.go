@@ -202,7 +202,7 @@ func decodeNetBlob(blob *netBlob) (n *Network, _ *netBlob, err error) {
 	if blob.Version < 0 || blob.Version > blobVersion {
 		return nil, nil, fmt.Errorf("cnn: unsupported blob version %d (max %d)", blob.Version, blobVersion)
 	}
-	if len(blob.InShape) == 0 || len(blob.InShape) > 4 {
+	if len(blob.InShape) != 1 && len(blob.InShape) != 3 {
 		return nil, nil, fmt.Errorf("cnn: blob input shape %v is unusable", blob.InShape)
 	}
 	inSize := int64(1)

@@ -1,20 +1,22 @@
 package cnn
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"zeiot/internal/rng"
 	"zeiot/internal/tensor"
 )
 
-// blockSize is the training engine's block size on batchable stacks: each
-// mini-batch runs as blocks of min(blockSize, batch) samples, one packed
-// layer call per block. BenchmarkTrainBlockSize sweeps it over one epoch of
-// the e2 lounge CNN: one run on a 2.1 GHz Xeon read 71.2k samples/s at 8,
-// 70.1k at 4 and 63.6k at 16; five runs on a shared 2-vCPU Xeon read
-// medians of 50.3k at 4, 56.7k at 8 and 63.2k at 16, with overlapping
-// spreads.
+// blockSize is the engine's block size: each training mini-batch runs as
+// blocks of min(blockSize, batch) samples, and PredictAll and Evaluate run
+// blocks of blockSize, one packed layer call per block.
+// BenchmarkTrainBlockSize sweeps it over one epoch of the e2 lounge CNN: one
+// run on a 2.1 GHz Xeon read 71.2k samples/s at 8, 70.1k at 4 and 63.6k at
+// 16; five runs on a shared 2-vCPU Xeon read medians of 50.3k at 4, 56.7k at
+// 8 and 63.2k at 16, with overlapping spreads.
 const blockSize = 8
 
 // Trainer is the one CNN fit loop: epochs of mini-batch SGD over samples,
@@ -125,29 +127,46 @@ func (t *Trainer) stepOptimizer(bsz int) {
 
 // trainSlot is the state of one in-flight block: the network that runs it
 // (slot 0 is the owning network itself, the others shadow stacks sharing its
-// parameter and gradient tensors), its labels and logits, and on the
-// batched path the packed input and cross-entropy scratch.
+// parameter and gradient tensors), its labels, packed input, logits,
+// cross-entropy scratch, and the views and buffers the one-sample and
+// inference entry points reuse.
 type trainSlot struct {
-	net    *Network
-	labels []int
-	logits *tensor.Tensor
-	inB    *tensor.Tensor
-	grad   *tensor.Tensor // (bsz, nclass) dLoss/dLogits rows
-	losses []float64
+	net     *Network
+	labels  []int
+	logits  *tensor.Tensor
+	inB     *tensor.Tensor
+	grad    *tensor.Tensor // (bsz, nclass) dLoss/dLogits rows
+	losses  []float64
+	view    *tensor.Tensor // a one-sample block: a view of the sample
+	logits1 *tensor.Tensor // Forward's 1-D view of its logits row
+	grad1   *tensor.Tensor // Backward's (1, nclass) view of its gradient
+	idx     []int          // span's index buffer
+	classes []int          // Evaluate's class buffer
 }
 
-// forward runs one block's forward pass: a 1-sample block through Forward,
-// a packed block through the batched kernels.
-func (s *trainSlot) forward(samples []Sample, idx []int, packed bool) {
-	s.labels = s.labels[:0]
+// pack returns samples[idx] as one packed block: (C,B,H,W) for a (C,H,W)
+// input shape, (B,F) for an (F) one, with sample j of the block in lane j.
+// A block of one is a zero-copy view of its sample, which already has the
+// packed layout. It is the only place samples enter the network, so it
+// panics on any sample whose shape is not the network's input shape, naming
+// the sample's index in samples and both shapes.
+func (s *trainSlot) pack(samples []Sample, idx []int) *tensor.Tensor {
+	in := s.net.inShape
 	for _, i := range idx {
-		s.labels = append(s.labels, samples[i].Label)
+		if got := samples[i].Input.Shape(); !slices.Equal(got, in) {
+			panic(fmt.Sprintf("cnn: sample %d has shape %v, network input is %v", i, got, in))
+		}
 	}
-	if !packed {
-		s.logits = s.net.Forward(samples[idx[0]].Input)
-		return
+	bsz := len(idx)
+	if bsz == 1 {
+		d := samples[idx[0]].Input.Data()
+		if len(in) == 3 {
+			s.view = ensureView(s.view, d, in[0], 1, in[1], in[2])
+		} else {
+			s.view = ensureView(s.view, d, 1, in[0])
+		}
+		return s.view
 	}
-	bsz, in := len(idx), s.net.inShape
 	if len(in) == 3 {
 		ch, hw := in[0], in[1]*in[2]
 		s.inB = tensor.Ensure(s.inB, ch, bsz, in[1], in[2])
@@ -158,15 +177,35 @@ func (s *trainSlot) forward(samples []Sample, idx []int, packed bool) {
 				copy(dst[(c*bsz+j)*hw:(c*bsz+j+1)*hw], src[c*hw:(c+1)*hw])
 			}
 		}
-	} else {
-		f := in[0]
-		s.inB = tensor.Ensure(s.inB, bsz, f)
-		dst := s.inB.Data()
-		for j, i := range idx {
-			copy(dst[j*f:(j+1)*f], samples[i].Input.Data())
-		}
+		return s.inB
 	}
-	s.logits = s.net.forwardBatchAll(s.inB)
+	f := in[0]
+	s.inB = tensor.Ensure(s.inB, bsz, f)
+	dst := s.inB.Data()
+	for j, i := range idx {
+		copy(dst[j*f:(j+1)*f], samples[i].Input.Data())
+	}
+	return s.inB
+}
+
+// span returns the indices lo..hi-1 in the slot's reused index buffer.
+func (s *trainSlot) span(lo, hi int) []int {
+	s.idx = s.idx[:0]
+	for i := lo; i < hi; i++ {
+		s.idx = append(s.idx, i)
+	}
+	return s.idx
+}
+
+// forward runs one block's forward pass and sizes its cross-entropy
+// scratch.
+func (s *trainSlot) forward(samples []Sample, idx []int) {
+	s.labels = s.labels[:0]
+	for _, i := range idx {
+		s.labels = append(s.labels, samples[i].Label)
+	}
+	s.logits = s.net.forwardBatchAll(s.pack(samples, idx))
+	bsz := len(idx)
 	s.grad = tensor.Ensure(s.grad, bsz, s.logits.Dim(1))
 	if cap(s.losses) < bsz {
 		s.losses = make([]float64, bsz)
@@ -174,20 +213,21 @@ func (s *trainSlot) forward(samples []Sample, idx []int, packed bool) {
 	s.losses = s.losses[:bsz]
 }
 
-// ensureSlots grows the cached slot list to k entries, reporting false when
-// a layer cannot shadow (slot 0 always exists).
-func (n *Network) ensureSlots(k int) bool {
+// ensureSlots grows the cached slot list to k entries (slot 0 always
+// exists).
+func (n *Network) ensureSlots(k int) {
 	if len(n.slots) == 0 {
 		n.slots = []*trainSlot{{net: n}}
 	}
 	for len(n.slots) < k {
-		sn := n.shadowNet()
-		if sn == nil {
-			return false
-		}
-		n.slots = append(n.slots, &trainSlot{net: sn})
+		n.slots = append(n.slots, &trainSlot{net: n.shadowNet()})
 	}
-	return true
+}
+
+// slot0 returns the slot that runs on n itself.
+func (n *Network) slot0() *trainSlot {
+	n.ensureSlots(1)
+	return n.slots[0]
 }
 
 // blockOf returns the bi-th block of size samples of the mini-batch mb.
@@ -197,10 +237,8 @@ func blockOf(mb []int, bi, size int) []int { return mb[bi*size : min((bi+1)*size
 // mini-batches of perm — batch samples each, the last possibly short — and
 // returns total plus their losses, added in sample order.
 //
-// Each mini-batch splits into blocks of min(block, batch) samples, or of 1
-// sample on stacks batchable() rejects. A 1-sample block runs Forward,
-// CrossEntropy and Backward; larger blocks run the packed kernels of
-// batch.go, which reproduce those bits. With workers > 1 (<= 0 selects
+// Each mini-batch splits into blocks of min(block, batch) samples, each run
+// through the packed kernels of batch.go. With workers > 1 (<= 0 selects
 // runtime.NumCPU()) the block forwards of a mini-batch run concurrently,
 // each on its own slot stack; cross-entropy and backward then reduce into
 // the shared gradients sequentially in block order, so every gradient
@@ -210,10 +248,6 @@ func blockOf(mb []int, bi, size int) []int { return mb[bi*size : min((bi+1)*size
 // also be zero on entry).
 func (n *Network) trainChunk(samples []Sample, perm []int, batch, block, workers int, total float64, step func(bsz int)) float64 {
 	block = min(block, batch)
-	if block > 1 && !n.batchable() {
-		block = 1
-	}
-	packed := block > 1
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -223,9 +257,7 @@ func (n *Network) trainChunk(samples []Sample, perm []int, batch, block, workers
 	if workers > 1 {
 		slots = maxBlocks
 	}
-	if !n.ensureSlots(slots) {
-		workers = 1
-	}
+	n.ensureSlots(slots)
 	n.invalidateBatchWeights()
 	for start := 0; start < len(perm); start += batch {
 		mb := perm[start:min(start+batch, len(perm))]
@@ -238,7 +270,7 @@ func (n *Network) trainChunk(samples []Sample, perm []int, batch, block, workers
 				go func(g int) {
 					defer wg.Done()
 					for bi := g; bi < nb; bi += w {
-						n.slots[bi].forward(samples, blockOf(mb, bi, block), packed)
+						n.slots[bi].forward(samples, blockOf(mb, bi, block))
 					}
 				}(g)
 			}
@@ -249,19 +281,13 @@ func (n *Network) trainChunk(samples []Sample, perm []int, batch, block, workers
 			if w > 1 {
 				s = n.slots[bi]
 			} else {
-				s.forward(samples, blockOf(mb, bi, block), packed)
+				s.forward(samples, blockOf(mb, bi, block))
 			}
-			if packed {
-				crossEntropyRows(s.logits, s.labels, s.grad, s.losses)
-				for _, l := range s.losses {
-					total += l
-				}
-				s.net.backwardBatchAll(s.grad)
-				continue
+			crossEntropyRows(s.logits, s.labels, s.grad, s.losses)
+			for _, l := range s.losses {
+				total += l
 			}
-			loss, grad := CrossEntropy(s.logits, s.labels[0])
-			total += loss
-			s.net.Backward(grad)
+			s.net.backwardBatchAll(s.grad)
 		}
 		step(len(mb))
 		n.invalidateBatchWeights()

@@ -151,12 +151,12 @@ func TrainAndEvaluate(cfg Config, perClass, epochs int, stream *rng.Stream) (acc
 	correct := 0
 	hits := make([]int, NumClasses())
 	totals := make([]int, NumClasses())
-	for _, s := range test {
-		got := net.Predict(s.Input)
-		totals[s.Label]++
-		if got == s.Label {
+	for i, got := range net.PredictAll(test) {
+		label := test[i].Label
+		totals[label]++
+		if got == label {
 			correct++
-			hits[s.Label]++
+			hits[label]++
 		}
 	}
 	recall = make([]float64, NumClasses())

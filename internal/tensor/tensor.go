@@ -331,8 +331,8 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 // not skip zero elements of a: every one of the k terms is added, in
 // ascending p order, one term at a time per output element. That makes the
 // per-element accumulation order identical to a scalar loop
-// `for p { dst[i][j] += a[i][p]*b[p][j] }`, which is what the batched CNN
-// kernels rely on for bit-identity with the per-sample path.
+// `for p { dst[i][j] += a[i][p]*b[p][j] }`, which is what the packed CNN
+// kernels rely on for bit-identity with their per-sample reference loops.
 func MatMulAddInto(dst, a, b *Tensor) *Tensor {
 	if dst.Dims() != 2 || a.Dims() != 2 || b.Dims() != 2 {
 		panic("tensor: MatMulAddInto requires 2-d tensors")
@@ -393,10 +393,10 @@ func reluBits(v float64) float64 {
 // (k,n) and (m,n), with bias[i] broadcast across row i. Each output element
 // is seeded with its bias and then receives its k terms in ascending p
 // order, one term at a time — the same per-element elementary order as
-// seeding dst with the bias and calling MatMulAddInto, so the batched conv
-// kernel stays bit-identical to the per-sample path. When relu is true the
-// finished value is passed through the ReLU bit-mask select as it is stored,
-// fusing the activation into the GEMM's final write.
+// seeding dst with the bias and calling MatMulAddInto, so the packed conv
+// kernel stays bit-identical to its per-sample reference loop. When relu is
+// true the finished value is passed through the ReLU bit-mask select as it
+// is stored, fusing the activation into the GEMM's final write.
 //
 // k == 9 (a 3×3 single-channel convolution row) keeps the whole chain in
 // registers: one pass over dst instead of three, which is where the batched

@@ -20,12 +20,12 @@ func (h *harness) quantEval(prefix string, net *cnn.Network, calib, test []cnn.S
 		return 0, 0, err
 	}
 	correct, same := 0, 0
-	for _, s := range test {
-		qc := qn.Classify(s.Input)
-		if qc == s.Label {
+	for i, fc := range net.PredictAll(test) {
+		qc := qn.Classify(test[i].Input)
+		if qc == test[i].Label {
 			correct++
 		}
-		if qc == net.Predict(s.Input) {
+		if qc == fc {
 			same++
 		}
 	}
