@@ -61,6 +61,12 @@ import (
 	"zeiot/internal/tensor"
 )
 
+// sameBacking reports whether two slices share the same backing array start
+// and length — the cheap test that lets a cached view be reused.
+func sameBacking(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // ensureView returns a cached tensor of the given shape viewing data,
 // rebuilding the wrapper only when the backing array or shape changed (so
 // steady-state blocks allocate nothing; shape is cloned on a rebuild so the

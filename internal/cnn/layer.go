@@ -121,9 +121,3 @@ func (f *Flatten) OutShape(in []int) []int {
 	}
 	return []int{n}
 }
-
-// sameBacking reports whether two slices share the same backing array start
-// and length — the cheap test that lets a cached view be reused.
-func sameBacking(a, b []float64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
