@@ -91,11 +91,11 @@ func TestEvaluateAllocFree(t *testing.T) {
 }
 
 // TestTrainEpochBatchedAllocSteadyState pins the training engine's
-// steady-state allocation budget: after the first epoch
-// builds the slot and per-layer scratch, a later one-epoch FitParallel must
-// stay within a small fixed budget (the trainer, the epoch's permutation and
-// worker bookkeeping, not per-sample or per-block buffers — the im2col
-// patch, GEMM outputs and winner lists are all reused).
+// steady-state allocation budget: after the first epoch builds the slot and
+// per-layer scratch, a later one-epoch FitParallel must stay within a small
+// fixed budget (the trainer, the epoch's permutation and worker
+// bookkeeping, not per-sample or per-block buffers — the im2col patch, GEMM
+// outputs and winner lists are all reused).
 func TestTrainEpochBatchedAllocSteadyState(t *testing.T) {
 	net, _ := allocNet(3)
 	s := rng.New(11)
