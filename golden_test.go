@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,30 +13,37 @@ import (
 )
 
 // TestGoldenDefaultConfig is the in-process half of the ci.sh golden smoke:
-// running an experiment under DefaultRunConfig() (what a nil config means)
-// must reproduce the checked-in golden JSON byte for byte, after stripping
-// Timings — the one nondeterministic Result field, which cmd/zeiotbench
-// also omits unless -timings is given. Any rng-stream or formatting drift
-// anywhere in the stack fails this even if no unit test covers it.
+// running an experiment under DefaultRunConfig() (what a nil config means),
+// or under the row's own config, must reproduce the checked-in golden JSON
+// byte for byte, after stripping Timings — the one nondeterministic Result
+// field, which cmd/zeiotbench also omits unless -timings is given. Any
+// rng-stream or formatting drift anywhere in the stack fails this even if no
+// unit test covers it.
 func TestGoldenDefaultConfig(t *testing.T) {
 	cases := []struct {
 		id     string
 		golden string
 		// slow is why -short skips the row; empty keeps it.
 		slow string
+		// cfg overrides DefaultRunConfig() when non-nil.
+		cfg *zeiot.RunConfig
 	}{
-		{"e1", "e1_seed1.golden.json", "trains CNNs"},
-		{"e2", "e2_seed1.golden.json", "trains CNNs"},
-		{"e3", "e3_seed1.golden.json", "simulates train RSSI sweeps"},
-		{"e4", "e4_seed1.golden.json", "simulates room RSSI sweeps"},
-		{"e5", "e5_seed1.golden.json", "extracts CSI features"},
-		{"e7", "e7_seed1.golden.json", ""},
-		{"e8", "e8_seed1.golden.json", "trains CNNs"},
-		{"e12", "e12_seed1.golden.json", ""},
-		{"e13", "e13_seed1.golden.json", "trains CNNs"},
-		{"e14", "e14_seed1.golden.json", "trains CNNs"},
-		{"e17", "e17_seed1.golden.json", "trains CNNs"},
-		{"e18", "e18_seed1.golden.json", "trains CNNs"},
+		{"e1", "e1_seed1.golden.json", "trains CNNs", nil},
+		{"e2", "e2_seed1.golden.json", "trains CNNs", nil},
+		{"e3", "e3_seed1.golden.json", "simulates train RSSI sweeps", nil},
+		{"e4", "e4_seed1.golden.json", "simulates room RSSI sweeps", nil},
+		{"e5", "e5_seed1.golden.json", "extracts CSI features", nil},
+		{"e7", "e7_seed1.golden.json", "", nil},
+		{"e8", "e8_seed1.golden.json", "trains CNNs", nil},
+		{"e11", "e11_seed1.golden.json", "", nil},
+		{"e12", "e12_seed1.golden.json", "", nil},
+		{"e13", "e13_seed1.golden.json", "trains CNNs", nil},
+		{"e14", "e14_seed1.golden.json", "trains CNNs", nil},
+		// The ci.sh crowd-smoke size: four shards, so the golden pins the
+		// multi-shard hops and the shard, overlay and route-cache counters.
+		{"e16", "e16_nodes3000_seed1.golden.json", "", &zeiot.RunConfig{Seed: 1, Nodes: 3000}},
+		{"e17", "e17_seed1.golden.json", "trains CNNs", nil},
+		{"e18", "e18_seed1.golden.json", "trains CNNs", nil},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -51,7 +59,7 @@ func TestGoldenDefaultConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := e.Run(context.Background(), nil)
+			r, err := e.Run(context.Background(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,8 +71,12 @@ func TestGoldenDefaultConfig(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s under DefaultRunConfig diverged from %s;\nregenerate with: go run ./cmd/zeiotbench -e %s -seed 1 -json > testdata/%s",
-					tc.id, tc.golden, tc.id, tc.golden)
+				flags := "-seed 1"
+				if tc.cfg != nil && tc.cfg.Nodes != 0 {
+					flags += fmt.Sprintf(" -nodes %d", tc.cfg.Nodes)
+				}
+				t.Errorf("%s diverged from %s;\nregenerate with: go run ./cmd/zeiotbench -e %s %s -json > testdata/%s",
+					tc.id, tc.golden, tc.id, flags, tc.golden)
 			}
 		})
 	}
