@@ -4,9 +4,11 @@
 # data-parallel training path, e8's parallel inference sweep and the
 # concurrent mixed-config runs make the race run load-bearing, not
 # optional), a 10 s fuzz of geom.SegmentIntersectsCircle against its
-# distance oracle, and two end-to-end smokes: e1 and e7 at seed 1 must emit
-# exactly the checked-in golden JSON, so a determinism regression anywhere
-# in the stack fails CI even if no unit test covers it, and a
+# distance oracle, a 10 s fuzz of wsn's FuzzShardedChurn (random Fail/Recover
+# sequences against the all-pairs BFS oracle), and two end-to-end smokes: e1
+# and e7 at seed 1 must emit exactly the checked-in golden JSON, so a
+# determinism regression anywhere in the stack fails CI even if no unit test
+# covers it, and a
 # mixed-config parallel run — two experiments with different per-run
 # worker counts, sample scales, repeats and loss settings concurrently —
 # must exit cleanly. The observability smoke checks both halves of the
@@ -29,6 +31,9 @@ go test -race ./...
 # Fuzz step: the squared-distance test in SegmentIntersectsCircle must
 # agree with SegmentPointDist(a, b, c) <= r on every fuzzed input.
 go test -run '^$' -fuzz FuzzSegmentIntersectsCircle -fuzztime 10s ./internal/geom
+# Fuzz step: under arbitrary churn the routing core's hop counts and routes
+# must agree with the all-pairs BFS oracle of the wsn tests.
+go test -run '^$' -fuzz FuzzShardedChurn -fuzztime 10s ./internal/wsn
 
 smoke="$(mktemp)"
 m1="$(mktemp)"

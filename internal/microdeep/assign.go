@@ -133,10 +133,8 @@ func AssignBalanced(g *Graph, w *wsn.Network, opts BalanceOptions) (Assignment, 
 	// indexes per-source hop rows directly and sums integer scalar-hops
 	// — hop counts and widths are small, so the products stay far below
 	// 2^53 and the integer total converts to exactly the float64 the
-	// original incremental float summation produced. HopsRow instead of
-	// HopsTable keeps this sparse-friendly: on the sharded core only the
-	// rows of candidate nodes materialize, never the full N×N matrix (and
-	// on the dense core the row is the same shared table slice as before).
+	// original incremental float summation produced. Only the rows of
+	// candidate nodes materialize, never a full N×N matrix.
 	// Scratch for the per-site (node, weight) aggregation: deps and
 	// consumers grouped by their current host so commAt does one table
 	// lookup per distinct node instead of one per edge.

@@ -66,10 +66,10 @@ func Plan(g *Graph, a Assignment, w *wsn.Network) ([]Transfer, error) {
 
 // computePlan builds the transfer plan from scratch. rawSeen and edgeSeen
 // are caller-provided scratch bitsets (reused across calls to avoid the
-// per-stage map churn the dedup otherwise costs). touch, when non-nil,
-// collects the shards of every consulted route — both candidate plans, not
-// just the winner, because a flip on a rejected candidate's route can flip
-// the cost comparison itself — for the sharded plan-cache signature.
+// per-stage map churn the dedup otherwise costs). touch collects the shards
+// of every consulted route — both candidate plans, not just the winner,
+// because a flip on a rejected candidate's route can flip the cost
+// comparison itself — for the plan-cache signature.
 func computePlan(g *Graph, a Assignment, w *wsn.Network, rawSeen, edgeSeen *bitset, touch *shardTouch) ([]Transfer, error) {
 	numNodes := w.NumNodes()
 	rawSeen.ensure(len(g.Sites) * numNodes)
@@ -95,9 +95,7 @@ func computePlan(g *Graph, a Assignment, w *wsn.Network, rawSeen, edgeSeen *bits
 				if err != nil {
 					return nil, fmt.Errorf("microdeep: planning site %d: %w", dep, err)
 				}
-				if touch != nil {
-					touch.addRoute(w, route)
-				}
+				touch.addRoute(w, route)
 				width := g.Sites[dep].Width
 				for k := 0; k+1 < len(route); k++ {
 					rawPlan = append(rawPlan, Transfer{From: route[k], To: route[k+1], Scalars: width, Stage: si})
@@ -123,9 +121,7 @@ func computePlan(g *Graph, a Assignment, w *wsn.Network, rawSeen, edgeSeen *bits
 				if err != nil {
 					return nil, fmt.Errorf("microdeep: planning site %d: %w", sid, err)
 				}
-				if touch != nil {
-					touch.addRoute(w, route)
-				}
+				touch.addRoute(w, route)
 				for k := 0; k+1 < len(route); k++ {
 					if edgeSeen.testSet(route[k]*numNodes + route[k+1]) {
 						continue

@@ -17,9 +17,10 @@ import (
 // network ever planned in a package-global map, and a freed graph's reused
 // address can never resurface a stale entry (the old global cache keyed on
 // the raw *Graph pointer and could). Networks are identified by their
-// process-unique wsn.Network.ID — a monotonic counter, never reused — plus
-// the network's TopologyEpoch, so a Fail/Recover invalidates every plan
-// derived from the old connectivity without any explicit hook.
+// process-unique wsn.Network.ID — a monotonic counter, never reused. Each
+// entry carries the touched-shard signature of the routes it consulted, so
+// a Fail/Recover that could change the plan invalidates it without any
+// explicit hook.
 //
 // Assignments are value slices, so the key carries an FNV-1a hash of
 // NodeOf and each entry keeps its own copy of the slice: a hash hit is
@@ -27,31 +28,28 @@ import (
 // collision a forced miss instead of a wrong plan.
 
 // planCacheLimit bounds each graph's cache; when full it is cleared
-// wholesale (the working set of distinct (network, assignment, epoch)
-// triples in one experiment is far below the limit, so eviction order
-// never matters).
+// wholesale (the working set of distinct (network, assignment) pairs in one
+// experiment is far below the limit, so eviction order never matters).
 const planCacheLimit = 64
 
 type planKey struct {
-	net   uint64 // wsn.Network.ID — process-unique, never reused
-	epoch uint64
-	n     int
-	hash  uint64
+	net  uint64 // wsn.Network.ID — process-unique, never reused
+	n    int
+	hash uint64
 }
 
 type planEntry struct {
 	nodeOf []int
 	plan   []Transfer
-	// Sharded-network validity signature (see planFor): the epochs of every
-	// shard any consulted route touched, plus the recover generation.
-	sharded    bool
+	// Validity signature (see planFor): the epochs of every shard any
+	// consulted route touched, plus the recover generation.
 	touched    shardTouch
 	recoverGen uint64
 }
 
 // shardTouch records which shards a plan computation's routes traversed,
-// with the epoch each shard had at computation time. On sharded networks a
-// cached plan stays valid exactly while those epochs (and RecoverGen) hold:
+// with the epoch each shard had at computation time. A cached plan stays
+// valid exactly while those epochs (and RecoverGen) hold:
 // a Fail in an untouched shard cannot change any consulted route (it only
 // removes edges elsewhere), so the plan survives unrelated churn.
 type shardTouch struct {
@@ -109,8 +107,7 @@ type planCache struct {
 	// Graph.PlanCacheStats by the observability layer.
 	hits, misses uint64
 	// rawSeen/edgeSeen are the reusable dedup bitsets computePlan
-	// scratches in; touchScratch collects shard signatures on sharded
-	// networks.
+	// scratches in; touchScratch collects shard signatures.
 	rawSeen, edgeSeen bitset
 	touchScratch      shardTouch
 }
@@ -150,33 +147,22 @@ func equalInts(a, b []int) bool {
 // The returned slice is shared with the cache and must be treated as
 // read-only; the exported Plan copies it before handing it out.
 //
-// Dense networks key on TopologyEpoch: any flip anywhere invalidates (the
-// dense core rebuilds everything anyway). Sharded networks key with epoch 0
-// and validate entries against the fine-grained signature computePlan
+// Entries are validated against the fine-grained signature computePlan
 // collected — the epochs of every shard a consulted route touched, plus
 // RecoverGen — so the cache survives churn in shards the plan never sees.
 func planFor(g *Graph, a Assignment, w *wsn.Network) ([]Transfer, error) {
-	sharded := w.Sharded()
 	key := planKey{net: w.ID(), n: len(a.NodeOf), hash: hashNodeOf(a.NodeOf)}
-	if !sharded {
-		key.epoch = w.TopologyEpoch()
-	}
 	c := &g.plans
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok && equalInts(e.nodeOf, a.NodeOf) {
-		if !e.sharded || (e.recoverGen == w.RecoverGen() && e.touched.valid(w)) {
-			c.hits++
-			return e.plan, nil
-		}
+	if e, ok := c.m[key]; ok && equalInts(e.nodeOf, a.NodeOf) &&
+		e.recoverGen == w.RecoverGen() && e.touched.valid(w) {
+		c.hits++
+		return e.plan, nil
 	}
 	c.misses++
-	var touch *shardTouch
-	if sharded {
-		c.touchScratch.reset()
-		touch = &c.touchScratch
-	}
-	plan, err := computePlan(g, a, w, &c.rawSeen, &c.edgeSeen, touch)
+	c.touchScratch.reset()
+	plan, err := computePlan(g, a, w, &c.rawSeen, &c.edgeSeen, &c.touchScratch)
 	if err != nil {
 		return nil, err
 	}
@@ -185,13 +171,12 @@ func planFor(g *Graph, a Assignment, w *wsn.Network) ([]Transfer, error) {
 	} else if len(c.m) >= planCacheLimit {
 		clear(c.m)
 	}
-	e := &planEntry{nodeOf: append([]int(nil), a.NodeOf...), plan: plan}
-	if sharded {
-		e.sharded = true
-		e.touched = touch.clone()
-		e.recoverGen = w.RecoverGen()
+	c.m[key] = &planEntry{
+		nodeOf:     append([]int(nil), a.NodeOf...),
+		plan:       plan,
+		touched:    c.touchScratch.clone(),
+		recoverGen: w.RecoverGen(),
 	}
-	c.m[key] = e
 	return plan, nil
 }
 

@@ -61,21 +61,13 @@ func (p RadioPlan) Usable(a, b geom.Point) bool {
 
 // NewFromRadioPlan builds a network whose links are exactly the usable
 // ones under the plan — the automated network-construction step of the
-// design-support environment. At AutoShardThreshold nodes and above it
-// switches to the hierarchical sharded core.
+// design-support environment.
 func NewFromRadioPlan(positions []geom.Point, plan RadioPlan) *Network {
-	if len(positions) >= AutoShardThreshold {
-		return NewShardedFromRadioPlan(positions, plan, ShardOptions{})
-	}
-	n := &Network{id: networkSeq.Add(1), maxRange: -1, plan: &plan}
-	for i, p := range positions {
-		n.nodes = append(n.nodes, &Node{ID: i, Pos: p})
-	}
-	n.rebuild()
-	return n
+	return newNetwork(positions, -1, &plan, ShardOptions{})
 }
 
-// linkExists is the connectivity predicate shared by rebuild.
+// linkExists is the connectivity predicate: the one rule for which node
+// pairs share a link.
 func (n *Network) linkExists(a, b *Node) bool {
 	if n.plan != nil {
 		return n.plan.Usable(a.Pos, b.Pos)
@@ -147,7 +139,6 @@ func SuggestRelays(positions []geom.Point, plan RadioPlan, maxRelays int) ([]geo
 
 // components counts connected components over live nodes.
 func components(n *Network) int {
-	n.ensure()
 	seen := make(map[int]bool)
 	count := 0
 	for _, id := range n.Live() {

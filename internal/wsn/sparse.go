@@ -29,12 +29,16 @@ func (c *csr) contains(i, j int) bool {
 
 // MaxLinkDist returns an upper bound on the distance at which a link under
 // this plan can close: the range where bare path loss (no walls — walls only
-// subtract further) eats the whole budget. Used to size the spatial hash
-// cells of the sparse adjacency builder.
+// subtract further) eats the whole budget, or +Inf when path loss never
+// grows with distance. Used to size the spatial hash cells of the sparse
+// adjacency builder.
 func (p RadioPlan) MaxLinkDist() float64 {
 	allow := p.TxDBm - p.SensitivityDBm - p.FadeMarginDB - p.Model.RefLossDB
-	if allow <= 0 || p.Model.Exponent <= 0 {
+	if allow < 0 {
 		return p.Model.RefDist
+	}
+	if p.Model.Exponent <= 0 {
+		return math.Inf(1)
 	}
 	return p.Model.RefDist * math.Pow(10, allow/(10*p.Model.Exponent))
 }
@@ -48,10 +52,17 @@ func (n *Network) maxLinkDist() float64 {
 	return n.maxRange
 }
 
+// linkBand is the relative slack of buildCSR's cell side and squared-distance
+// prefilter. It is far wider than the few-ulp rounding of dx²+dy², of the
+// cell offsets and of the link predicate itself, so the prefilter can only
+// pass extra pairs for link to reject, never drop a pair link accepts.
+const linkBand = 0x1p-30
+
 // buildCSR derives the structural adjacency from node positions with a
-// uniform spatial hash: cells of side maxDist, so every candidate neighbour
-// of a node lies in its 3×3 cell block. Total work is O(N·deg) instead of
-// the dense builder's O(N²) pair scan.
+// uniform spatial hash: cells of side just over maxDist, so every pair link
+// can accept lies in a 3×3 cell block. Total work is O(N·deg) instead of an
+// O(N²) pair scan; link alone decides every candidate the cheap
+// squared-distance prefilter passes.
 func buildCSR(nodes []*Node, link func(a, b *Node) bool, maxDist float64) csr {
 	n := len(nodes)
 	if n == 0 {
@@ -68,11 +79,14 @@ func buildCSR(nodes []*Node, link func(a, b *Node) bool, maxDist float64) csr {
 		maxX = math.Max(maxX, nd.Pos.X)
 		maxY = math.Max(maxY, nd.Pos.Y)
 	}
-	cols := int((maxX-minX)/maxDist) + 1
-	rows := int((maxY-minY)/maxDist) + 1
+	// The floor of extent·2⁻²⁰ keeps the rounding of the cell offsets far
+	// below the band even on fields millions of ranges wide.
+	cell := math.Max(maxDist*(1+linkBand), math.Max(maxX-minX, maxY-minY)*0x1p-20)
+	cols := int((maxX-minX)/cell) + 1
+	rows := int((maxY-minY)/cell) + 1
 	cellOf := func(p geom.Point) int {
-		cx := int((p.X - minX) / maxDist)
-		cy := int((p.Y - minY) / maxDist)
+		cx := int((p.X - minX) / cell)
+		cy := int((p.Y - minY) / cell)
 		return cy*cols + cx
 	}
 	// Counting sort of node ids by cell.
@@ -93,11 +107,14 @@ func buildCSR(nodes []*Node, link func(a, b *Node) bool, maxDist float64) csr {
 	// Enumerate each candidate pair once via a half neighbourhood (same
 	// cell i<j, then E, SW, S, SE cells), append both directions.
 	tmp := make([][]int32, n)
-	maxDistSq := maxDist * maxDist
+	// Outside [2⁻⁵⁰⁰, 2⁵⁰⁰] the squares could underflow or overflow, so
+	// link decides alone.
+	prefilter := maxDist >= 0x1p-500 && maxDist <= 0x1p500
+	cutSq := maxDist * maxDist * (1 + linkBand)
 	tryPair := func(a, b int32) {
 		pa, pb := nodes[a].Pos, nodes[b].Pos
 		dx, dy := pa.X-pb.X, pa.Y-pb.Y
-		if dx*dx+dy*dy > maxDistSq {
+		if prefilter && dx*dx+dy*dy > cutSq {
 			return
 		}
 		if !link(nodes[a], nodes[b]) {
@@ -131,8 +148,8 @@ func buildCSR(nodes []*Node, link func(a, b *Node) bool, maxDist float64) csr {
 			}
 		}
 	}
-	// Flatten into CSR with ascending rows (matches the dense builder's
-	// ascending-j neighbour order, which every BFS tie-break relies on).
+	// Flatten into CSR with ascending rows: every BFS tie-break relies on
+	// ascending neighbour order.
 	out := csr{off: make([]int32, n+1)}
 	total := 0
 	for i := range tmp {

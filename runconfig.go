@@ -45,8 +45,7 @@ type RunConfig struct {
 	// Nodes overrides the node count of the experiments that own a
 	// free-scale deployment (currently e16's crowd field, default 100,000).
 	// 0 keeps each experiment's default; experiments with paper-fixed
-	// topologies ignore it. Node counts at or above wsn.AutoShardThreshold
-	// run on the sharded routing core (e16 always does).
+	// topologies ignore it.
 	//
 	// Ownership rule: an experiment honours Nodes only if its topology is
 	// free-scale — sized by the scenario, not pinned by the paper. The
@@ -324,11 +323,11 @@ func (h *harness) observeWSN(prefix string, w *wsn.Network) {
 }
 
 // observeWSNCaches publishes a network's routing-cache and rebuild counters
-// under prefix: route-memo hit/miss totals plus the PR 7 repair counters
-// (full structural builds, per-shard table rebuilds, per-source overlay
-// builds — the dense core reports its table rebuilds as full builds). E16
-// uses this directly because at crowd scale the per-node series observeWSN
-// also emits would dominate the export. A no-op without a recorder.
+// under prefix: route-memo hit/miss totals plus the repair counters of
+// wsn.Network.RebuildStats (full structural builds, per-shard table
+// rebuilds, per-source overlay builds). E16 uses this directly because at
+// crowd scale the per-node series observeWSN also emits would dominate the
+// export. A no-op without a recorder.
 func (h *harness) observeWSNCaches(prefix string, w *wsn.Network) {
 	rec := h.cfg.Recorder
 	if rec == nil {
