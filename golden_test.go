@@ -44,10 +44,19 @@ func TestGoldenDefaultConfig(t *testing.T) {
 		{"e16", "e16_nodes3000_seed1.golden.json", "", &zeiot.RunConfig{Seed: 1, Nodes: 3000}},
 		{"e17", "e17_seed1.golden.json", "trains CNNs", nil},
 		{"e18", "e18_seed1.golden.json", "trains CNNs", nil},
+		// The int8 rows: -quant scores the trained CNNs through
+		// QuantizedNetwork after the float rows.
+		{"e1", "e1_quant_seed1.golden.json", "trains CNNs", &zeiot.RunConfig{Seed: 1, Quantize: true}},
+		{"e2", "e2_quant_seed1.golden.json", "trains CNNs", &zeiot.RunConfig{Seed: 1, Quantize: true}},
+		{"e13", "e13_quant_seed1.golden.json", "trains CNNs", &zeiot.RunConfig{Seed: 1, Quantize: true}},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
+		name := tc.id
+		if tc.cfg != nil && tc.cfg.Quantize {
+			name += "_quant"
+		}
+		t.Run(name, func(t *testing.T) {
 			if tc.slow != "" && testing.Short() {
 				t.Skip(tc.slow)
 			}
@@ -74,6 +83,9 @@ func TestGoldenDefaultConfig(t *testing.T) {
 				flags := "-seed 1"
 				if tc.cfg != nil && tc.cfg.Nodes != 0 {
 					flags += fmt.Sprintf(" -nodes %d", tc.cfg.Nodes)
+				}
+				if tc.cfg != nil && tc.cfg.Quantize {
+					flags += " -quant=true"
 				}
 				t.Errorf("%s diverged from %s;\nregenerate with: go run ./cmd/zeiotbench -e %s %s -json > testdata/%s",
 					tc.id, tc.golden, tc.id, flags, tc.golden)
