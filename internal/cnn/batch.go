@@ -3,7 +3,8 @@ package cnn
 // The layer kernels: im2col/GEMM and direct kernels that process a packed
 // block of B samples per layer call. They are the only layer arithmetic in
 // the package: training runs blocks of up to blockSize samples (train.go),
-// inference blocks of blockSize or of one (network.go).
+// float inference blocks of blockSize or of one (network.go), and int8
+// inference blocks of one (quant.go).
 //
 // # Packed layouts
 //

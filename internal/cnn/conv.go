@@ -90,6 +90,15 @@ func (c *Conv2D) Weight() *tensor.Tensor { return c.weight }
 // Bias returns the bias tensor (outC).
 func (c *Conv2D) Bias() *tensor.Tensor { return c.bias }
 
+// KernelAt returns the kernel output position (oy, ox) computes with: its
+// replica when a replica table is installed, else the shared weight.
+func (c *Conv2D) KernelAt(oy, ox int) *tensor.Tensor {
+	if c.repK != nil {
+		return c.repK[oy*c.repW+ox]
+	}
+	return c.weight
+}
+
 // SetReplicaTable installs per-position kernel replicas: output position
 // (oy, ox) computes with kernels[oy*w+ox] instead of the shared weight and
 // accumulates its weight gradients into grads[oy*w+ox]. Every tensor must

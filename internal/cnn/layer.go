@@ -14,6 +14,9 @@
 // (C,1,H,W) layout and an (F) vector the (1,F) one, so they run on zero-copy
 // views. Every sample's result is independent of its block, so all entry
 // points agree bit for bit with the plain per-sample loops of ref_test.go.
+// Int8 inference (QuantizedNetwork, quant.go) runs the same kernels on
+// quantized integers stored as float64, exactly, and agrees at tolerance 0
+// with the plain int8 loops of quant_ref_test.go.
 //
 // # Buffer ownership
 //

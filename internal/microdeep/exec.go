@@ -22,9 +22,6 @@ import (
 // by the caller.
 type Executor struct {
 	graph *Graph
-	// KernelFor, when non-nil, selects the convolution kernel used for a
-	// conv site (replica mode); nil uses the layer's shared weights.
-	KernelFor func(stage int, s Site) *tensor.Tensor
 	// Assign and DeadNodes, when set together, model broken devices (the
 	// §V resilience challenge): a site assigned to a dead node produces
 	// zeros — its value simply never appears on the network. DeadSites
@@ -121,7 +118,9 @@ func (e *Executor) siteDead(sid int) bool {
 	return e.ComputeFaults != nil && e.ComputeFaults.BrownedOut(e.Assign.NodeOf[sid], e.ComputeTick)
 }
 
-// NewExecutor returns an executor for g with shared weights.
+// NewExecutor returns an executor for g. Conv sites compute with the
+// kernel their layer uses at their position (see cnn.Conv2D.KernelAt), so
+// replica tables installed by EnableLocalUpdate are honoured.
 func NewExecutor(g *Graph) *Executor { return &Executor{graph: g} }
 
 // ensureArena carves one flat backing buffer into per-site value slices so a
@@ -190,7 +189,7 @@ func (e *Executor) Forward(input *tensor.Tensor) (*tensor.Tensor, error) {
 			out := values[sid]
 			switch st.Kind {
 			case StageConv:
-				e.convSite(si, st, s, values, out)
+				e.convSite(st, s, values, out)
 			case StagePool:
 				poolSite(st, s, values, out)
 			case StageDense:
@@ -276,15 +275,9 @@ func (e *Executor) lossRestore() {
 	e.lostVals = e.lostVals[:0]
 }
 
-func (e *Executor) convSite(stage int, st Stage, s Site, values [][]float64, out []float64) {
+func (e *Executor) convSite(st Stage, s Site, values [][]float64, out []float64) {
 	conv := st.Conv
-	kernel := conv.Weight()
-	if e.KernelFor != nil {
-		if k := e.KernelFor(stage, s); k != nil {
-			kernel = k
-		}
-	}
-	kd := kernel.Data()
+	kd := conv.KernelAt(s.Y, s.X).Data()
 	bd := conv.Bias().Data()
 	khkw := conv.KH * conv.KW
 	kcs := conv.InC * khkw

@@ -420,6 +420,35 @@ func TestDistributedForwardMatchesInReplicaMode(t *testing.T) {
 	}
 }
 
+// TestNewExecutorUsesReplicas checks that an executor built straight from
+// the graph of a local-update model, not through DistributedExecutor,
+// computes with the per-position replica kernels too.
+func TestNewExecutorUsesReplicas(t *testing.T) {
+	s := rng.New(12)
+	m, err := Build(testNet(9), wsn.NewGrid(6, 6, 1), StrategyBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableLocalUpdate()
+	var samples []cnn.Sample
+	for i := 0; i < 40; i++ {
+		samples = append(samples, cnn.Sample{Input: randInput(s), Label: i % 2})
+	}
+	m.FitParallel(samples, 3, 8, 1, cnn.NewSGD(0.05, 0.9), s.Split("t"))
+	ex := NewExecutor(m.Graph)
+	for trial := 0; trial < 5; trial++ {
+		in := randInput(s)
+		want := m.Net.Forward(in)
+		got, err := ex.Forward(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.Equal(want, got, 1e-9) {
+			t.Fatalf("NewExecutor forward diverged from the replica net: %v vs %v", want, got)
+		}
+	}
+}
+
 func TestCostPerSampleSyncVsLocal(t *testing.T) {
 	w := wsn.NewGrid(6, 6, 1)
 	m, err := Build(testNet(10), w, StrategyBalanced)

@@ -36,11 +36,8 @@ type Model struct {
 	// installed.
 	localUpdate bool
 	replicas    []*convReplica
-	// repByStage indexes replicas by stage id for O(1) lookup on the
-	// distributed-executor path.
-	repByStage []*convReplica
 	// exec is the cached distributed executor used by ForwardDistributed;
-	// it is invalidated when EnableLocalUpdate installs the replica tables.
+	// EnableLocalUpdate drops it.
 	exec *Executor
 	// gossipEvery > 0 averages each conv unit's kernel with its four
 	// spatial neighbours every that-many optimizer steps — one-hop-only
@@ -104,7 +101,6 @@ func (m *Model) EnableLocalUpdate() {
 		return
 	}
 	m.localUpdate = true
-	m.repByStage = make([]*convReplica, len(m.Graph.Stages))
 	for si, st := range m.Graph.Stages {
 		if st.Kind != StageConv {
 			continue
@@ -122,9 +118,10 @@ func (m *Model) EnableLocalUpdate() {
 		}
 		r.conv.SetReplicaTable(r.kernels, r.grads, r.w)
 		m.replicas = append(m.replicas, r)
-		m.repByStage[si] = r
 	}
-	// The replica tables invalidate any cached shadow stacks and executor.
+	// The replica tables invalidate any cached shadow stacks. The cached
+	// executor reads them through the conv layers, but is dropped too, with
+	// its configuration, as DistributedExecutor documents.
 	m.Net.ResetParallelState()
 	m.exec = nil
 }
@@ -334,18 +331,7 @@ func (m *Model) ForwardDistributed(input *tensor.Tensor) (*tensor.Tensor, error)
 // invalidated by EnableLocalUpdate, which discards any configuration.
 func (m *Model) DistributedExecutor() *Executor {
 	if m.exec == nil {
-		ex := NewExecutor(m.Graph)
-		if m.localUpdate {
-			byStage := m.repByStage
-			ex.KernelFor = func(stage int, s Site) *tensor.Tensor {
-				r := byStage[stage]
-				if r == nil {
-					return nil
-				}
-				return r.kernels[s.Y*r.w+s.X]
-			}
-		}
-		m.exec = ex
+		m.exec = NewExecutor(m.Graph)
 	}
 	return m.exec
 }

@@ -2,27 +2,13 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
+// TestStridesRowMajor pins the layout every kernel that indexes Data
+// relies on: element (i, j, k) of a (2,3,4) tensor sits at 12i + 4j + k.
 func TestStridesRowMajor(t *testing.T) {
-	tn := New(2, 3, 4)
-	want := []int{12, 4, 1}
-	for i, s := range tn.Strides() {
-		if s != want[i] {
-			t.Fatalf("strides = %v, want %v", tn.Strides(), want)
-		}
-	}
-	if tn.Stride(1) != 4 {
-		t.Fatalf("Stride(1) = %d", tn.Stride(1))
-	}
-	r := tn.Reshape(6, 4)
-	if r.Stride(0) != 4 || r.Stride(1) != 1 {
-		t.Fatalf("reshaped strides = %v", r.Strides())
-	}
-}
-
-func TestFlatAccessorsMatchAt(t *testing.T) {
 	tn := New(2, 3, 4)
 	for i := range tn.Data() {
 		tn.Data()[i] = float64(i)
@@ -30,33 +16,15 @@ func TestFlatAccessorsMatchAt(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			for k := 0; k < 4; k++ {
-				if tn.At3(i, j, k) != tn.At(i, j, k) {
-					t.Fatalf("At3(%d,%d,%d) = %v, At = %v", i, j, k, tn.At3(i, j, k), tn.At(i, j, k))
-				}
-				if tn.Off3(i, j, k) != (i*3+j)*4+k {
-					t.Fatalf("Off3(%d,%d,%d) = %d", i, j, k, tn.Off3(i, j, k))
+				if got := tn.At(i, j, k); got != float64(12*i+4*j+k) {
+					t.Fatalf("At(%d,%d,%d) = %v, want %d", i, j, k, got, 12*i+4*j+k)
 				}
 			}
 		}
 	}
-	tn.Set3(99, 1, 2, 3)
-	if tn.At(1, 2, 3) != 99 {
-		t.Fatal("Set3 did not write through")
-	}
-
-	m := New(3, 5)
-	m.Set2(7, 2, 4)
-	if m.At(2, 4) != 7 || m.At2(2, 4) != 7 || m.Off2(2, 4) != 14 {
-		t.Fatal("2-d flat accessors broken")
-	}
-
-	q := New(2, 3, 4, 5)
-	q.Set4(-1, 1, 2, 3, 4)
-	if q.At(1, 2, 3, 4) != -1 || q.At4(1, 2, 3, 4) != -1 {
-		t.Fatal("4-d flat accessors broken")
-	}
-	if q.Off4(1, 2, 3, 4) != ((1*3+2)*4+3)*5+4 {
-		t.Fatalf("Off4 = %d", q.Off4(1, 2, 3, 4))
+	tn.Set(99, 1, 2, 3)
+	if tn.Data()[23] != 99 {
+		t.Fatal("Set did not write the row-major offset")
 	}
 }
 
@@ -67,10 +35,10 @@ func TestEnsureReusesStorage(t *testing.T) {
 	if b != a {
 		t.Fatal("Ensure did not reuse a same-volume tensor")
 	}
-	if b.Dim(0) != 2 || b.Dim(1) != 8 || b.Stride(0) != 8 {
-		t.Fatalf("Ensure shape/strides = %v/%v", b.Shape(), b.Strides())
+	if b.Dim(0) != 2 || b.Dim(1) != 8 {
+		t.Fatalf("Ensure shape = %v", b.Shape())
 	}
-	if b.At2(0, 0) != 3 {
+	if b.At(0, 0) != 3 {
 		t.Fatal("Ensure clobbered contents")
 	}
 	// Smaller volume reuses the same backing array.
@@ -97,9 +65,8 @@ func TestEnsureReusesStorage(t *testing.T) {
 
 // TestEnsureRankChangeResetsStrides pins the scratch-reuse contract the
 // batched CNN kernels depend on: reusing a backing array under a shape of
-// equal volume but different rank must leave canonical row-major strides,
-// so the flat accessors (Off3/At3/...) address the new layout and not the
-// old one.
+// equal volume but different rank must leave the new shape, so At addresses
+// the new layout's row-major strides and not the old one's.
 func TestEnsureRankChangeResetsStrides(t *testing.T) {
 	a := New(24)
 	for i := range a.Data() {
@@ -109,23 +76,16 @@ func TestEnsureRankChangeResetsStrides(t *testing.T) {
 	if b != a {
 		t.Fatal("Ensure did not reuse equal-volume storage across a rank change")
 	}
-	if b.Dims() != 3 || b.Stride(0) != 12 || b.Stride(1) != 4 || b.Stride(2) != 1 {
-		t.Fatalf("rank-up strides = %v, want [12 4 1]", b.Strides())
-	}
-	if b.At3(1, 2, 3) != 23 || b.Off3(1, 0, 2) != 14 {
-		t.Fatalf("flat accessors wrong after rank change: At3(1,2,3)=%v Off3(1,0,2)=%d",
-			b.At3(1, 2, 3), b.Off3(1, 0, 2))
+	if !slices.Equal(b.Shape(), []int{2, 3, 4}) || b.At(1, 2, 3) != 23 || b.At(1, 0, 2) != 14 {
+		t.Fatalf("after rank-up: shape %v, At(1,2,3)=%v, At(1,0,2)=%v", b.Shape(), b.At(1, 2, 3), b.At(1, 0, 2))
 	}
 	c := Ensure(b, 4, 6) // 3-d -> 2-d, same volume
-	if c != b || c.Dims() != 2 || c.Stride(0) != 6 || c.Stride(1) != 1 {
-		t.Fatalf("rank-down strides = %v, want [6 1]", c.Strides())
-	}
-	if c.At2(3, 5) != 23 {
-		t.Fatalf("At2(3,5) = %v after rank change, want 23", c.At2(3, 5))
+	if c != b || !slices.Equal(c.Shape(), []int{4, 6}) || c.At(3, 5) != 23 {
+		t.Fatalf("after rank-down: shape %v, At(3,5)=%v", c.Shape(), c.At(3, 5))
 	}
 	d := Ensure(c, 24) // back to 1-d
-	if d != c || d.Dims() != 1 || d.Stride(0) != 1 {
-		t.Fatalf("rank-down to 1-d strides = %v, want [1]", d.Strides())
+	if d != c || !slices.Equal(d.Shape(), []int{24}) || d.At(23) != 23 {
+		t.Fatalf("after rank-down to 1-d: shape %v", d.Shape())
 	}
 }
 
@@ -141,8 +101,8 @@ func TestEnsureSameRankReshapeAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("same-rank Ensure reshape allocated %v times per run", allocs)
 	}
-	if buf.Stride(0) != 8 {
-		t.Fatalf("stride after alternating reshapes = %d, want 8", buf.Stride(0))
+	if !slices.Equal(buf.Shape(), []int{6, 8}) {
+		t.Fatalf("shape after alternating reshapes = %v, want [6 8]", buf.Shape())
 	}
 }
 
@@ -159,7 +119,7 @@ func TestMatMulAddIntoAccumulates(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		for p := 0; p < 3; p++ {
 			for j := 0; j < 2; j++ {
-				want.Set2(want.At2(i, j)+a.At2(i, p)*b.At2(p, j), i, j)
+				want.Set(want.At(i, j)+a.At(i, p)*b.At(p, j), i, j)
 			}
 		}
 	}
@@ -188,9 +148,9 @@ func TestMatMulAddIntoMatchesScalarOrder(t *testing.T) {
 		dst := ref.Clone()
 		for i := 0; i < m; i++ {
 			for p := 0; p < k; p++ {
-				av := a.At2(i, p)
+				av := a.At(i, p)
 				for j := 0; j < n; j++ {
-					ref.Set2(ref.At2(i, j)+av*b.At2(p, j), i, j)
+					ref.Set(ref.At(i, j)+av*b.At(p, j), i, j)
 				}
 			}
 		}
@@ -201,41 +161,23 @@ func TestMatMulAddIntoMatchesScalarOrder(t *testing.T) {
 	}
 }
 
-func TestMatVecIntoMatchesMatVec(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := FromSlice([]float64{1, -1, 2}, 3)
-	want := MatVec(a, x)
-	buf := New(2)
-	got := MatVecInto(buf, a, x)
-	if got != buf {
-		t.Fatal("MatVecInto did not reuse dst")
-	}
-	if !Equal(want, got, 0) {
-		t.Fatalf("MatVecInto = %v, want %v", got, want)
-	}
-}
-
+// TestMatMulIntoMatchesMatMul checks MatMulInto against the scalar matrix
+// product, and that it reuses and clears its destination.
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float64{0, 1, 1, 0}, 2, 2)
-	want := MatMul(a, b)
+	a := FromSlice([]float64{1, 2, 0, 4, 5, 6}, 2, 3)
+	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	want := New(2, 2)
+	for i := 0; i < 2; i++ {
+		for p := 0; p < 3; p++ {
+			for j := 0; j < 2; j++ {
+				want.Set(want.At(i, j)+a.At(i, p)*b.At(p, j), i, j)
+			}
+		}
+	}
 	buf := New(2, 2)
 	buf.Fill(42) // must be cleared by MatMulInto
 	got := MatMulInto(buf, a, b)
 	if got != buf || !Equal(want, got, 0) {
 		t.Fatalf("MatMulInto = %v, want %v", got, want)
-	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := New(3)
-	b.CopyFrom(a)
-	if !Equal(a, b, 0) {
-		t.Fatal("CopyFrom did not copy")
-	}
-	b.Data()[0] = 9
-	if a.Data()[0] == 9 {
-		t.Fatal("CopyFrom aliased storage")
 	}
 }

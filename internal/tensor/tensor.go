@@ -1,12 +1,12 @@
 // Package tensor implements a small dense float64 tensor used as the
 // numeric substrate for the zeiot CNN stack.
 //
-// Tensors are row-major with explicit shapes and cached strides; the package
-// provides only the operations the CNN and the sensing pipelines need
-// (element access, arithmetic, matrix multiply, argmax, simple reductions).
-// It favours clarity and determinism over BLAS-grade speed, but the flat
-// accessors (Off/At2..At4, Data) and the *Into variants let hot loops index
-// storage directly without per-element variadic calls or allocation.
+// Tensors are dense and row-major with explicit shapes; the package provides
+// only the operations the CNN and the sensing pipelines need (element
+// access, arithmetic, matrix multiply, argmax, simple reductions). It
+// favours clarity and determinism over BLAS-grade speed. Hot loops index the
+// row-major storage that Data returns directly, and Ensure and the *Into
+// kernels reuse storage, so steady-state callers allocate nothing.
 package tensor
 
 import (
@@ -17,23 +17,15 @@ import (
 
 // Tensor is a dense row-major float64 array with an explicit shape.
 type Tensor struct {
-	shape   []int
-	strides []int
-	data    []float64
+	shape []int
+	data  []float64
 }
 
-// shapeMeta builds the shape and stride slices in one backing array.
-func shapeMeta(shape []int) (s, st []int) {
-	meta := make([]int, 2*len(shape))
-	s = meta[:len(shape):len(shape)]
-	st = meta[len(shape):]
+// shapeMeta copies shape into a slice the tensor owns.
+func shapeMeta(shape []int) []int {
+	s := make([]int, len(shape))
 	copy(s, shape)
-	stride := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		st[i] = stride
-		stride *= shape[i]
-	}
-	return s, st
+	return s
 }
 
 func volume(shape []int) int {
@@ -51,15 +43,13 @@ func volume(shape []int) int {
 // positive.
 func New(shape ...int) *Tensor {
 	n := volume(shape)
-	s, st := shapeMeta(shape)
-	return &Tensor{shape: s, strides: st, data: make([]float64, n)}
+	return &Tensor{shape: shapeMeta(shape), data: make([]float64, n)}
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must equal the shape's volume.
 func FromSlice(data []float64, shape ...int) *Tensor {
-	s, st := shapeMeta(shape)
-	t := &Tensor{shape: s, strides: st, data: data}
+	t := &Tensor{shape: shapeMeta(shape), data: data}
 	if len(data) != t.Size() {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
 	}
@@ -90,23 +80,13 @@ func Ensure(t *Tensor, shape ...int) *Tensor {
 	}
 	if !shapeEq(t.shape, shape) {
 		if len(shape) == len(t.shape) {
-			// Same rank: rewrite the cached meta in place. Scratch buffers
+			// Same rank: rewrite the shape in place, so scratch buffers
 			// that alternate between shapes (e.g. an im2col patch whose
 			// batch dimension shrinks on the final partial block) stay
-			// allocation-free, and the strides are always recomputed for
-			// the new dimensions.
+			// allocation-free.
 			copy(t.shape, shape)
-			stride := 1
-			for i := len(shape) - 1; i >= 0; i-- {
-				t.strides[i] = stride
-				stride *= shape[i]
-			}
 		} else {
-			// Rank change: the stride slice lengths no longer match, so a
-			// fresh meta array is required. Both shape and strides must be
-			// replaced together — stale strides on a reused backing array
-			// would silently corrupt every flat accessor.
-			t.shape, t.strides = shapeMeta(shape)
+			t.shape = shapeMeta(shape)
 		}
 	}
 	t.data = t.data[:n]
@@ -128,13 +108,6 @@ func shapeEq(a, b []int) bool {
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }
-
-// Strides returns the row-major stride of each dimension (cached at
-// construction). The returned slice must not be modified.
-func (t *Tensor) Strides() []int { return t.strides }
-
-// Stride returns the row-major stride of dimension i.
-func (t *Tensor) Stride(i int) int { return t.strides[i] }
 
 // Dims returns the number of dimensions.
 func (t *Tensor) Dims() int { return len(t.shape) }
@@ -174,68 +147,11 @@ func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
 // Set stores v at the given multi-index.
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
 
-// Off2 returns the flat offset of (i, j) in a 2-d tensor. Like the other
-// flat accessors it performs no per-dimension bounds checks — only the final
-// slice access is checked — so callers must pass in-range indices.
-func (t *Tensor) Off2(i, j int) int { return i*t.strides[0] + j }
-
-// Off3 returns the flat offset of (i, j, k) in a 3-d tensor.
-func (t *Tensor) Off3(i, j, k int) int { return i*t.strides[0] + j*t.strides[1] + k }
-
-// Off4 returns the flat offset of (i, j, k, l) in a 4-d tensor.
-func (t *Tensor) Off4(i, j, k, l int) int {
-	return i*t.strides[0] + j*t.strides[1] + k*t.strides[2] + l
-}
-
-// At2 returns the element at (i, j) of a 2-d tensor without per-dimension
-// bounds checks.
-func (t *Tensor) At2(i, j int) float64 { return t.data[i*t.strides[0]+j] }
-
-// Set2 stores v at (i, j) of a 2-d tensor without per-dimension bounds
-// checks.
-func (t *Tensor) Set2(v float64, i, j int) { t.data[i*t.strides[0]+j] = v }
-
-// At3 returns the element at (i, j, k) of a 3-d tensor without per-dimension
-// bounds checks.
-func (t *Tensor) At3(i, j, k int) float64 { return t.data[i*t.strides[0]+j*t.strides[1]+k] }
-
-// Set3 stores v at (i, j, k) of a 3-d tensor without per-dimension bounds
-// checks.
-func (t *Tensor) Set3(v float64, i, j, k int) { t.data[i*t.strides[0]+j*t.strides[1]+k] = v }
-
-// At4 returns the element at (i, j, k, l) of a 4-d tensor without
-// per-dimension bounds checks.
-func (t *Tensor) At4(i, j, k, l int) float64 {
-	return t.data[i*t.strides[0]+j*t.strides[1]+k*t.strides[2]+l]
-}
-
-// Set4 stores v at (i, j, k, l) of a 4-d tensor without per-dimension bounds
-// checks.
-func (t *Tensor) Set4(v float64, i, j, k, l int) {
-	t.data[i*t.strides[0]+j*t.strides[1]+k*t.strides[2]+l] = v
-}
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
 	copy(c.data, t.data)
 	return c
-}
-
-// CopyFrom copies other's elements into t. Shapes must match exactly.
-func (t *Tensor) CopyFrom(other *Tensor) {
-	t.mustSameShape(other)
-	copy(t.data, other.data)
-}
-
-// Reshape returns a view of the same data with a new shape of equal volume.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	s, st := shapeMeta(shape)
-	r := &Tensor{shape: s, strides: st, data: t.data}
-	if r.Size() != t.Size() {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
-	}
-	return r
 }
 
 // Fill sets every element to v.
@@ -258,26 +174,10 @@ func (t *Tensor) AddInPlace(other *Tensor) {
 	}
 }
 
-// SubInPlace subtracts other element-wise from t.
-func (t *Tensor) SubInPlace(other *Tensor) {
-	t.mustSameShape(other)
-	for i := range t.data {
-		t.data[i] -= other.data[i]
-	}
-}
-
 // ScaleInPlace multiplies every element by a.
 func (t *Tensor) ScaleInPlace(a float64) {
 	for i := range t.data {
 		t.data[i] *= a
-	}
-}
-
-// AxpyInPlace performs t += a*other element-wise.
-func (t *Tensor) AxpyInPlace(a float64, other *Tensor) {
-	t.mustSameShape(other)
-	for i := range t.data {
-		t.data[i] += a * other.data[i]
 	}
 }
 
@@ -290,13 +190,9 @@ func (t *Tensor) mustSameShape(other *Tensor) {
 // SameShape reports whether two tensors have identical shapes.
 func SameShape(a, b *Tensor) bool { return shapeEq(a.shape, b.shape) }
 
-// MatMul returns a×b for 2-D tensors of shapes (m,k) and (k,n).
-func MatMul(a, b *Tensor) *Tensor {
-	return MatMulInto(nil, a, b)
-}
-
-// MatMulInto computes a×b into dst, reusing dst's storage when possible
-// (pass nil to allocate). It returns the result tensor.
+// MatMulInto computes a×b for 2-D tensors of shapes (m,k) and (k,n) into
+// dst, reusing dst's storage when possible (pass nil to allocate), skipping
+// zero elements of a. It returns the result tensor.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic("tensor: MatMul requires 2-d tensors")
@@ -397,10 +293,6 @@ func reluBits(v float64) float64 {
 // kernel stays bit-identical to its per-sample reference loop. When relu is
 // true the finished value is passed through the ReLU bit-mask select as it
 // is stored, fusing the activation into the GEMM's final write.
-//
-// k == 9 (a 3×3 single-channel convolution row) keeps the whole chain in
-// registers: one pass over dst instead of three, which is where the batched
-// conv forward spends its time.
 func MatMulBiasInto(dst, a, b *Tensor, bias []float64, relu bool) *Tensor {
 	if dst.Dims() != 2 || a.Dims() != 2 || b.Dims() != 2 {
 		panic("tensor: MatMulBiasInto requires 2-d tensors")
@@ -416,52 +308,8 @@ func MatMulBiasInto(dst, a, b *Tensor, bias []float64, relu bool) *Tensor {
 	if len(bias) != m {
 		panic(fmt.Sprintf("tensor: MatMulBiasInto bias length %d, want %d", len(bias), m))
 	}
-	bd := b.data
-	if k == 9 {
-		b0, b1, b2 := bd[0:n], bd[n:2*n], bd[2*n:3*n]
-		b3, b4, b5 := bd[3*n:4*n], bd[4*n:5*n], bd[5*n:6*n]
-		b6, b7, b8 := bd[6*n:7*n], bd[7*n:8*n], bd[8*n:9*n]
-		for i := 0; i < m; i++ {
-			arow := a.data[i*9 : i*9+9]
-			orow := dst.data[i*n : (i+1)*n]
-			bv := bias[i]
-			a0, a1, a2 := arow[0], arow[1], arow[2]
-			a3, a4, a5 := arow[3], arow[4], arow[5]
-			a6, a7, a8 := arow[6], arow[7], arow[8]
-			if relu {
-				for j := range orow {
-					v := bv
-					v += a0 * b0[j]
-					v += a1 * b1[j]
-					v += a2 * b2[j]
-					v += a3 * b3[j]
-					v += a4 * b4[j]
-					v += a5 * b5[j]
-					v += a6 * b6[j]
-					v += a7 * b7[j]
-					v += a8 * b8[j]
-					orow[j] = reluBits(v)
-				}
-				continue
-			}
-			for j := range orow {
-				v := bv
-				v += a0 * b0[j]
-				v += a1 * b1[j]
-				v += a2 * b2[j]
-				v += a3 * b3[j]
-				v += a4 * b4[j]
-				v += a5 * b5[j]
-				v += a6 * b6[j]
-				v += a7 * b7[j]
-				v += a8 * b8[j]
-				orow[j] = v
-			}
-		}
-		return dst
-	}
-	// Generic inner dimensions: seed the bias, accumulate like MatMulAddInto,
-	// then apply the fused activation in place.
+	// Seed the bias, accumulate like MatMulAddInto, then apply the fused
+	// activation in place.
 	for i := 0; i < m; i++ {
 		orow := dst.data[i*n : (i+1)*n]
 		bv := bias[i]
@@ -477,34 +325,6 @@ func MatMulBiasInto(dst, a, b *Tensor, bias []float64, relu bool) *Tensor {
 		}
 	}
 	return dst
-}
-
-// MatVec returns a×x for a 2-D tensor (m,k) and 1-D tensor (k,).
-func MatVec(a, x *Tensor) *Tensor {
-	return MatVecInto(nil, a, x)
-}
-
-// MatVecInto computes a×x into dst, reusing dst's storage when possible
-// (pass nil to allocate). It returns the result tensor.
-func MatVecInto(dst, a, x *Tensor) *Tensor {
-	if a.Dims() != 2 || x.Dims() != 1 {
-		panic("tensor: MatVec requires (2-d, 1-d) tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	if x.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatVec dims (m=%d,k=%d) × %d", m, k, x.shape[0]))
-	}
-	out := Ensure(dst, m)
-	xd := x.data
-	for i := 0; i < m; i++ {
-		sum := 0.0
-		row := a.data[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			sum += row[p] * xd[p]
-		}
-		out.data[i] = sum
-	}
-	return out
 }
 
 // Argmax returns the flat index of the maximum element.
@@ -545,13 +365,6 @@ func Dot(a, b *Tensor) float64 {
 
 // L2 returns the Euclidean norm of all elements.
 func (t *Tensor) L2() float64 { return math.Sqrt(Dot(t, t)) }
-
-// ApplyInPlace replaces every element x with f(x).
-func (t *Tensor) ApplyInPlace(f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
 
 // Equal reports whether two tensors have the same shape and all elements
 // within tol of each other.
