@@ -33,12 +33,16 @@ func TestGoldenDefaultConfig(t *testing.T) {
 		{"e3", "e3_seed1.golden.json", "simulates train RSSI sweeps", nil},
 		{"e4", "e4_seed1.golden.json", "simulates room RSSI sweeps", nil},
 		{"e5", "e5_seed1.golden.json", "extracts CSI features", nil},
+		{"e6", "e6_seed1.golden.json", "", nil},
 		{"e7", "e7_seed1.golden.json", "", nil},
 		{"e8", "e8_seed1.golden.json", "trains CNNs", nil},
+		{"e9", "e9_seed1.golden.json", "", nil},
+		{"e10", "e10_seed1.golden.json", "", nil},
 		{"e11", "e11_seed1.golden.json", "", nil},
 		{"e12", "e12_seed1.golden.json", "", nil},
 		{"e13", "e13_seed1.golden.json", "trains CNNs", nil},
 		{"e14", "e14_seed1.golden.json", "trains CNNs", nil},
+		{"e15", "e15_seed1.golden.json", "", nil},
 		// The ci.sh crowd-smoke size: four shards, so the golden pins the
 		// multi-shard hops and the shard, overlay and route-cache counters.
 		{"e16", "e16_nodes3000_seed1.golden.json", "", &zeiot.RunConfig{Seed: 1, Nodes: 3000}},

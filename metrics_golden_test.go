@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -26,31 +27,45 @@ import (
 //     weight bit fails here even when every decision-level number in the
 //     JSON golden survives.
 //
-// The runs use TrainWorkers 1 because the export records the resolved
-// worker count as config_trainworkers; every other line is the same at any
-// worker count.
+// The goldens were recorded with TrainWorkers 1. The e1, e2 and e8 rows at
+// 2 and 4 workers compare against the same files, so a worker count that
+// moves a result or reorders a recorded series fails here. The export
+// records the raw worker count as config_trainworkers, the one line that may
+// differ, so that sample of the expected export is rewritten to the row's
+// count.
 func TestMetricsGolden(t *testing.T) {
 	// The exports hold loss curves computed through math.Exp, which on amd64
 	// picks its FMA or non-FMA assembly at run time and the two disagree in
-	// the last bit on some inputs. The files were recorded on the FMA path.
-	if got := math.Float64bits(math.Exp(math.Float64frombits(0xc013f107746887a9))); got != 0x3f7c014d5f19fe7d {
-		t.Skipf("math.Exp takes the non-FMA path on this CPU (probe bits %#x); the metric goldens hold FMA-path bits until math.Exp is made CPU-independent (ROADMAP item 1)", got)
-	}
+	// the last bit on some inputs. The files were recorded on the FMA path,
+	// so on the other path only the JSON half is checked.
+	probe := math.Float64bits(math.Exp(math.Float64frombits(0xc013f107746887a9)))
+	fmaExp := probe == 0x3f7c014d5f19fe7d
 	cases := []struct {
-		id string
+		id      string
+		workers int
 		// slow is why -short skips the row; empty keeps it.
 		slow string
 	}{
-		{"e1", "trains the fall-detection CNNs"},
-		{"e2", "trains the lounge CNNs"},
-		{"e8", "trains the resilience CNN"},
-		{"e13", "trains the HAR CNN"},
-		{"e14", "trains the intrusion CNNs"},
-		{"e17", "trains the intermittent CNN"},
-		{"e18", "trains the cross-modal CNNs"},
+		{"e1", 1, "trains the fall-detection CNNs"},
+		{"e2", 1, "trains the lounge CNNs"},
+		{"e8", 1, "trains the resilience CNN"},
+		{"e13", 1, "trains the HAR CNN"},
+		{"e14", 1, "trains the intrusion CNNs"},
+		{"e17", 1, "trains the intermittent CNN"},
+		{"e18", 1, "trains the cross-modal CNNs"},
+		{"e1", 2, "trains the fall-detection CNNs"},
+		{"e1", 4, "trains the fall-detection CNNs"},
+		{"e2", 2, "trains the lounge CNNs"},
+		{"e2", 4, "trains the lounge CNNs"},
+		{"e8", 2, "trains the resilience CNN"},
+		{"e8", 4, "trains the resilience CNN"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.id, func(t *testing.T) {
+		name := tc.id
+		if tc.workers != 1 {
+			name = fmt.Sprintf("%s_trainworkers%d", tc.id, tc.workers)
+		}
+		t.Run(name, func(t *testing.T) {
 			if tc.slow != "" && testing.Short() {
 				t.Skip(tc.slow)
 			}
@@ -69,7 +84,7 @@ func TestMetricsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := zeiot.DefaultRunConfig()
-			cfg.TrainWorkers = 1
+			cfg.TrainWorkers = tc.workers
 			reg := obs.NewRegistry()
 			cfg.Recorder = reg
 			r, err := e.Run(context.Background(), cfg)
@@ -88,18 +103,27 @@ func TestMetricsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), wantJSON) {
-				t.Errorf("%s Result with a recorder attached diverged from the recorder-free %s", tc.id, goldenJSON)
+				t.Errorf("%s Result with a recorder attached at %d training workers diverged from the recorder-free %s", tc.id, tc.workers, goldenJSON)
 			}
+			if !fmaExp {
+				t.Skipf("math.Exp takes the non-FMA path on this CPU (probe bits %#x); the metric goldens hold FMA-path bits until math.Exp is made CPU-independent (ROADMAP item 1)", probe)
+			}
+			prefix := "zeiot_" + obs.SanitizeName(tc.id) + "_"
+			recorded := prefix + "config_trainworkers 1\n"
+			if n := bytes.Count(wantProm, []byte(recorded)); n != 1 {
+				t.Fatalf("%s holds %d samples %q, want 1", goldenProm, n, recorded)
+			}
+			wantProm = bytes.Replace(wantProm, []byte(recorded), []byte(fmt.Sprintf("%sconfig_trainworkers %d\n", prefix, tc.workers)), 1)
 			var prom bytes.Buffer
-			if err := reg.Snapshot().Deterministic().WritePrometheus(&prom, "zeiot_"+obs.SanitizeName(tc.id)+"_"); err != nil {
+			if err := reg.Snapshot().Deterministic().WritePrometheus(&prom, prefix); err != nil {
 				t.Fatal(err)
 			}
 			if prom.Len() == 0 {
 				t.Fatal("deterministic Prometheus export is empty")
 			}
 			if !bytes.Equal(prom.Bytes(), wantProm) {
-				t.Errorf("%s deterministic metrics diverged from %s;\nregenerate with: go run ./cmd/zeiotbench -e %s -seed 1 -trainworkers 1 -metrics-out m.prom && grep -v walltime_ m.prom > %s",
-					tc.id, goldenProm, tc.id, goldenProm)
+				t.Errorf("%s deterministic metrics at %d training workers diverged from %s;\nregenerate with: go run ./cmd/zeiotbench -e %s -seed 1 -trainworkers 1 -metrics-out m.prom && grep -v walltime_ m.prom > %s",
+					tc.id, tc.workers, goldenProm, tc.id, goldenProm)
 			}
 		})
 	}
