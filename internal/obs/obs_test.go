@@ -265,3 +265,36 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Errorf("series s has %d points, want %d", len(s.Series["s"]), 8*500)
 	}
 }
+
+// TestTapeReplaysInOrder records a mixed call sequence onto a tape and
+// requires its replay to leave a registry exactly as the same calls made
+// directly would, through a prefixed view too.
+func TestTapeReplaysInOrder(t *testing.T) {
+	calls := func(r Recorder) {
+		r.Gauge("g", 1)
+		r.Observe("loss", 0.5)
+		r.Add("hits", 2)
+		r.Observe("loss", 0.25)
+		r.Gauge("g", 2)
+		r.Add("hits", -1)
+		r.Observe("acc", 0.75)
+	}
+	var tape Tape
+	calls(&tape)
+	for _, prefix := range []string{"", "run2_"} {
+		direct, replayed := NewRegistry(), NewRegistry()
+		calls(WithPrefix(direct, prefix))
+		tape.Replay(WithPrefix(replayed, prefix))
+		a, _ := json.Marshal(direct.Snapshot())
+		b, _ := json.Marshal(replayed.Snapshot())
+		if !bytes.Equal(a, b) {
+			t.Errorf("prefix %q: replayed %s, want %s", prefix, b, a)
+		}
+	}
+	var empty Tape
+	reg := NewRegistry()
+	empty.Replay(reg)
+	if s := reg.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Series != nil {
+		t.Errorf("an empty tape replayed %+v", s)
+	}
+}
