@@ -87,12 +87,12 @@ func assertSameParams(t *testing.T, a, b *cnn.Network) {
 // TestE8LossSweepDeterministic runs e8 with its loss sweep twice at the
 // same seed — once serially, once with four workers — and requires the two
 // Summary maps to match exactly. Parallel training is bit-identical to
-// serial; the dead-node sweep splits its test samples over the workers and
-// sums integer correct counts; and the loss sweep's delivery outcomes come
-// from per-link rng substreams seeded only by (experiment seed, drop rate,
-// link) on one serial executor. So the worker count must not move a single
-// number, and under -race the parallel inference sweep must share no
-// mutable state.
+// serial; the dead-node sweep scores its failure patterns side by side,
+// each on its own executor, and sums their accuracies in pattern order; and
+// the loss sweep's delivery outcomes come from per-link rng substreams
+// seeded only by (experiment seed, drop rate, link) on one serial executor.
+// So the worker count must not move a single number, and under -race the
+// concurrent failure patterns must share no mutable state.
 func TestE8LossSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the lounge CNN twice")

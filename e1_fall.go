@@ -42,10 +42,15 @@ func RunE1FallCommCost(ctx context.Context, rc *RunConfig) (*Result, error) {
 	w := wsn.NewGrid(cfg.Rows, cfg.Cols, 1)
 	repeats := h.cfg.repeatsOr(1)
 
+	// Every repeat of both arms trains side by side (h.fitAll). Building a
+	// model routes on the shared grid and every Split advances its parent
+	// stream, so the models and their fit streams are made here, in order.
+	var jobs []fitJob
+	var mOpt, mFea *microdeep.Model // each arm's last repeat
 	// (a) optimal parameter set: bigger CNN, coordinate assignment,
 	// synchronized (exact) training.
-	var mOpt *microdeep.Model
-	accOpt, err := h.trainAveraged(root, "optimal", repeats, func(sOpt *rng.Stream) (float64, error) {
+	for r := range repeats {
+		sOpt := repeatStream(root, "optimal", r, repeats)
 		optimal := cnn.NewNetwork([]int{cfg.WindowFrames, cfg.Rows, cfg.Cols},
 			cnn.NewConv2D(cfg.WindowFrames, 8, 3, 3, 1, 1, sOpt.Split("c")),
 			cnn.NewReLU(),
@@ -57,36 +62,15 @@ func RunE1FallCommCost(ctx context.Context, rc *RunConfig) (*Result, error) {
 		)
 		m, err := microdeep.Build(optimal, w, microdeep.StrategyCoordinate)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		m.SetRecorder(h.cfg.Recorder, "optimal_", test)
-		m.FitParallel(train, 8, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sOpt.Split("fit"))
-		h.mark(StageTrain)
+		jobs = append(jobs, fitJob{m, "optimal_", 8, cnn.NewSGD(0.02, 0.9), sOpt.Split("fit")})
 		mOpt = m
-		acc := m.Evaluate(test)
-		h.mark(StageEval)
-		return acc, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	// The Fig. 10 cost counts the per-sample forward+backward traffic;
-	// weight-synchronization traffic is per training step and reported
-	// separately below.
-	costOpt, err := mOpt.CostPerSample(false)
-	if err != nil {
-		return nil, err
-	}
-	syncOpt, err := mOpt.CostPerSample(true)
-	if err != nil {
-		return nil, err
-	}
-	h.mark(StageCharge)
-
 	// (b) feasible parameter set: WSN-sized CNN, balanced heuristic,
 	// local weight updates (no kernel synchronization traffic).
-	var mFea *microdeep.Model
-	accFea, err := h.trainAveraged(root, "feasible", repeats, func(sFea *rng.Stream) (float64, error) {
+	for r := range repeats {
+		sFea := repeatStream(root, "feasible", r, repeats)
 		feasible := cnn.NewNetwork([]int{cfg.WindowFrames, cfg.Rows, cfg.Cols},
 			cnn.NewConv2D(cfg.WindowFrames, 6, 3, 3, 1, 1, sFea.Split("c")),
 			cnn.NewReLU(),
@@ -98,17 +82,26 @@ func RunE1FallCommCost(ctx context.Context, rc *RunConfig) (*Result, error) {
 		)
 		m, err := microdeep.Build(feasible, w, microdeep.StrategyBalanced)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		m.EnableLocalUpdate()
-		m.SetRecorder(h.cfg.Recorder, "feasible_", test)
-		m.FitParallel(train, 12, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sFea.Split("fit"))
-		h.mark(StageTrain)
+		jobs = append(jobs, fitJob{m, "feasible_", 12, cnn.NewSGD(0.02, 0.9), sFea.Split("fit")})
 		mFea = m
-		acc := m.Evaluate(test)
-		h.mark(StageEval)
-		return acc, nil
-	})
+	}
+	accs, err := h.fitAll(jobs, train, test)
+	if err != nil {
+		return nil, err
+	}
+	accOpt, accFea := mean(accs[:repeats]), mean(accs[repeats:])
+
+	// The Fig. 10 cost counts the per-sample forward+backward traffic;
+	// weight-synchronization traffic is per training step and reported
+	// separately below.
+	costOpt, err := mOpt.CostPerSample(false)
+	if err != nil {
+		return nil, err
+	}
+	syncOpt, err := mOpt.CostPerSample(true)
 	if err != nil {
 		return nil, err
 	}

@@ -66,43 +66,36 @@ func RunE2Lounge(ctx context.Context, rc *RunConfig) (*Result, error) {
 	h.mark(StageDataset)
 
 	repeats := h.cfg.repeatsOr(e2Repeats)
-	var stdNet *cnn.Network // last repeat's trained standard net, for optional int8 eval
-	accStd, err := h.trainAveraged(root, "std", repeats, func(sStd *rng.Stream) (float64, error) {
-		standard := loungeNet(sStd)
-		standard.SetRecorder(h.cfg.Recorder, "standard_", test)
-		standard.FitParallel(train, 8, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sStd.Split("fit"))
-		h.mark(StageTrain)
-		stdNet = standard
-		acc := standard.Evaluate(test)
-		h.mark(StageEval)
-		return acc, nil
-	})
-	if err != nil {
-		return nil, err
+	// Every repeat of the standard CNN and of MicroDeep trains side by side
+	// (h.fitAll). Every Split advances its parent stream and Build routes
+	// on the shared lounge grid, so the models and their fit streams are
+	// made here, in order.
+	var jobs []fitJob
+	var stdNet *cnn.Network // last repeat's standard net, for optional int8 eval
+	for r := range repeats {
+		sStd := repeatStream(root, "std", r, repeats)
+		stdNet = loungeNet(sStd)
+		jobs = append(jobs, fitJob{stdNet, "standard_", 8, cnn.NewSGD(0.02, 0.9), sStd.Split("fit")})
 	}
-
 	// MicroDeep: same architecture distributed over 50 nodes with the
 	// balanced heuristic and local weight updates.
 	w := loungeWSN()
-	var md *microdeep.Model
-	accMD, err := h.trainAveraged(root, "microdeep", repeats, func(sMD *rng.Stream) (float64, error) {
-		mdNet := loungeNet(sMD)
-		m, err := microdeep.Build(mdNet, w, microdeep.StrategyBalanced)
+	var md *microdeep.Model // last repeat's model, for the traffic rows
+	for r := range repeats {
+		sMD := repeatStream(root, "microdeep", r, repeats)
+		m, err := microdeep.Build(loungeNet(sMD), w, microdeep.StrategyBalanced)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		m.EnableLocalUpdate()
-		m.SetRecorder(h.cfg.Recorder, "microdeep_", test)
-		m.FitParallel(train, 12, 16, h.cfg.workers(), cnn.NewSGD(0.01, 0.9), sMD.Split("fit"))
-		h.mark(StageTrain)
+		jobs = append(jobs, fitJob{m, "microdeep_", 12, cnn.NewSGD(0.01, 0.9), sMD.Split("fit")})
 		md = m
-		acc := m.Evaluate(test)
-		h.mark(StageEval)
-		return acc, nil
-	})
+	}
+	accs, err := h.fitAll(jobs, train, test)
 	if err != nil {
 		return nil, err
 	}
+	accStd, accMD := mean(accs[:repeats]), mean(accs[repeats:])
 
 	// Peak-traffic comparison: the sensing pipeline runs a forward pass
 	// per sample, so MicroDeep's per-sample forward traffic is compared

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"zeiot/internal/cnn"
 	"zeiot/internal/dataset"
 	"zeiot/internal/geom"
 	"zeiot/internal/microdeep"
+	"zeiot/internal/obs"
 	"zeiot/internal/rng"
 	"zeiot/internal/wsn"
 )
@@ -59,46 +59,20 @@ func RunE8Resilience(ctx context.Context, rc *RunConfig) (*Result, error) {
 	model.FitParallel(train, 6, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sNet.Split("fit"))
 	h.mark(StageTrain)
 
-	// evaluate runs the test set through the distributed executor under one
-	// failure pattern. The samples split into contiguous shares over
-	// h.cfg.workers() goroutines, each with its own executor (an Executor
-	// is not safe for concurrent use; the model is only read); the integer
-	// correct counts sum exactly, so the accuracy is the same at every
-	// worker count.
-	evaluate := func(assign *microdeep.Assignment, dead map[int]bool, deadSites map[int]bool) (float64, error) {
-		workers := min(h.cfg.workers(), len(test))
-		correct := make([]int, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				ex := microdeep.NewExecutor(model.Graph)
-				ex.Assign = assign
-				ex.DeadNodes = dead
-				ex.DeadSites = deadSites
-				for _, s := range test[g*len(test)/workers : (g+1)*len(test)/workers] {
-					out, err := ex.Forward(s.Input)
-					if err != nil {
-						errs[g] = err
-						return
-					}
-					if out.Argmax() == s.Label {
-						correct[g]++
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		total := 0
-		for g, n := range correct {
-			if errs[g] != nil {
-				return 0, errs[g]
+	// accuracy runs the test set through ex and returns the share it
+	// classifies correctly.
+	accuracy := func(ex *microdeep.Executor) (float64, error) {
+		correct := 0
+		for _, s := range test {
+			out, err := ex.Forward(s.Input)
+			if err != nil {
+				return 0, err
 			}
-			total += n
+			if out.Argmax() == s.Label {
+				correct++
+			}
 		}
-		return float64(total) / float64(len(test)), nil
+		return float64(correct) / float64(len(test)), nil
 	}
 
 	res := &Result{
@@ -135,55 +109,85 @@ func RunE8Resilience(ctx context.Context, rc *RunConfig) (*Result, error) {
 		})
 		return order
 	}
+	// patterns[f] holds fraction f's failure patterns, one per corner. With
+	// no failed node every corner gives the same pattern, so it is scored
+	// once and counted for all four corners.
+	type pattern struct {
+		dead             map[int]bool
+		asIs, reassigned float64
+	}
 	fractions := []float64{0, 0.05, 0.1, 0.2, 0.3}
-	for _, frac := range fractions {
-		if err := h.ctx.Err(); err != nil {
-			return nil, err
-		}
+	patterns := make([][]pattern, len(fractions))
+	var tasks []*pattern
+	for f, frac := range fractions {
 		k := int(frac * float64(w.NumNodes()))
-		asIsSum, reassignedSum := 0.0, 0.0
 		for _, corner := range corners {
 			dead := make(map[int]bool, k)
 			for _, n := range orderFrom(corner)[:k] {
 				dead[n] = true
 			}
-			asIs, err := evaluate(&model.Assign, dead, nil)
-			if err != nil {
-				return nil, err
+			patterns[f] = append(patterns[f], pattern{dead: dead})
+			if k == 0 {
+				break
 			}
-			// Reassignment: recompute the balanced assignment on the
-			// surviving network; dead sensors' inputs stay lost but every
-			// unit runs.
-			reassigned := asIs
-			if k > 0 {
-				wFail := loungeWSN()
-				for n := range dead {
-					wFail.Fail(n)
-				}
-				if !wFail.Connected() {
-					return nil, fmt.Errorf("zeiot: failure pattern partitions the WSN")
-				}
-				newAssign, err := microdeep.AssignBalanced(model.Graph, wFail, microdeep.DefaultBalanceOptions())
-				if err != nil {
-					return nil, err
-				}
-				// Under the new assignment every compute site moved to a
-				// live node, but the dead sensors' readings are still
-				// gone: silence the input sites whose original sensor
-				// (per the pre-failure assignment) died.
-				deadSites := make(map[int]bool)
-				for _, sid := range model.Graph.Stages[0].Sites {
-					if dead[model.Assign.NodeOf[sid]] {
-						deadSites[sid] = true
-					}
-				}
-				reassigned, err = evaluate(&newAssign, nil, deadSites)
-				if err != nil {
-					return nil, err
-				}
+		}
+		for i := range patterns[f] {
+			tasks = append(tasks, &patterns[f][i])
+		}
+	}
+	// The patterns evaluate side by side, each on its own executor (an
+	// Executor is not safe for concurrent use; the model is only read).
+	err = h.fanOut(len(tasks), func(i, _ int, _ obs.Recorder) error {
+		p := tasks[i]
+		ex := microdeep.NewExecutor(model.Graph)
+		ex.Assign = &model.Assign
+		ex.DeadNodes = p.dead
+		var err error
+		if p.asIs, err = accuracy(ex); err != nil {
+			return err
+		}
+		p.reassigned = p.asIs
+		if len(p.dead) == 0 {
+			return nil
+		}
+		// Reassignment: recompute the balanced assignment on the surviving
+		// network; dead sensors' inputs stay lost but every unit runs.
+		wFail := loungeWSN()
+		for n := range p.dead {
+			wFail.Fail(n)
+		}
+		if !wFail.Connected() {
+			return fmt.Errorf("zeiot: failure pattern partitions the WSN")
+		}
+		newAssign, err := microdeep.AssignBalanced(model.Graph, wFail, microdeep.DefaultBalanceOptions())
+		if err != nil {
+			return err
+		}
+		// Under the new assignment every compute site moved to a live node,
+		// but the dead sensors' readings are still gone: silence the input
+		// sites whose original sensor (per the pre-failure assignment) died.
+		deadSites := make(map[int]bool)
+		for _, sid := range model.Graph.Stages[0].Sites {
+			if p.dead[model.Assign.NodeOf[sid]] {
+				deadSites[sid] = true
 			}
-			asIsSum += asIs
-			reassignedSum += reassigned
+		}
+		ex.Assign = &newAssign
+		ex.DeadNodes = nil
+		ex.DeadSites = deadSites
+		p.reassigned, err = accuracy(ex)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for f, frac := range fractions {
+		k := int(frac * float64(w.NumNodes()))
+		asIsSum, reassignedSum := 0.0, 0.0
+		for c := range corners {
+			p := patterns[f][min(c, len(patterns[f])-1)]
+			asIsSum += p.asIs
+			reassignedSum += p.reassigned
 		}
 		asIs := asIsSum / float64(len(corners))
 		reassigned := reassignedSum / float64(len(corners))
@@ -213,18 +217,11 @@ func RunE8Resilience(ctx context.Context, rc *RunConfig) (*Result, error) {
 			ex.Net = wLoss
 			ex.Faults = faultModelFor(seed, rate, lc.Burst)
 			ex.Retry = retryPolicyFor(retries)
-			correct := 0
-			for _, s := range test {
-				out, err := ex.Forward(s.Input)
-				if err != nil {
-					return 0, 0, err
-				}
-				if out.Argmax() == s.Label {
-					correct++
-				}
+			acc, err := accuracy(ex)
+			if err != nil {
+				return 0, 0, err
 			}
 			ex.Stats.Record(h.cfg.Recorder, recPrefix)
-			acc := float64(correct) / float64(len(test))
 			cost := float64(wLoss.MaxCost()) / float64(len(test))
 			return acc, cost, nil
 		}

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"zeiot/internal/cnn"
 	"zeiot/internal/microdeep"
 	"zeiot/internal/modality"
 	"zeiot/internal/obs"
@@ -23,11 +26,12 @@ type RunConfig struct {
 	// Seed is the root random seed; every rng stream the run touches is
 	// derived from it by named splits.
 	Seed uint64
-	// TrainWorkers is the worker count handed to the data-parallel CNN
-	// training paths, and it also bounds the goroutines of e8's
-	// distributed-inference sweep; 0 selects runtime.NumCPU(). Both are
-	// bit-identical to sequential at every worker count, so this moves
-	// wall time only, never results.
+	// TrainWorkers bounds the goroutines an experiment uses; 0 selects
+	// runtime.NumCPU(). Independent fits (e1's arms, e2's repeats) and e8's
+	// failure patterns run concurrently, up to this many at once, and each
+	// fit's mini-batches split over what is left (TrainWorkers divided by
+	// the concurrent units, at least 1). Results are bit-identical at every
+	// worker count, so this moves wall time only, never results.
 	TrainWorkers int
 	// Loss enables lossy-link fault injection (see LossConfig). The zero
 	// value disables it and every experiment runs the fault-free path.
@@ -356,8 +360,7 @@ func (h *harness) observePlanCache(prefix string, g *microdeep.Graph) {
 
 // averageOver is the shared repeats-averaging loop: it runs fn for every
 // round r in [0, repeats) and returns the mean of its results, checking the
-// context between rounds. Stream derivation is the caller's business (see
-// trainAveraged for the training-seed convention).
+// context between rounds. Stream derivation is the caller's business.
 func (h *harness) averageOver(repeats int, fn func(r int) (float64, error)) (float64, error) {
 	if repeats < 1 {
 		repeats = 1
@@ -376,17 +379,124 @@ func (h *harness) averageOver(repeats int, fn func(r int) (float64, error)) (flo
 	return sum / float64(repeats), nil
 }
 
-// trainAveraged is the shared accuracy-averaging training loop: it runs fn
-// over `repeats` independent seed streams and returns the mean of the
-// returned accuracies. With repeats <= 1 the stream is root.Split(label) —
-// the historical single-run derivation — and with repeats > 1 round r draws
-// root.Split(label + "-" + r), matching the historical e2 averaging loop,
-// so DefaultRunConfig reproduces the pre-RunConfig rng streams exactly.
-func (h *harness) trainAveraged(root *rng.Stream, label string, repeats int, fn func(s *rng.Stream) (float64, error)) (float64, error) {
-	if repeats <= 1 {
-		return fn(root.Split(label))
+// fanOut runs task(i, workers, rec) for every i in [0, n) concurrently, with
+// results that do not depend on the schedule. It is how an experiment runs
+// its independent units side by side: fits that each own their seed stream,
+// network and optimizer, or e8's failure patterns.
+//
+//   - min(h.cfg.workers(), n) lanes take the indices in order, and each task
+//     gets max(1, h.cfg.workers()/lanes) training workers, so the run's
+//     goroutines stay within its worker count.
+//   - With a recorder configured, each task records onto its own obs.Tape,
+//     and once every task has returned the tapes replay into the recorder in
+//     index order, so the recorder sees what a serial loop would have fed
+//     it. Without one, tasks get a nil rec.
+//   - No task starts once the context is cancelled; fanOut then returns the
+//     context's error, and otherwise the lowest-index task error.
+//
+// A task must not touch the harness or write anything another task reads:
+// every rng Split, every build on a shared network, every mark and every
+// observe call stays with the caller, before or after the fan-out, in a
+// fixed order. At one worker this is a single lane through the same tapes.
+func (h *harness) fanOut(n int, task func(i, workers int, rec obs.Recorder) error) error {
+	lanes := max(1, min(h.cfg.workers(), n))
+	workers := max(1, h.cfg.workers()/lanes)
+	tapes := make([]*obs.Tape, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range lanes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n || h.ctx.Err() != nil {
+					return
+				}
+				var rec obs.Recorder
+				if h.cfg.Recorder != nil {
+					tapes[i] = &obs.Tape{}
+					rec = tapes[i]
+				}
+				errs[i] = task(i, workers, rec)
+			}
+		}()
 	}
-	return h.averageOver(repeats, func(r int) (float64, error) {
-		return fn(root.Split(fmt.Sprintf("%s-%d", label, r)))
+	wg.Wait()
+	for _, t := range tapes {
+		if t != nil {
+			t.Replay(h.cfg.Recorder)
+		}
+	}
+	if err := h.ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fitJob is one independent training run of an accuracy-averaging
+// experiment: a CNN or MicroDeep model, already built, with its recorder
+// prefix, epoch count, optimizer and fit stream.
+type fitJob struct {
+	model interface {
+		SetRecorder(r obs.Recorder, prefix string, eval []cnn.Sample)
+		FitParallel(samples []cnn.Sample, epochs, batch, workers int, opt *cnn.SGD, stream *rng.Stream) float64
+		Evaluate(samples []cnn.Sample) float64
+	}
+	prefix string
+	epochs int
+	opt    *cnn.SGD
+	stream *rng.Stream
+}
+
+// fitAll trains every job on train in mini-batches of 16 through fanOut,
+// each recording its curves over test, and marks the train stage. It then
+// scores every job on test in job order, marks the eval stage and returns
+// the accuracies.
+func (h *harness) fitAll(jobs []fitJob, train, test []cnn.Sample) ([]float64, error) {
+	err := h.fanOut(len(jobs), func(i, workers int, rec obs.Recorder) error {
+		j := jobs[i]
+		j.model.SetRecorder(rec, j.prefix, test)
+		j.model.FitParallel(train, j.epochs, 16, workers, j.opt, j.stream)
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	h.mark(StageTrain)
+	accs := make([]float64, len(jobs))
+	for i, j := range jobs {
+		accs[i] = j.model.Evaluate(test)
+	}
+	h.mark(StageEval)
+	return accs, nil
+}
+
+// repeatStream is the training-seed convention of the accuracy-averaging
+// experiments: with one repeat the stream is root.Split(label), the
+// historical single-run derivation, and repeat r of several draws
+// root.Split(label + "-" + r), the historical e2 averaging loop, so
+// DefaultRunConfig reproduces the pre-RunConfig rng streams exactly. Every
+// Split advances root, so the calls must keep their order.
+func repeatStream(root *rng.Stream, label string, r, repeats int) *rng.Stream {
+	if repeats <= 1 {
+		return root.Split(label)
+	}
+	return root.Split(fmt.Sprintf("%s-%d", label, r))
+}
+
+// mean sums v in order from zero and divides by its length, the averaging
+// the repeats loop always did; one value comes back unchanged.
+func mean(v []float64) float64 {
+	sum := 0.0
+	for _, x := range v {
+		sum += x
+	}
+	return sum / float64(len(v))
 }
