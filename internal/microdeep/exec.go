@@ -149,7 +149,7 @@ func (e *Executor) ensureArena() {
 // dense head: the logits).
 func (e *Executor) Forward(input *tensor.Tensor) (*tensor.Tensor, error) {
 	g := e.graph
-	inSt := g.Stages[0]
+	inSt := &g.Stages[0]
 	shape := input.Shape()
 	if len(shape) != 3 || shape[0] != inSt.C || shape[1] != inSt.H || shape[2] != inSt.W {
 		return nil, fmt.Errorf("microdeep: input shape %v, want (%d,%d,%d)", shape, inSt.C, inSt.H, inSt.W)
@@ -158,7 +158,7 @@ func (e *Executor) Forward(input *tensor.Tensor) (*tensor.Tensor, error) {
 	values := e.values
 	ind := input.Data()
 	for _, sid := range inSt.Sites {
-		s := g.Sites[sid]
+		s := &g.Sites[sid]
 		if e.siteDead(sid) {
 			continue // arena is pre-zeroed
 		}
@@ -176,10 +176,10 @@ func (e *Executor) Forward(input *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 	}
 	for si := 1; si < len(g.Stages); si++ {
-		st := g.Stages[si]
-		prev := g.Stages[si-1]
+		st := &g.Stages[si]
+		prev := &g.Stages[si-1]
 		for _, sid := range st.Sites {
-			s := g.Sites[sid]
+			s := &g.Sites[sid]
 			if e.siteDead(sid) {
 				continue // arena is pre-zeroed
 			}
@@ -209,7 +209,7 @@ func (e *Executor) Forward(input *tensor.Tensor) (*tensor.Tensor, error) {
 			}
 		}
 	}
-	last := g.Stages[len(g.Stages)-1]
+	last := &g.Stages[len(g.Stages)-1]
 	n := 0
 	for _, sid := range last.Sites {
 		n += len(values[sid])
@@ -228,7 +228,7 @@ func (e *Executor) Forward(input *tensor.Tensor) (*tensor.Tensor, error) {
 // consumer node): all consumers co-located on one node share a single
 // broadcast delivery, exactly like the planner's raw-shipping dedup.
 func (e *Executor) lossApply(sid int) {
-	s := e.graph.Sites[sid]
+	s := &e.graph.Sites[sid]
 	tn := e.Assign.NodeOf[sid]
 	numNodes := e.Net.NumNodes()
 	for _, dep := range s.Deps {
@@ -275,7 +275,7 @@ func (e *Executor) lossRestore() {
 	e.lostVals = e.lostVals[:0]
 }
 
-func (e *Executor) convSite(st Stage, s Site, values [][]float64, out []float64) {
+func (e *Executor) convSite(st *Stage, s *Site, values [][]float64, out []float64) {
 	conv := st.Conv
 	kd := conv.KernelAt(s.Y, s.X).Data()
 	bd := conv.Bias().Data()
@@ -284,7 +284,7 @@ func (e *Executor) convSite(st Stage, s Site, values [][]float64, out []float64)
 	copy(out, bd[:st.C])
 	y0, _, x0, _ := conv.Receptive(s.Y, s.X)
 	for _, dep := range s.Deps {
-		d := e.graph.Sites[dep]
+		d := &e.graph.Sites[dep]
 		kOff := (d.Y-y0)*conv.KW + (d.X - x0)
 		dv := values[dep]
 		for oc := 0; oc < st.C; oc++ {
@@ -295,7 +295,7 @@ func (e *Executor) convSite(st Stage, s Site, values [][]float64, out []float64)
 	}
 }
 
-func poolSite(st Stage, s Site, values [][]float64, out []float64) {
+func poolSite(st *Stage, s *Site, values [][]float64, out []float64) {
 	if st.AvgPool != nil {
 		clear(out)
 		for _, dep := range s.Deps {
@@ -323,7 +323,7 @@ func poolSite(st Stage, s Site, values [][]float64, out []float64) {
 	}
 }
 
-func denseSite(st Stage, prev Stage, s Site, g *Graph, values [][]float64, out []float64) {
+func denseSite(st, prev *Stage, s *Site, g *Graph, values [][]float64, out []float64) {
 	dense := st.Dense
 	o := s.X
 	w := dense.Weight()
@@ -331,7 +331,7 @@ func denseSite(st Stage, prev Stage, s Site, g *Graph, values [][]float64, out [
 	inW := w.Dim(1)
 	sum := dense.Params()[1].Data()[o] // bias
 	for _, dep := range s.Deps {
-		d := g.Sites[dep]
+		d := &g.Sites[dep]
 		dv := values[dep]
 		if prev.Kind == StageDense {
 			sum += wd[o*inW+d.X] * dv[0]
