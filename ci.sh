@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the gate every change must pass: build, vet, gofmt over every
 # tracked Go file, the full test suite under the race detector (the
-# data-parallel training path, e8's parallel inference sweep and the
+# data-parallel training path, the experiment fan-out that trains e1's and
+# e2's fits and scores e8's failure patterns side by side, and the
 # concurrent mixed-config runs make the race run load-bearing, not
 # optional), a 10 s fuzz of geom.SegmentIntersectsCircle against its
 # distance oracle, a 10 s fuzz of wsn's FuzzShardedChurn (random Fail/Recover
@@ -14,7 +15,7 @@
 # must exit cleanly. The observability smoke checks both halves of the
 # metrics contract: collecting metrics leaves the JSON results byte-identical
 # to the golden, and the deterministic metric keys (everything not
-# walltime_-prefixed) are stable across independent runs.
+# walltime_-prefixed) are stable across independent runs and worker counts.
 set -eux
 
 go build ./...
@@ -77,11 +78,12 @@ grep -q '"detections": ' "$m1"
 # out of -json without -metrics, and recording must not perturb results).
 go run ./cmd/zeiotbench -e e1 -seed 1 -json -metrics-out "$m1" > "$smoke"
 diff -u testdata/e1_seed1.golden.json "$smoke"
-# Determinism: a second run's export matches the first on every metric that
-# is not walltime_-prefixed.
-go run ./cmd/zeiotbench -e e1 -seed 1 -json -metrics-out "$m2" > /dev/null
-grep -v walltime_ "$m1" > "$smoke"
-grep -v walltime_ "$m2" | diff -u "$smoke" -
+# Determinism: a second run at 4 training workers, whose fits run side by
+# side, matches the first on every metric that is not walltime_-prefixed,
+# apart from the config_trainworkers sample that records the worker count.
+go run ./cmd/zeiotbench -e e1 -seed 1 -trainworkers 4 -json -metrics-out "$m2" > /dev/null
+grep -v -e walltime_ -e config_trainworkers "$m1" > "$smoke"
+grep -v -e walltime_ -e config_trainworkers "$m2" | diff -u "$smoke" -
 # The export is non-trivial: training curves and cache stats are present.
 grep -q zeiot_e1_optimal_train_loss "$m1"
 grep -q zeiot_e1_wsn_route_cache_hits "$m1"
