@@ -54,25 +54,25 @@ func TestFanOutReplaysInIndexOrder(t *testing.T) {
 	}
 }
 
-// TestFanOutWorkers checks the lane and worker split: min(workers, n)
-// lanes, each task getting max(1, workers/lanes) training workers.
+// TestFanOutWorkers checks the lane and worker split, min(workers, n)
+// lanes with max(1, workers/lanes) training workers per task, and that
+// without a recorder every task gets a nil rec.
 func TestFanOutWorkers(t *testing.T) {
 	for _, tc := range []struct{ workers, n, want int }{
 		{1, 6, 1}, {2, 6, 1}, {4, 2, 2}, {5, 2, 2}, {4, 1, 4}, {3, 17, 1},
 	} {
 		h := &harness{ctx: context.Background(), cfg: &RunConfig{TrainWorkers: tc.workers}}
-		var bad atomic.Int64
-		err := h.fanOut(tc.n, func(_, workers int, _ obs.Recorder) error {
+		err := h.fanOut(tc.n, func(i, workers int, rec obs.Recorder) error {
 			if workers != tc.want {
-				bad.Store(int64(workers))
+				return fmt.Errorf("task %d got %d workers, want %d", i, workers, tc.want)
+			}
+			if rec != nil {
+				return fmt.Errorf("task %d got recorder %T, want nil", i, rec)
 			}
 			return nil
 		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if w := bad.Load(); w != 0 {
-			t.Errorf("TrainWorkers %d over %d tasks: a task got %d workers, want %d", tc.workers, tc.n, w, tc.want)
+			t.Errorf("TrainWorkers %d over %d tasks: %v", tc.workers, tc.n, err)
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestFanOutLowestIndexErrorWins(t *testing.T) {
 		}
 		return nil
 	})
-	if err != err2 {
+	if !errors.Is(err, err2) {
 		t.Errorf("fanOut returned %v, want %v", err, err2)
 	}
 }
@@ -133,19 +133,5 @@ func TestFanOutStopsOnCancel(t *testing.T) {
 	}
 	if n := started.Load(); n != 0 {
 		t.Errorf("%d tasks started under a cancelled context", n)
-	}
-}
-
-// TestFanOutNilRecorder checks that without a recorder tasks get a nil rec.
-func TestFanOutNilRecorder(t *testing.T) {
-	h := &harness{ctx: context.Background(), cfg: &RunConfig{TrainWorkers: 2}}
-	err := h.fanOut(4, func(i, _ int, rec obs.Recorder) error {
-		if rec != nil {
-			return fmt.Errorf("task %d got recorder %T, want nil", i, rec)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Error(err)
 	}
 }
