@@ -362,11 +362,8 @@ func (h *harness) observePlanCache(prefix string, g *microdeep.Graph) {
 // round r in [0, repeats) and returns the mean of its results, checking the
 // context between rounds. Stream derivation is the caller's business.
 func (h *harness) averageOver(repeats int, fn func(r int) (float64, error)) (float64, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	sum := 0.0
-	for r := 0; r < repeats; r++ {
+	vals := make([]float64, max(repeats, 1))
+	for r := range vals {
 		if err := h.ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -374,9 +371,9 @@ func (h *harness) averageOver(repeats int, fn func(r int) (float64, error)) (flo
 		if err != nil {
 			return 0, err
 		}
-		sum += v
+		vals[r] = v
 	}
-	return sum / float64(repeats), nil
+	return mean(vals), nil
 }
 
 // fanOut runs task(i, workers, rec) for every i in [0, n) concurrently, with
@@ -492,7 +489,7 @@ func repeatStream(root *rng.Stream, label string, r, repeats int) *rng.Stream {
 }
 
 // mean sums v in order from zero and divides by its length, the averaging
-// the repeats loop always did; one value comes back unchanged.
+// the repeats loops always did; one value comes back unchanged.
 func mean(v []float64) float64 {
 	sum := 0.0
 	for _, x := range v {
