@@ -27,9 +27,14 @@ import (
 //     weight bit fails here even when every decision-level number in the
 //     JSON golden survives.
 //
-// The goldens were recorded with TrainWorkers 1. The e1, e2 and e8 rows at
-// 2 and 4 workers compare against the same files, so a worker count that
-// moves a result or reorders a recorded series fails here. The export
+// The CNN experiments' exports hold their training curves. e11's holds the
+// per-node traffic series and the plan and route cache counters, and e16's
+// (at the crowd-smoke size of TestGoldenDefaultConfig) the per-step
+// detection and live-node series and the shard counters.
+//
+// The goldens were recorded with TrainWorkers 1. The e1, e2, e8, e13 and e14
+// rows at 2 or 4 workers compare against the same files, so a worker count
+// that moves a result or reorders a recorded series fails here. The export
 // records the raw worker count as config_trainworkers, the one line that may
 // differ, so that sample of the expected export is rewritten to the row's
 // count.
@@ -45,20 +50,26 @@ func TestMetricsGolden(t *testing.T) {
 		workers int
 		// slow is why -short skips the row; empty keeps it.
 		slow string
+		// cfg overrides DefaultRunConfig() when non-nil.
+		cfg *zeiot.RunConfig
 	}{
-		{"e1", 1, "trains the fall-detection CNNs"},
-		{"e2", 1, "trains the lounge CNNs"},
-		{"e8", 1, "trains the resilience CNN"},
-		{"e13", 1, "trains the HAR CNN"},
-		{"e14", 1, "trains the intrusion CNNs"},
-		{"e17", 1, "trains the intermittent CNN"},
-		{"e18", 1, "trains the cross-modal CNNs"},
-		{"e1", 2, "trains the fall-detection CNNs"},
-		{"e1", 4, "trains the fall-detection CNNs"},
-		{"e2", 2, "trains the lounge CNNs"},
-		{"e2", 4, "trains the lounge CNNs"},
-		{"e8", 2, "trains the resilience CNN"},
-		{"e8", 4, "trains the resilience CNN"},
+		{"e1", 1, "trains the fall-detection CNNs", nil},
+		{"e2", 1, "trains the lounge CNNs", nil},
+		{"e8", 1, "trains the resilience CNN", nil},
+		{"e11", 1, "", nil},
+		{"e13", 1, "trains the HAR CNN", nil},
+		{"e14", 1, "trains the intrusion CNNs", nil},
+		{"e16", 1, "", &zeiot.RunConfig{Seed: 1, SampleScale: 1, Nodes: 3000}},
+		{"e17", 1, "trains the intermittent CNN", nil},
+		{"e18", 1, "trains the cross-modal CNNs", nil},
+		{"e1", 2, "trains the fall-detection CNNs", nil},
+		{"e1", 4, "trains the fall-detection CNNs", nil},
+		{"e2", 2, "trains the lounge CNNs", nil},
+		{"e2", 4, "trains the lounge CNNs", nil},
+		{"e8", 2, "trains the resilience CNN", nil},
+		{"e8", 4, "trains the resilience CNN", nil},
+		{"e13", 4, "trains the HAR CNN", nil},
+		{"e14", 4, "trains the intrusion CNNs", nil},
 	}
 	for _, tc := range cases {
 		name := tc.id
@@ -69,8 +80,13 @@ func TestMetricsGolden(t *testing.T) {
 			if tc.slow != "" && testing.Short() {
 				t.Skip(tc.slow)
 			}
-			goldenJSON := filepath.Join("testdata", tc.id+"_seed1.golden.json")
-			goldenProm := filepath.Join("testdata", tc.id+"_seed1.metrics.prom")
+			stem, flags := tc.id, "-seed 1"
+			if tc.cfg != nil && tc.cfg.Nodes != 0 {
+				stem += fmt.Sprintf("_nodes%d", tc.cfg.Nodes)
+				flags += fmt.Sprintf(" -nodes %d", tc.cfg.Nodes)
+			}
+			goldenJSON := filepath.Join("testdata", stem+"_seed1.golden.json")
+			goldenProm := filepath.Join("testdata", stem+"_seed1.metrics.prom")
 			wantJSON, err := os.ReadFile(goldenJSON)
 			if err != nil {
 				t.Fatal(err)
@@ -84,6 +100,10 @@ func TestMetricsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := zeiot.DefaultRunConfig()
+			if tc.cfg != nil {
+				c := *tc.cfg
+				cfg = &c
+			}
 			cfg.TrainWorkers = tc.workers
 			reg := obs.NewRegistry()
 			cfg.Recorder = reg
@@ -122,8 +142,8 @@ func TestMetricsGolden(t *testing.T) {
 				t.Fatal("deterministic Prometheus export is empty")
 			}
 			if !bytes.Equal(prom.Bytes(), wantProm) {
-				t.Errorf("%s deterministic metrics at %d training workers diverged from %s;\nregenerate with: go run ./cmd/zeiotbench -e %s -seed 1 -trainworkers 1 -metrics-out m.prom && grep -v walltime_ m.prom > %s",
-					tc.id, tc.workers, goldenProm, tc.id, goldenProm)
+				t.Errorf("%s deterministic metrics at %d training workers diverged from %s;\nregenerate with: go run ./cmd/zeiotbench -e %s %s -trainworkers 1 -metrics-out m.prom && grep -v walltime_ m.prom > %s",
+					tc.id, tc.workers, goldenProm, tc.id, flags, goldenProm)
 			}
 		})
 	}
