@@ -47,8 +47,8 @@ func benchExperiment(b *testing.B, id string) {
 		}
 	}
 	b.StopTimer()
-	for _, k := range res.SummaryKeys() {
-		b.ReportMetric(res.Summary[k], k)
+	for k, v := range res.Summary {
+		b.ReportMetric(v, k)
 	}
 	for _, stage := range res.Timings.Stages() {
 		b.ReportMetric(res.Timings[stage].Seconds(), stage+"_stage_sec")
@@ -358,11 +358,11 @@ func BenchmarkQuantForward(b *testing.B) {
 		}
 	})
 	b.Run("int8", func(b *testing.B) {
-		qn.Forward(in) // warm (build-time buffers only; proves no lazy alloc)
+		qn.Classify(in) // warm (build-time buffers only; proves no lazy alloc)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			qn.Forward(in)
+			qn.Classify(in)
 		}
 	})
 }
@@ -416,20 +416,6 @@ func BenchmarkWSNLinked(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if w.Linked(i%n, (i*7+3)%n) {
 				hits++
-			}
-		}
-		_ = hits
-	})
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			u, v := i%n, (i*7+3)%n
-			for _, nb := range w.Neighbors(u) {
-				if nb == v {
-					hits++
-					break
-				}
 			}
 		}
 		_ = hits

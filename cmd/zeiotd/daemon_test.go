@@ -64,7 +64,8 @@ func pollDone(t *testing.T, ts *httptest.Server, id string) jobStatus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if jobs.State(st.State).Terminal() {
+		switch jobs.State(st.State) {
+		case jobs.StateDone, jobs.StateFailed, jobs.StateCanceled:
 			return st
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -78,16 +78,6 @@ type Result struct {
 	Notes string `json:"notes,omitempty"`
 }
 
-// SummaryKeys returns the summary keys in sorted order.
-func (r *Result) SummaryKeys() []string {
-	keys := make([]string, 0, len(r.Summary))
-	for k := range r.Summary {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // WriteTo renders the result as a text table.
 func (r *Result) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder

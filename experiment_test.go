@@ -84,10 +84,6 @@ func TestResultRendering(t *testing.T) {
 			t.Fatalf("rendered result missing %q:\n%s", want, out)
 		}
 	}
-	keys := r.SummaryKeys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "z" {
-		t.Fatalf("SummaryKeys = %v", keys)
-	}
 }
 
 // TestFastExperimentsRun executes the sub-second experiments end to end and

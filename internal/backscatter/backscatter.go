@@ -113,12 +113,6 @@ func NewHarvester(capacityJ, onJ, offJ, harvestW float64) (*Harvester, error) {
 	return &Harvester{CapacityJ: capacityJ, OnJ: onJ, OffJ: offJ, HarvestW: harvestW}, nil
 }
 
-// StoredJ returns the energy currently stored.
-func (h *Harvester) StoredJ() float64 { return h.storedJ }
-
-// On reports whether the device is currently powered.
-func (h *Harvester) On() bool { return h.on }
-
 // Harvest accumulates ambient energy over dt, updating the power state.
 func (h *Harvester) Harvest(dt time.Duration) {
 	h.storedJ = math.Min(h.CapacityJ, h.storedJ+h.HarvestW*dt.Seconds())
@@ -166,8 +160,6 @@ type IntermittentDevice struct {
 	Harvester *Harvester
 	// TaskEnergyJ is the energy one sense-process-transmit cycle costs.
 	TaskEnergyJ float64
-
-	executions int
 }
 
 // Step advances the device by dt in tick-sized increments, harvesting and
@@ -184,12 +176,8 @@ func (d *IntermittentDevice) Step(dt, tick time.Duration) int {
 			ran++
 		}
 	}
-	d.executions += ran
 	return ran
 }
-
-// Executions returns the lifetime task-execution count.
-func (d *IntermittentDevice) Executions() int { return d.executions }
 
 // DutyCycle returns the steady-state fraction of task demand an
 // intermittent device can sustain: harvested power divided by the power the

@@ -94,12 +94,12 @@ func TestHarvesterHysteresis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.On() {
+	if h.on {
 		t.Fatal("starts on")
 	}
 	// 100 µW for 4 s = 400 µJ < 500 µJ threshold: still off.
 	h.Harvest(4 * time.Second)
-	if h.On() {
+	if h.on {
 		t.Fatal("turned on below threshold")
 	}
 	if h.Consume(1e-5) {
@@ -107,21 +107,21 @@ func TestHarvesterHysteresis(t *testing.T) {
 	}
 	// Another 2 s crosses the 500 µJ turn-on.
 	h.Harvest(2 * time.Second)
-	if !h.On() {
+	if !h.on {
 		t.Fatal("did not turn on")
 	}
 	// Drain down to the brown-out threshold.
 	for h.Consume(1e-4) {
 	}
-	if h.On() {
+	if h.on {
 		t.Fatal("still on after brown-out")
 	}
-	if h.StoredJ() < 0 {
+	if h.storedJ < 0 {
 		t.Fatal("negative stored energy")
 	}
 	// Must re-charge past OnJ again, not just OffJ.
 	h.Harvest(1 * time.Second) // +100 µJ: above OffJ but below OnJ
-	if h.On() {
+	if h.on {
 		t.Fatal("re-enabled below turn-on threshold (hysteresis broken)")
 	}
 }
@@ -132,8 +132,8 @@ func TestHarvesterCapacityClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Harvest(time.Hour)
-	if h.StoredJ() != 1e-3 {
-		t.Fatalf("stored %v exceeds capacity", h.StoredJ())
+	if h.storedJ != 1e-3 {
+		t.Fatalf("stored %v exceeds capacity", h.storedJ)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestEnergyConservation(t *testing.T) {
 	for h.Consume(0.05) {
 		drawn += 0.05
 	}
-	if math.Abs(drawn+h.StoredJ()-0.5) > 1e-12 {
-		t.Fatalf("energy not conserved: drawn %v + stored %v != 0.5", drawn, h.StoredJ())
+	if math.Abs(drawn+h.storedJ-0.5) > 1e-12 {
+		t.Fatalf("energy not conserved: drawn %v + stored %v != 0.5", drawn, h.storedJ)
 	}
 }
 

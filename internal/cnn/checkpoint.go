@@ -81,19 +81,19 @@ func ResumeTrainer(r io.Reader, samples []Sample, workers int) (*Trainer, error)
 	if ck.Net == nil {
 		return nil, fmt.Errorf("cnn: trainer checkpoint has no network blob")
 	}
-	net, blob, err := decodeNetBlob(ck.Net)
+	net, err := decodeNetBlob(ck.Net)
 	if err != nil {
 		return nil, err
 	}
-	if blob.Opt == nil || len(blob.Streams) != 1 {
+	if ck.Net.Opt == nil || len(ck.Net.Streams) != 1 {
 		return nil, fmt.Errorf("cnn: trainer checkpoint missing optimizer or stream state")
 	}
-	opt, err := restoreOptimizer(net, blob.Opt)
+	opt, err := restoreOptimizer(net, ck.Net.Opt)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trainer{
-		net: net, opt: opt, stream: rng.FromState(blob.Streams[0]), samples: samples,
+		net: net, opt: opt, stream: rng.FromState(ck.Net.Streams[0]), samples: samples,
 		epochs: tb.Epochs, batch: tb.Batch, workers: workers,
 		epoch: tb.Epoch, cursor: tb.Cursor,
 		lossSum: tb.LossSum, lossCount: tb.LossCount, lastLoss: tb.LastLoss,

@@ -21,9 +21,10 @@ func checkpointSamples(seed uint64, n int) []Sample {
 	return out
 }
 
-// TestSaveTrainingRoundTripSGD is the satellite-1 regression pin: training k
-// epochs, checkpointing via SaveTraining, and training n more epochs on the
-// loaded copy must be bit-identical to training k+n epochs uninterrupted.
+// TestSaveTrainingRoundTripSGD pins the checkpoint round trip: training k
+// epochs, checkpointing via SaveTraining, and training n more epochs on a
+// network restored by RestoreTraining must be bit-identical to training k+n
+// epochs uninterrupted.
 // The pre-fix Save dropped the SGD velocity and the stream position, so the
 // resumed run diverged on its first momentum update and first reshuffle.
 func TestSaveTrainingRoundTripSGD(t *testing.T) {
@@ -41,19 +42,18 @@ func TestSaveTrainingRoundTripSGD(t *testing.T) {
 
 	ref.FitParallel(samples, 3, 8, 1, refOpt, refStream) // uninterrupted continuation
 
-	net2, opt2, streams, err := LoadTraining(bytes.NewReader(buf.Bytes()))
+	// A differently initialized network and optimizer: the weights and the
+	// hyperparameters come from the checkpoint.
+	net2, sgd2 := buildTinyNet(8), NewSGD(0, 0)
+	streams, err := net2.RestoreTraining(bytes.NewReader(buf.Bytes()), sgd2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	sgd2, ok := opt2.(*SGD)
-	if !ok {
-		t.Fatalf("LoadTraining returned optimizer %T, want *SGD", opt2)
 	}
 	if sgd2.LR != refOpt.LR || sgd2.Momentum != refOpt.Momentum {
 		t.Fatalf("restored SGD hyperparameters %v/%v, want %v/%v", sgd2.LR, sgd2.Momentum, refOpt.LR, refOpt.Momentum)
 	}
 	if len(streams) != 1 {
-		t.Fatalf("LoadTraining returned %d streams, want 1", len(streams))
+		t.Fatalf("RestoreTraining returned %d streams, want 1", len(streams))
 	}
 	net2.FitParallel(samples, 3, 8, 1, sgd2, streams[0]) // resumed continuation
 
@@ -86,13 +86,10 @@ func TestSaveTrainingRoundTripAdam(t *testing.T) {
 	stepAtSave := refOpt.StepCount()
 	trainEpochs(ref, refOpt, refStream, 2, 8)
 
-	net2, opt2, streams, err := LoadTraining(bytes.NewReader(buf.Bytes()))
+	net2, adam2 := buildTinyNet(10), NewAdam(0)
+	streams, err := net2.RestoreTraining(bytes.NewReader(buf.Bytes()), adam2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	adam2, ok := opt2.(*Adam)
-	if !ok {
-		t.Fatalf("LoadTraining returned optimizer %T, want *Adam", opt2)
 	}
 	if stepAtSave == 0 {
 		t.Fatal("reference Adam had no steps at save time; test is vacuous")
@@ -126,8 +123,8 @@ func TestTrainerMatchesFit(t *testing.T) {
 		if tr.LastLoss() != refLoss {
 			t.Errorf("workers=%d: trainer final loss %v, FitParallel returned %v", workers, tr.LastLoss(), refLoss)
 		}
-		if tr.EpochsCompleted() != epochs {
-			t.Errorf("workers=%d: EpochsCompleted() = %d, want %d", workers, tr.EpochsCompleted(), epochs)
+		if tr.epoch != epochs {
+			t.Errorf("workers=%d: trainer finished at epoch %d, want %d", workers, tr.epoch, epochs)
 		}
 		if want := epochs * 6; tr.BatchesRun() != want {
 			t.Errorf("workers=%d: BatchesRun() = %d, want %d", workers, tr.BatchesRun(), want)
@@ -204,49 +201,59 @@ func TestResumeTrainerValidation(t *testing.T) {
 	}
 }
 
-// mutateBlob round-trips a saved network through the wire struct, applies
-// the mutation, and re-encodes — producing a structurally valid gob whose
-// geometry lies about its weights.
-func mutateBlob(t *testing.T, net *Network, mutate func(*netBlob)) []byte {
+// tamper gob-decodes data into a T, applies mutate, and re-encodes it: a
+// structurally valid gob whose content lies.
+func tamper[T any](t *testing.T, data []byte, mutate func(*T)) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
+	v := new(T)
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
 		t.Fatal(err)
 	}
-	n, blob, err := decodeBlob(bytes.NewReader(buf.Bytes()))
-	if err != nil || n == nil {
-		t.Fatalf("decoding own blob: %v", err)
-	}
-	mutate(blob)
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
+	mutate(v)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestLoadRejectsTamperedGeometry is the satellite-2 pin: a blob whose
-// geometry fields disagree with its saved weights must be rejected with a
-// descriptive error, not silently reinterpreted (or panicked on). The
-// pre-fix loader validated only the flat parameter size, so swapping KH/KW
-// on a non-square kernel loaded "successfully" as a different network.
+// TestLoadRejectsTamperedGeometry: a blob whose geometry fields disagree
+// with its saved weights must be rejected with a descriptive error, not
+// silently reinterpreted (or panicked on). Each tamper goes through both
+// readers the program has: decodeBlob, behind RestoreTraining, and
+// ResumeTrainer, whose checkpoint embeds the same blob.
 func TestLoadRejectsTamperedGeometry(t *testing.T) {
 	s := rng.New(43)
-	net := NewNetwork([]int{1, 6, 8},
-		NewConv2D(1, 2, 3, 5, 1, 1, s.Split("conv")), // non-square kernel: KH/KW swap preserves flat size
+	// On a square input a 3×1 kernel's KH/KW swap keeps the flattened size,
+	// so the swapped stack still chains and only the recorded parameter
+	// shapes can tell.
+	net := NewNetwork([]int{1, 6, 6},
+		NewConv2D(1, 2, 3, 1, 1, 0, s.Split("conv")),
 		NewReLU(),
 		NewFlatten(),
-		NewDense(2*6*6, 4, s.Split("d")), // 72×4: In/Out swap preserves flat size
+		NewDense(2*4*6, 4, s.Split("d")), // 48×4: In/Out swap preserves flat size
 	)
+	var blob bytes.Buffer
+	if err := net.SaveTraining(&blob, nil); err != nil {
+		t.Fatal(err)
+	}
+	samples := checkpointSamples(47, 16)
+	tr := NewTrainer(net, NewSGD(0.05, 0.9), rng.New(53).Split("fit"), samples, 1, 8, 1)
+	tr.Step(1)
+	var ck bytes.Buffer
+	if err := tr.Save(&ck); err != nil {
+		t.Fatal(err)
+	}
 
+	swapConv := func(b *netBlob) {
+		b.Layers[0].KH, b.Layers[0].KW = b.Layers[0].KW, b.Layers[0].KH
+	}
 	cases := []struct {
 		name   string
 		mutate func(*netBlob)
 		want   string
 	}{
-		{"conv KH/KW swapped", func(b *netBlob) {
-			b.Layers[0].KH, b.Layers[0].KW = b.Layers[0].KW, b.Layers[0].KH
-		}, "geometry fields disagree"},
+		{"conv KH/KW swapped", swapConv, "geometry fields disagree"},
 		{"dense In/Out swapped", func(b *netBlob) {
 			b.Layers[3].In, b.Layers[3].Out = b.Layers[3].Out, b.Layers[3].In
 		}, "geometry fields disagree"},
@@ -269,45 +276,39 @@ func TestLoadRejectsTamperedGeometry(t *testing.T) {
 		{"future version", func(b *netBlob) {
 			b.Version = blobVersion + 1
 		}, "unsupported blob version"},
+		// A blob without a version and without shape records, whose swap
+		// would otherwise build a 1×3 conv from the 3×1 weights.
+		{"v0 blob without shapes, conv KH/KW swapped", func(b *netBlob) {
+			b.Version = 0
+			for i := range b.Layers {
+				b.Layers[i].ParamShapes = nil
+			}
+			swapConv(b)
+		}, "unsupported blob version"},
 		{"bad input shape", func(b *netBlob) {
-			b.InShape = []int{1, -6, 8}
+			b.InShape = []int{1, -6, 6}
 		}, "non-positive dimension"},
 		{"2-D input shape", func(b *netBlob) {
-			b.InShape = []int{6, 8}
+			b.InShape = []int{6, 6}
 		}, "unusable"},
 		{"spatial output", func(b *netBlob) {
 			b.Layers = b.Layers[:2]
 		}, "want 1-D logits"},
 	}
 	for _, tc := range cases {
-		data := mutateBlob(t, net, tc.mutate)
-		loaded, err := Load(bytes.NewReader(data))
-		if err == nil {
-			t.Errorf("%s: Load accepted the tampered blob (net=%v)", tc.name, loaded.InShape())
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			data := tamper(t, blob.Bytes(), tc.mutate)
+			if _, _, err := decodeBlob(bytes.NewReader(data)); err == nil {
+				t.Error("decodeBlob accepted the tampered blob")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("decodeBlob error %q does not contain %q", err, tc.want)
+			}
+			data = tamper(t, ck.Bytes(), func(c *trainerCheckpoint) { tc.mutate(c.Net) })
+			if _, err := ResumeTrainer(bytes.NewReader(data), samples, 1); err == nil {
+				t.Error("ResumeTrainer accepted the tampered checkpoint")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ResumeTrainer error %q does not contain %q", err, tc.want)
+			}
+		})
 	}
-}
-
-// TestLoadLegacyV0Blob checks the versioned loader still accepts the PR-2-era
-// format: no Version field (gob decodes it as 0), no per-parameter shapes, no
-// training state.
-func TestLoadLegacyV0Blob(t *testing.T) {
-	net := buildTinyNet(29)
-	data := mutateBlob(t, net, func(b *netBlob) {
-		b.Version = 0
-		b.Opt = nil
-		b.Streams = nil
-		for i := range b.Layers {
-			b.Layers[i].ParamShapes = nil
-		}
-	})
-	loaded, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Load rejected a legacy v0 blob: %v", err)
-	}
-	requireSameParams(t, net, loaded, "legacy v0 blob")
 }

@@ -33,12 +33,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	net.FitParallel(samples, 3, 8, 1, NewSGD(0.02, 0.9), s.Split("fit"))
 
+	// A blob without optimizer state restores the weights into a network of
+	// the same architecture.
 	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
+	if err := net.SaveTraining(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
+	loaded := buildFullNet(2)
+	if _, err := loaded.RestoreTraining(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 10; trial++ {
@@ -50,11 +52,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a gob")); err == nil {
-		t.Fatal("garbage decoded")
-	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input decoded")
+	for _, data := range []string{"not a gob", ""} {
+		if _, _, err := decodeBlob(strings.NewReader(data)); err == nil {
+			t.Errorf("network blob %q decoded", data)
+		}
+		if _, err := buildFullNet(1).RestoreTraining(strings.NewReader(data), nil); err == nil {
+			t.Errorf("RestoreTraining accepted %q", data)
+		}
+		if _, err := ResumeTrainer(strings.NewReader(data), nil, 1); err == nil {
+			t.Errorf("ResumeTrainer accepted %q", data)
+		}
 	}
 }
 
@@ -177,7 +184,9 @@ func TestAdamStateIsPerParameter(t *testing.T) {
 	opt := NewAdam(0.1)
 	d1.ZeroGrads()
 	d2.ZeroGrads()
-	d1.Grads()[0].Fill(1)
+	for i := range d1.Grads()[0].Data() {
+		d1.Grads()[0].Data()[i] = 1
+	}
 	before2 := d2.Weight().Clone()
 	opt.Step(d1.Params(), d1.Grads(), 1)
 	if tensor.Equal(d1.Weight(), before2, 0) {

@@ -9,13 +9,14 @@ import (
 	"zeiot/internal/tensor"
 )
 
-// FuzzLoad feeds arbitrary bytes to the model decoder: it must never panic,
-// only return errors for garbage.
+// FuzzLoad feeds arbitrary bytes to the two decoders the program reads
+// checkpoints through, decodeBlob (behind RestoreTraining) and
+// ResumeTrainer: they must never panic, only return errors for garbage.
 func FuzzLoad(f *testing.F) {
 	// Seed with a valid blob and some mutations of it.
 	net := buildTinyNet(1)
 	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
+	if err := net.SaveTraining(&buf, nil); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -29,8 +30,8 @@ func FuzzLoad(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0xff
 		f.Add(flipped)
 	}
-	// A v1 training blob (optimizer state + stream positions) and a mutation
-	// of it: the training-state decode paths must be panic-free too.
+	// A training blob (optimizer state + stream positions) and a mutation of
+	// it: the training-state decode paths must be panic-free too.
 	opt := NewSGD(0.05, 0.9)
 	samples := fuzzQuantSamples()[:8]
 	net.FitParallel(samples[:6], 1, 2, 1, opt, rng.New(5).Split("fit"))
@@ -45,14 +46,26 @@ func FuzzLoad(f *testing.F) {
 		mangled[2*len(mangled)/3] ^= 0xff
 		f.Add(mangled)
 	}
+	// A trainer checkpoint and a mutation of it.
+	tr := NewTrainer(net, opt, rng.New(7).Split("fit"), samples, 2, 4, 1)
+	tr.Step(1)
+	var cbuf bytes.Buffer
+	if err := tr.Save(&cbuf); err != nil {
+		f.Fatal(err)
+	}
+	ck := cbuf.Bytes()
+	f.Add(ck)
+	mangledCK := append([]byte(nil), ck...)
+	mangledCK[len(mangledCK)/2] ^= 0xff
+	f.Add(mangledCK)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return // rejection is the expected path for garbage
+		// Rejection is the expected path for garbage; a success must produce
+		// a usable network.
+		if n, _, err := decodeBlob(bytes.NewReader(data)); err == nil && (n == nil || len(n.InShape()) == 0) {
+			t.Fatal("decodeBlob returned success with an unusable network")
 		}
-		// A successful load must produce a usable network.
-		if loaded == nil || len(loaded.InShape()) == 0 {
-			t.Fatal("Load returned success with unusable network")
+		if tr, err := ResumeTrainer(bytes.NewReader(data), samples, 1); err == nil && (tr == nil || len(tr.Net().InShape()) == 0) {
+			t.Fatal("ResumeTrainer returned success with an unusable trainer")
 		}
 	})
 }
@@ -91,7 +104,7 @@ func FuzzQuantizedClassify(f *testing.F) {
 			t.Fatalf("Classify = %d, want [0,%d)", cls, nclass)
 		}
 		// Round-trip bound on the input quantizer for in-range values.
-		scale := qn.InScale()
+		scale := qn.inScale
 		limit := 127 * scale
 		for _, v := range id {
 			if math.Abs(v) > limit {

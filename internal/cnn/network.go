@@ -159,23 +159,6 @@ func (n *Network) shadowNet() *Network {
 	return &Network{layers: layers, inShape: n.inShape}
 }
 
-// Softmax returns the softmax of logits, computed stably.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	out := logits.Clone()
-	data := out.Data()
-	maxV := out.Max()
-	sum := 0.0
-	for i, v := range data {
-		e := math.Exp(v - maxV)
-		data[i] = e
-		sum += e
-	}
-	for i := range data {
-		data[i] /= sum
-	}
-	return out
-}
-
 // CrossEntropy returns the softmax cross-entropy loss for logits against the
 // integer label and the gradient dLoss/dLogits: the training engine's
 // crossEntropyRows over one row.

@@ -18,7 +18,7 @@ package cnn
 // flatten operate directly on the int8 values (the scale passes through);
 // average pooling takes the round-half-up integer mean. The final Dense
 // layer skips requantization and keeps its int32 accumulators: Classify is
-// an argmax over them, and Forward dequantizes them.
+// an argmax over them.
 //
 // # One kernel family
 //
@@ -39,7 +39,7 @@ package cnn
 // quant_ref_test.go holds the plain int8 loops this must match at
 // tolerance 0.
 //
-// Once constructed, Forward and Classify allocate nothing.
+// Once constructed, Classify allocates nothing.
 
 import (
 	"errors"
@@ -119,14 +119,12 @@ type qStep struct {
 }
 
 // QuantizedNetwork is an int8 fixed-point inference copy of a trained
-// Network. It shares nothing with the source network; Forward and Classify
-// allocate nothing. A QuantizedNetwork is not safe for concurrent use.
+// Network. It shares nothing with the source network; Classify allocates
+// nothing. A QuantizedNetwork is not safe for concurrent use.
 type QuantizedNetwork struct {
-	inScale    float64
-	in         *tensor.Tensor // the quantized input, a (C,1,H,W) or (1,F) block
-	steps      []qStep
-	logitScale float64
-	outF       *tensor.Tensor
+	inScale float64
+	in      *tensor.Tensor // the quantized input, a (C,1,H,W) or (1,F) block
+	steps   []qStep
 }
 
 // QuantizeNetwork lowers a trained float network to int8 fixed point,
@@ -169,7 +167,7 @@ func QuantizeNetwork(n *Network, calib []Sample) (*QuantizedNetwork, error) {
 	}
 
 	scale := qscale(inMax)
-	q := &QuantizedNetwork{inScale: scale, outF: tensor.New(n.OutShape()...)}
+	q := &QuantizedNetwork{inScale: scale}
 	if in := n.inShape; len(in) == 3 {
 		q.in = tensor.New(in[0], 1, in[1], in[2])
 	} else {
@@ -206,10 +204,8 @@ func QuantizeNetwork(n *Network, calib []Sample) (*QuantizedNetwork, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cnn: cannot quantize layer %d (%s): %w", li, l.Name(), err)
 		}
-		switch {
-		case li == len(n.layers)-1:
-			q.logitScale = scale * ws
-		case ws != 0: // an interior Conv2D or Dense
+		// The last layer keeps its int32 accumulators as the logits.
+		if ws != 0 && li < len(n.layers)-1 { // an interior Conv2D or Dense
 			outScale := qscale(actMax[li])
 			mult := math.Round(scale * ws / outScale * (1 << qShift))
 			if !(mult <= 1<<32) {
@@ -221,8 +217,8 @@ func QuantizeNetwork(n *Network, calib []Sample) (*QuantizedNetwork, error) {
 		}
 		q.steps = append(q.steps, st)
 	}
-	// One pass sizes every layer's scratch, so Forward and Classify
-	// allocate nothing from the first call on.
+	// One pass sizes every layer's scratch, so Classify allocates nothing
+	// from the first call on.
 	q.forwardInt(calib[0].Input)
 	return q, nil
 }
@@ -247,9 +243,6 @@ func quantizeParams(w, b *tensor.Tensor, inScale float64, fanIn int) (qw, qb *te
 	}
 	return qw, qb, ws, nil
 }
-
-// InScale returns the input quantization scale (input ≈ int8·InScale).
-func (q *QuantizedNetwork) InScale() float64 { return q.inScale }
 
 // forwardInt runs the integer pipeline and returns the int32 logit
 // accumulators as float64 (scratch owned by the network).
@@ -281,15 +274,4 @@ func (q *QuantizedNetwork) forwardInt(in *tensor.Tensor) []float64 {
 // ties). It allocates nothing.
 func (q *QuantizedNetwork) Classify(in *tensor.Tensor) int {
 	return argmax(q.forwardInt(in))
-}
-
-// Forward returns the dequantized logits. The returned tensor is scratch
-// owned by the network, overwritten by the next Forward call; the call
-// allocates nothing.
-func (q *QuantizedNetwork) Forward(in *tensor.Tensor) *tensor.Tensor {
-	out := q.outF.Data()
-	for i, v := range q.forwardInt(in) {
-		out[i] = v * q.logitScale
-	}
-	return q.outF
 }

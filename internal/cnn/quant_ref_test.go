@@ -28,10 +28,9 @@ type refQLayer interface {
 
 // refQuantNet is the oracle's lowering of a float network.
 type refQuantNet struct {
-	inScale    float64
-	layers     []refQLayer
-	last       *refQDense
-	logitScale float64
+	inScale float64
+	layers  []refQLayer
+	last    *refQDense
 }
 
 // refQuantize lowers net with QuantizeNetwork's scales, calibrated sample by
@@ -69,7 +68,7 @@ func refQuantize(net *Network, calib []Sample) *refQuantNet {
 			w, b, ws := refQuantParams(t.weight, t.bias, scale)
 			d := &refQDense{in: t.In, out: t.Out, w: w, b: b, acc: make([]int32, t.Out)}
 			if li == len(net.layers)-1 {
-				r.last, r.logitScale = d, scale*ws
+				r.last = d
 				break
 			}
 			outScale := qscale(actMax[li])

@@ -8,10 +8,9 @@ import (
 	"zeiot/internal/rng"
 )
 
-// blobVersion is the current wire-format version. Version 0 blobs (written
-// before the format carried a Version field — gob leaves the missing field
-// zero) still decode: they carry weights only, with no per-parameter shape
-// record, no optimizer state, and no rng stream positions.
+// blobVersion is the wire-format version, the only one the decoder accepts.
+// A blob without a Version field (gob leaves it zero) is rejected: it has no
+// per-parameter shape record to check the geometry fields against.
 const blobVersion = 1
 
 // maxBlobTensor bounds the element count of any single tensor a blob may
@@ -21,13 +20,13 @@ const blobVersion = 1
 const maxBlobTensor = 1 << 24
 
 // netBlob is the gob wire format of a network: layer specs plus parameter
-// data, enough to rebuild an identical network without retraining — and,
-// since version 1, optionally the training state (optimizer moments and rng
-// stream positions) needed to *continue* training bit-identically.
+// data, enough to rebuild an identical network without retraining, and
+// optionally the training state (optimizer moments and rng stream
+// positions) needed to *continue* training bit-identically.
 type netBlob struct {
 	InShape []int
 	Layers  []layerBlob
-	// Version is the wire-format version (0 for legacy blobs).
+	// Version is the wire-format version, blobVersion.
 	Version int
 	// Opt, when non-nil, carries the optimizer state captured by
 	// SaveTraining.
@@ -47,8 +46,8 @@ type layerBlob struct {
 	In, Out int
 	// Params holds each parameter tensor's data in Params() order.
 	Params [][]float64
-	// ParamShapes records each parameter tensor's full shape (version ≥ 1).
-	// Load rejects a blob whose recorded shapes disagree with the geometry
+	// ParamShapes records each parameter tensor's full shape. The decoder
+	// rejects a blob whose recorded shapes disagree with the geometry
 	// fields — the defense against a tampered blob whose swapped KH/KW or
 	// edited Stride/Pad would otherwise reinterpret the same flat data as a
 	// different network.
@@ -74,20 +73,11 @@ type Optimizer interface {
 	StepNetwork(n *Network, batch int)
 }
 
-// Save writes the network (architecture and weights) to w.
-func (n *Network) Save(w io.Writer) error {
-	blob, err := n.blob(nil)
-	if err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(blob)
-}
-
 // SaveTraining writes the network plus everything needed to resume training
 // bit-identically: the optimizer's state (SGD momentum, or Adam moments and
 // step count) and the positions of the given rng streams (typically the fit
-// stream, so the resumed run replays the same shuffles). LoadTraining is the
-// inverse.
+// stream, so the resumed run replays the same shuffles). A nil opt writes
+// the architecture and weights only. RestoreTraining is the inverse.
 func (n *Network) SaveTraining(w io.Writer, opt Optimizer, streams ...*rng.Stream) error {
 	blob, err := n.blob(opt)
 	if err != nil {
@@ -191,32 +181,32 @@ func decodeBlob(r io.Reader) (*Network, *netBlob, error) {
 	if err := gob.NewDecoder(r).Decode(blob); err != nil {
 		return nil, nil, fmt.Errorf("cnn: decoding network: %w", err)
 	}
-	n, _, err := decodeNetBlob(blob)
+	n, err := decodeNetBlob(blob)
 	return n, blob, err
 }
 
 // decodeNetBlob validates an already-gob-decoded blob and rebuilds the
 // network; the trainer checkpoint format embeds a netBlob inside a larger
 // gob value and enters here directly.
-func decodeNetBlob(blob *netBlob) (n *Network, _ *netBlob, err error) {
-	if blob.Version < 0 || blob.Version > blobVersion {
-		return nil, nil, fmt.Errorf("cnn: unsupported blob version %d (max %d)", blob.Version, blobVersion)
+func decodeNetBlob(blob *netBlob) (n *Network, err error) {
+	if blob.Version != blobVersion {
+		return nil, fmt.Errorf("cnn: unsupported blob version %d (want %d)", blob.Version, blobVersion)
 	}
 	if len(blob.InShape) != 1 && len(blob.InShape) != 3 {
-		return nil, nil, fmt.Errorf("cnn: blob input shape %v is unusable", blob.InShape)
+		return nil, fmt.Errorf("cnn: blob input shape %v is unusable", blob.InShape)
 	}
 	inSize := int64(1)
 	for _, d := range blob.InShape {
 		if d <= 0 {
-			return nil, nil, fmt.Errorf("cnn: blob input shape %v has a non-positive dimension", blob.InShape)
+			return nil, fmt.Errorf("cnn: blob input shape %v has a non-positive dimension", blob.InShape)
 		}
 		if inSize *= int64(d); inSize > maxBlobTensor {
-			return nil, nil, fmt.Errorf("cnn: blob input shape %v exceeds %d elements", blob.InShape, maxBlobTensor)
+			return nil, fmt.Errorf("cnn: blob input shape %v exceeds %d elements", blob.InShape, maxBlobTensor)
 		}
 	}
 	for i, lb := range blob.Layers {
 		if err := validateLayerBlob(i, lb); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	// The stack builds under a recover guard: per-field validation above
@@ -250,17 +240,17 @@ func decodeNetBlob(blob *netBlob) (n *Network, _ *netBlob, err error) {
 		if pl, ok := l.(ParamLayer); ok {
 			params := pl.Params()
 			if len(params) != len(lb.Params) {
-				return nil, nil, fmt.Errorf("cnn: layer %d has %d params, blob has %d", i, len(params), len(lb.Params))
+				return nil, fmt.Errorf("cnn: layer %d has %d params, blob has %d", i, len(params), len(lb.Params))
 			}
-			if blob.Version >= 1 && len(lb.ParamShapes) != len(params) {
-				return nil, nil, fmt.Errorf("cnn: layer %d has %d params, blob records %d shapes", i, len(params), len(lb.ParamShapes))
+			if len(lb.ParamShapes) != len(params) {
+				return nil, fmt.Errorf("cnn: layer %d has %d params, blob records %d shapes", i, len(params), len(lb.ParamShapes))
 			}
 			for pi, p := range params {
 				if len(lb.Params[pi]) != p.Size() {
-					return nil, nil, fmt.Errorf("cnn: layer %d param %d size %d, blob has %d", i, pi, p.Size(), len(lb.Params[pi]))
+					return nil, fmt.Errorf("cnn: layer %d param %d size %d, blob has %d", i, pi, p.Size(), len(lb.Params[pi]))
 				}
-				if blob.Version >= 1 && !shapesEqual(lb.ParamShapes[pi], p.Shape()) {
-					return nil, nil, fmt.Errorf("cnn: layer %d param %d shape %v, blob recorded %v (geometry fields disagree with the saved weights)",
+				if !shapesEqual(lb.ParamShapes[pi], p.Shape()) {
+					return nil, fmt.Errorf("cnn: layer %d param %d shape %v, blob recorded %v (geometry fields disagree with the saved weights)",
 						i, pi, p.Shape(), lb.ParamShapes[pi])
 				}
 				copy(p.Data(), lb.Params[pi])
@@ -268,7 +258,7 @@ func decodeNetBlob(blob *netBlob) (n *Network, _ *netBlob, err error) {
 		}
 		layers = append(layers, l)
 	}
-	return NewNetwork(blob.InShape, layers...), blob, nil
+	return NewNetwork(blob.InShape, layers...), nil
 }
 
 func shapesEqual(a, b []int) bool {
@@ -310,41 +300,12 @@ func restoreOptimizer(n *Network, ob *optBlob) (Optimizer, error) {
 	}
 }
 
-// Load reads a network previously written by Save (any blob version). Any
-// training state in the blob is ignored; use LoadTraining to recover it.
-func Load(r io.Reader) (*Network, error) {
-	n, _, err := decodeBlob(r)
-	return n, err
-}
-
-// LoadTraining reads a blob written by SaveTraining and returns the rebuilt
-// network, the restored optimizer (nil if the blob carries none), and fresh
-// streams positioned exactly where the saved ones were. Training the result
-// is bit-identical to continuing the original run.
-func LoadTraining(r io.Reader) (*Network, Optimizer, []*rng.Stream, error) {
-	n, blob, err := decodeBlob(r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var opt Optimizer
-	if blob.Opt != nil {
-		if opt, err = restoreOptimizer(n, blob.Opt); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	streams := make([]*rng.Stream, len(blob.Streams))
-	for i, st := range blob.Streams {
-		streams[i] = rng.FromState(st)
-	}
-	return n, opt, streams, nil
-}
-
 // RestoreTraining reads a blob written by SaveTraining *into* an existing
 // network with the same architecture: parameter data is copied into n's own
 // tensors (pointer identity preserved — conv replica tables and cached
 // executors stay valid) and the optimizer state is rebuilt keyed to those
 // tensors. It returns the restored streams. MicroDeep's checkpoint path uses
-// this; standalone callers usually want LoadTraining.
+// this.
 func (n *Network) RestoreTraining(r io.Reader, opt Optimizer) ([]*rng.Stream, error) {
 	loaded, blob, err := decodeBlob(r)
 	if err != nil {

@@ -71,9 +71,6 @@ func (t *Trainer) Net() *Network { return t.net }
 // Done reports whether every epoch has completed.
 func (t *Trainer) Done() bool { return t.epoch >= t.epochs || len(t.samples) == 0 }
 
-// EpochsCompleted returns the number of fully trained epochs.
-func (t *Trainer) EpochsCompleted() int { return t.epoch }
-
 // BatchesRun returns the lifetime mini-batch count, checkpoints included.
 func (t *Trainer) BatchesRun() int { return t.batches }
 

@@ -250,3 +250,47 @@ func TestSixPatterns(t *testing.T) {
 		seen[p.Name] = true
 	}
 }
+
+// Reconstruct rebuilds the beamforming matrix (up to the per-column common
+// phases removed in step 0) from a compressed report: the inverse of
+// Compress, which the round-trip test holds Compress to.
+func Reconstruct(a Angles) Matrix {
+	m, n := a.M, a.N
+	v := NewMatrix(m, n)
+	for i := 0; i < n; i++ {
+		v[i][i] = 1
+	}
+	k := n
+	if m-1 < k {
+		k = m - 1
+	}
+	// Walk the decomposition backwards, applying inverse operations.
+	phiIdx := len(a.Phi)
+	psiIdx := len(a.Psi)
+	for i := k - 1; i >= 0; i-- {
+		nPsi := m - 1 - i
+		nPhi := m - 1 - i
+		psis := a.Psi[psiIdx-nPsi : psiIdx]
+		psiIdx -= nPsi
+		phis := a.Phi[phiIdx-nPhi : phiIdx]
+		phiIdx -= nPhi
+		for li := len(psis) - 1; li >= 0; li-- {
+			l := i + 1 + li
+			c := complex(math.Cos(psis[li]), 0)
+			s := complex(math.Sin(psis[li]), 0)
+			for j := 0; j < n; j++ {
+				vi, vl := v[i][j], v[l][j]
+				v[i][j] = c*vi - s*vl
+				v[l][j] = s*vi + c*vl
+			}
+		}
+		for li := len(phis) - 1; li >= 0; li-- {
+			l := i + li
+			rot := cmplx.Exp(complex(0, phis[li]))
+			for j := 0; j < n; j++ {
+				v[l][j] *= rot
+			}
+		}
+	}
+	return v
+}

@@ -138,9 +138,6 @@ func CalibrateCrowd(cfg CrowdConfig, maxPeople, runs int, stream *rng.Stream) (*
 	return c, nil
 }
 
-// Curve returns the calibrated mean PEM per count.
-func (c *CrowdCounter) Curve() []float64 { return c.pem }
-
 // Estimate inverts the calibration curve: the count whose calibrated PEM
 // is nearest the observed one.
 func (c *CrowdCounter) Estimate(pem float64) int {

@@ -84,7 +84,7 @@ func TestCrowdCounterCurveMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve := counter.Curve()
+	curve := counter.pem
 	for i := 1; i < len(curve); i++ {
 		if curve[i] < curve[i-1] {
 			t.Fatalf("calibration curve not monotone at %d: %v", i, curve)

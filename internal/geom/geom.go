@@ -27,11 +27,6 @@ func (p Point) Scale(a float64) Point { return Point{a * p.X, a * p.Y} }
 // Norm returns the Euclidean norm of p treated as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
-// SegmentPointDist returns the distance from point c to segment ab.
-func SegmentPointDist(a, b, c Point) float64 {
-	return math.Hypot(segmentOffset(a, b, c))
-}
-
 // segmentOffset returns the vector from c to the point of segment ab
 // nearest to it.
 func segmentOffset(a, b, c Point) (dx, dy float64) {
@@ -58,11 +53,12 @@ const circleBand = 0x1p-30
 
 // SegmentIntersectsCircle reports whether segment ab passes within radius r
 // of centre c — the test used to decide whether a person standing at c
-// shadows the radio link a→b. It returns SegmentPointDist(a, b, c) <= r
-// for every input. For r in [2^-500, 2^500] it decides by comparing
-// dx²+dy² with r², whose errors cannot cross the relative circleBand
-// around r², and calls math.Hypot only inside the band or when dx²+dy² is
-// NaN. Any other r goes straight to Hypot.
+// shadows the radio link a→b. It returns math.Hypot(dx, dy) <= r for every
+// input, where (dx, dy) is the offset from c to the nearest point of ab.
+// For r in [2^-500, 2^500] it decides by comparing dx²+dy² with r², whose
+// errors cannot cross the relative circleBand around r², and calls
+// math.Hypot only inside the band or when dx²+dy² is NaN. Any other r goes
+// straight to Hypot.
 func SegmentIntersectsCircle(a, b, c Point, r float64) bool {
 	dx, dy := segmentOffset(a, b, c)
 	if r >= 0x1p-500 && r <= 0x1p500 {

@@ -96,6 +96,12 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// SegmentPointDist returns the distance from point c to segment ab: the
+// oracle SegmentIntersectsCircle is held to.
+func SegmentPointDist(a, b, c Point) float64 {
+	return math.Hypot(segmentOffset(a, b, c))
+}
+
 // refSegmentPointDist is SegmentPointDist as written before it shared
 // segmentOffset with SegmentIntersectsCircle.
 func refSegmentPointDist(a, b, c Point) float64 {

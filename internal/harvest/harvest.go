@@ -144,17 +144,6 @@ type Capacitor struct {
 	On      bool
 }
 
-// NewCapacitor validates thresholds and returns an empty, off capacitor.
-func NewCapacitor(capJ, onJ, offJ float64) (*Capacitor, error) {
-	if capJ <= 0 {
-		return nil, fmt.Errorf("harvest: non-positive capacity %v", capJ)
-	}
-	if !(offJ >= 0 && offJ < onJ && onJ <= capJ) {
-		return nil, fmt.Errorf("harvest: need 0 <= offJ < onJ <= capJ, got off=%v on=%v cap=%v", offJ, onJ, capJ)
-	}
-	return &Capacitor{CapJ: capJ, OnJ: onJ, OffJ: offJ}, nil
-}
-
 // Charge adds harvested energy (clamped at capacity) and turns the device
 // on once the store reaches OnJ. It returns the energy actually stored.
 func (c *Capacitor) Charge(j float64) float64 {

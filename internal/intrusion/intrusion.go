@@ -139,31 +139,3 @@ func NewDetector(cfg Config, stream *rng.Stream) *cnn.Network {
 		cnn.NewDense(24, NumClasses(), stream.Split("d2")),
 	)
 }
-
-// TrainAndEvaluate runs the full pipeline: generate data, train the CNN,
-// and return test accuracy plus the per-class recall.
-func TrainAndEvaluate(cfg Config, perClass, epochs int, stream *rng.Stream) (accuracy float64, recall []float64, err error) {
-	samples := GenerateDataset(cfg, perClass, stream.Split("data"))
-	cut := len(samples) * 3 / 4
-	train, test := samples[:cut], samples[cut:]
-	net := NewDetector(cfg, stream.Split("net"))
-	net.FitParallel(train, epochs, 16, 1, cnn.NewSGD(0.02, 0.9), stream.Split("fit"))
-	correct := 0
-	hits := make([]int, NumClasses())
-	totals := make([]int, NumClasses())
-	for i, got := range net.PredictAll(test) {
-		label := test[i].Label
-		totals[label]++
-		if got == label {
-			correct++
-			hits[label]++
-		}
-	}
-	recall = make([]float64, NumClasses())
-	for c := range recall {
-		if totals[c] > 0 {
-			recall[c] = float64(hits[c]) / float64(totals[c])
-		}
-	}
-	return float64(correct) / float64(len(test)), recall, nil
-}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"zeiot/internal/cnn"
 	"zeiot/internal/motion"
 	"zeiot/internal/rng"
 	"zeiot/internal/tensor"
@@ -101,17 +102,31 @@ func TestDatasetBalancedAndShuffled(t *testing.T) {
 func TestDetectorLearns(t *testing.T) {
 	cfg := DefaultConfig()
 	stream := rng.New(4)
-	acc, recall, err := TrainAndEvaluate(cfg, 40, 8, stream)
-	if err != nil {
-		t.Fatal(err)
+	samples := GenerateDataset(cfg, 40, stream.Split("data"))
+	cut := len(samples) * 3 / 4
+	train, test := samples[:cut], samples[cut:]
+	net := NewDetector(cfg, stream.Split("net"))
+	net.FitParallel(train, 8, 16, 1, cnn.NewSGD(0.02, 0.9), stream.Split("fit"))
+	correct := 0
+	hits := make([]int, NumClasses())
+	totals := make([]int, NumClasses())
+	for i, got := range net.PredictAll(test) {
+		label := test[i].Label
+		totals[label]++
+		if got == label {
+			correct++
+			hits[label]++
+		}
 	}
+	acc := float64(correct) / float64(len(test))
+	recall := float64(hits[ClassEmpty]) / float64(totals[ClassEmpty])
 	if acc < 0.85 {
 		t.Fatalf("intrusion accuracy = %.3f", acc)
 	}
 	// Empty scenes must be near-perfectly rejected (false alarms are the
 	// deployment killer for intrusion systems).
-	if recall[ClassEmpty] < 0.9 {
-		t.Fatalf("empty recall = %.3f", recall[ClassEmpty])
+	if recall < 0.9 {
+		t.Fatalf("empty recall = %.3f", recall)
 	}
 }
 

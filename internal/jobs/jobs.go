@@ -39,11 +39,6 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// Terminal reports whether a job in this state will never change again.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
 // Submit/Shutdown error conditions. The daemon maps ErrQueueFull to
 // HTTP 429 and ErrDraining to HTTP 503.
 var (

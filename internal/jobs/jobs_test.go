@@ -22,6 +22,11 @@ func blockingRun(gate chan struct{}) RunFunc {
 	}
 }
 
+// terminal reports whether a job in state s will never change again.
+func terminal(s State) bool {
+	return s == StateDone || s == StateFailed || s == StateCanceled
+}
+
 func waitState(t *testing.T, p *Pool, id string, want State) Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -33,7 +38,7 @@ func waitState(t *testing.T, p *Pool, id string, want State) Snapshot {
 		if s.State == want {
 			return s
 		}
-		if s.State.Terminal() && !want.Terminal() {
+		if terminal(s.State) && !terminal(want) {
 			t.Fatalf("job %s reached terminal state %s while waiting for %s (err %q)", id, s.State, want, s.Error)
 		}
 		time.Sleep(time.Millisecond)

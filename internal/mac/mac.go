@@ -120,14 +120,6 @@ func (m Metrics) BSDeliveryRatio() float64 {
 	return float64(m.BSDelivered) / float64(m.BSGenerated)
 }
 
-// WLANDeliveryRatio returns delivered/offered (1 when nothing offered).
-func (m Metrics) WLANDeliveryRatio() float64 {
-	if m.WLANOffered == 0 {
-		return 1
-	}
-	return float64(m.WLANDelivered) / float64(m.WLANOffered)
-}
-
 type frame struct {
 	enqueued time.Duration
 	dummy    bool

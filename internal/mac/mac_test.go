@@ -169,8 +169,8 @@ func TestThroughputMatchesOfferedLoadWhenUnderloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 100 frames/s × 12000 bits = 1.2 Mbps offered; all should deliver.
-	if m.WLANDeliveryRatio() < 0.99 {
-		t.Fatalf("underloaded WLAN delivery = %.3f", m.WLANDeliveryRatio())
+	if float64(m.WLANDelivered) < 0.99*float64(m.WLANOffered) {
+		t.Fatalf("underloaded WLAN delivered %d of %d frames", m.WLANDelivered, m.WLANOffered)
 	}
 	if m.WLANThroughputBps < 1.0e6 || m.WLANThroughputBps > 1.4e6 {
 		t.Fatalf("throughput = %v bps", m.WLANThroughputBps)
@@ -206,8 +206,8 @@ func TestZeroDevices(t *testing.T) {
 	if m.BSGenerated != 0 || m.BSDeliveryRatio() != 1 {
 		t.Fatalf("zero-device metrics: %+v", m)
 	}
-	if m.WLANDeliveryRatio() < 0.99 {
-		t.Fatalf("WLAN alone should deliver: %.3f", m.WLANDeliveryRatio())
+	if float64(m.WLANDelivered) < 0.99*float64(m.WLANOffered) {
+		t.Fatalf("WLAN alone should deliver: %d of %d frames", m.WLANDelivered, m.WLANOffered)
 	}
 }
 

@@ -231,23 +231,3 @@ func UnitsPerNode(g *Graph, a Assignment, numNodes int) []int {
 	}
 	return out
 }
-
-// LinkCorrespondence returns the fraction of CNN dependency edges whose
-// endpoints sit on the same node or on directly linked nodes — the quantity
-// the paper's heuristic maximizes.
-func LinkCorrespondence(g *Graph, a Assignment, w *wsn.Network) float64 {
-	total, good := 0, 0
-	for _, s := range g.Sites {
-		for _, dep := range s.Deps {
-			total++
-			u, v := a.NodeOf[dep], a.NodeOf[s.ID]
-			if u == v || w.Linked(u, v) {
-				good++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(good) / float64(total)
-}

@@ -129,16 +129,6 @@ func (m *Model) EnableLocalUpdate() {
 // LocalUpdate reports whether the local weight-update mode is active.
 func (m *Model) LocalUpdate() bool { return m.localUpdate }
 
-// ReplicaCount returns the number of conv kernel replicas across stages
-// (zero when local update is disabled).
-func (m *Model) ReplicaCount() int {
-	n := 0
-	for _, r := range m.replicas {
-		n += len(r.kernels)
-	}
-	return n
-}
-
 // ReplicaDivergence returns the mean L2 distance between every conv replica
 // and the mean kernel of its stage — a measure of how far independent local
 // updates have drifted apart. The per-kernel distance accumulates in the

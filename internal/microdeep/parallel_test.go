@@ -169,16 +169,17 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatalf("cached replay changed costs: %d/%d vs %d/%d", total0, max0, total1, max1)
 	}
 
-	// Kill a node the plan routes through; the epoch must advance and the
-	// new charges must match a cold network with the same failure.
-	epoch0 := w.TopologyEpoch()
+	// Kill a node the plan routes through; the epoch of the grid's one
+	// shard must advance and the new charges must match a cold network with
+	// the same failure.
+	epoch0 := w.ShardEpoch(0)
 	const failed = 14 // interior node of the 6×6 grid
 	w.Fail(failed)
-	if w.TopologyEpoch() != epoch0+1 {
-		t.Fatalf("Fail did not advance topology epoch: %d -> %d", epoch0, w.TopologyEpoch())
+	if w.ShardEpoch(0) != epoch0+1 {
+		t.Fatalf("Fail did not advance the shard epoch: %d -> %d", epoch0, w.ShardEpoch(0))
 	}
 	w.Fail(failed) // no state change: epoch must hold
-	if w.TopologyEpoch() != epoch0+1 {
+	if w.ShardEpoch(0) != epoch0+1 {
 		t.Fatal("failing an already-failed node advanced the epoch")
 	}
 	// Re-assign around the failure, as E8 does.
@@ -211,8 +212,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 
 	// Recovery advances the epoch again and restores the original costs.
 	w.Recover(failed)
-	if w.TopologyEpoch() != epoch0+2 {
-		t.Fatalf("Recover did not advance topology epoch: %d", w.TopologyEpoch())
+	if w.ShardEpoch(0) != epoch0+2 {
+		t.Fatalf("Recover did not advance the shard epoch: %d", w.ShardEpoch(0))
 	}
 	assign, err = AssignBalanced(m.Graph, w, DefaultBalanceOptions())
 	if err != nil {

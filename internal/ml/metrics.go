@@ -91,15 +91,6 @@ func (c *ConfusionMatrix) MacroF1() float64 {
 	return sum / float64(len(c.Counts))
 }
 
-// EvaluateClassifier runs m over test and returns the confusion matrix.
-func EvaluateClassifier(m Classifier, test Dataset, numClasses int) *ConfusionMatrix {
-	cm := NewConfusionMatrix(numClasses)
-	for i, x := range test.X {
-		cm.Add(test.Y[i], m.Predict(x))
-	}
-	return cm
-}
-
 // Standardizer rescales features to zero mean and unit variance using
 // statistics from the training split only.
 type Standardizer struct {
@@ -181,15 +172,4 @@ func CrossValidate(trainer Trainer, d Dataset, k int, stream *rng.Stream) (*Conf
 		}
 	}
 	return cm, nil
-}
-
-// TrainTestSplit partitions d into a train and test set with the given test
-// fraction, shuffled by stream.
-func TrainTestSplit(d Dataset, testFrac float64, stream *rng.Stream) (train, test Dataset) {
-	perm := stream.Perm(d.Len())
-	nTest := int(float64(d.Len()) * testFrac)
-	if nTest < 1 {
-		nTest = 1
-	}
-	return d.Subset(perm[nTest:]), d.Subset(perm[:nTest])
 }

@@ -26,12 +26,12 @@ func blobs(stream *rng.Stream, perClass int, spread float64, centroids ...[]floa
 func TestKNNSeparableBlobs(t *testing.T) {
 	s := rng.New(1)
 	d := blobs(s, 60, 0.3, []float64{0, 0}, []float64{4, 0}, []float64{0, 4})
-	train, test := TrainTestSplit(d, 0.3, s)
+	train, test := trainTestSplit(d, 0.3, s)
 	m, err := KNN{K: 3}.Fit(train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := EvaluateClassifier(m, test, 3)
+	cm := evaluateClassifier(m, test, 3)
 	if cm.Accuracy() < 0.95 {
 		t.Fatalf("knn accuracy = %.3f", cm.Accuracy())
 	}
@@ -60,12 +60,12 @@ func TestKNNValidation(t *testing.T) {
 func TestGaussianNBSeparableBlobs(t *testing.T) {
 	s := rng.New(2)
 	d := blobs(s, 80, 0.5, []float64{0, 0, 0}, []float64{5, 0, 1}, []float64{0, 5, -1})
-	train, test := TrainTestSplit(d, 0.25, s)
+	train, test := trainTestSplit(d, 0.25, s)
 	m, err := GaussianNB{}.Fit(train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := EvaluateClassifier(m, test, 3)
+	cm := evaluateClassifier(m, test, 3)
 	if cm.Accuracy() < 0.95 {
 		t.Fatalf("gnb accuracy = %.3f", cm.Accuracy())
 	}
@@ -96,13 +96,13 @@ func TestGaussianNBUsesVariance(t *testing.T) {
 func TestSoftmaxSeparableBlobs(t *testing.T) {
 	s := rng.New(4)
 	d := blobs(s, 60, 0.4, []float64{0, 0}, []float64{3, 3})
-	train, test := TrainTestSplit(d, 0.3, s)
+	train, test := trainTestSplit(d, 0.3, s)
 	std := FitStandardizer(train)
 	m, err := Softmax{LR: 0.5, Epochs: 300}.Fit(std.Apply(train))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := EvaluateClassifier(m, std.Apply(test), 2)
+	cm := evaluateClassifier(m, std.Apply(test), 2)
 	if cm.Accuracy() < 0.95 {
 		t.Fatalf("softmax accuracy = %.3f", cm.Accuracy())
 	}
@@ -198,7 +198,7 @@ func TestCrossValidate(t *testing.T) {
 func TestTrainTestSplitDisjointAndComplete(t *testing.T) {
 	s := rng.New(6)
 	d := blobs(s, 25, 0.5, []float64{0}, []float64{1})
-	train, test := TrainTestSplit(d, 0.2, s)
+	train, test := trainTestSplit(d, 0.2, s)
 	if train.Len()+test.Len() != d.Len() {
 		t.Fatalf("split sizes %d + %d != %d", train.Len(), test.Len(), d.Len())
 	}
@@ -220,4 +220,24 @@ func TestNumClasses(t *testing.T) {
 	if d.NumClasses() != 5 {
 		t.Fatalf("NumClasses = %d", d.NumClasses())
 	}
+}
+
+// evaluateClassifier runs m over test and returns the confusion matrix.
+func evaluateClassifier(m Classifier, test Dataset, numClasses int) *ConfusionMatrix {
+	cm := NewConfusionMatrix(numClasses)
+	for i, x := range test.X {
+		cm.Add(test.Y[i], m.Predict(x))
+	}
+	return cm
+}
+
+// trainTestSplit partitions d into a train and test set with the given test
+// fraction, shuffled by stream.
+func trainTestSplit(d Dataset, testFrac float64, stream *rng.Stream) (train, test Dataset) {
+	perm := stream.Perm(d.Len())
+	nTest := int(float64(d.Len()) * testFrac)
+	if nTest < 1 {
+		nTest = 1
+	}
+	return d.Subset(perm[nTest:]), d.Subset(perm[:nTest])
 }

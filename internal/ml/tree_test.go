@@ -9,12 +9,12 @@ import (
 func TestTreeSeparableBlobs(t *testing.T) {
 	s := rng.New(1)
 	d := blobs(s, 60, 0.3, []float64{0, 0}, []float64{4, 0}, []float64{0, 4})
-	train, test := TrainTestSplit(d, 0.3, s)
+	train, test := trainTestSplit(d, 0.3, s)
 	m, err := Tree{}.Fit(train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := EvaluateClassifier(m, test, 3)
+	cm := evaluateClassifier(m, test, 3)
 	if cm.Accuracy() < 0.93 {
 		t.Fatalf("tree accuracy = %.3f", cm.Accuracy())
 	}
@@ -35,7 +35,7 @@ func TestTreeXORNeedsDepth(t *testing.T) {
 		}
 		d.Y = append(d.Y, label)
 	}
-	train, test := TrainTestSplit(d, 0.25, s)
+	train, test := trainTestSplit(d, 0.25, s)
 	stump, err := Tree{MaxDepth: 1}.Fit(train)
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +44,8 @@ func TestTreeXORNeedsDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stumpAcc := EvaluateClassifier(stump, test, 2).Accuracy()
-	deepAcc := EvaluateClassifier(deep, test, 2).Accuracy()
+	stumpAcc := evaluateClassifier(stump, test, 2).Accuracy()
+	deepAcc := evaluateClassifier(deep, test, 2).Accuracy()
 	if deepAcc < 0.95 {
 		t.Fatalf("deep tree accuracy = %.3f on XOR", deepAcc)
 	}
@@ -77,7 +77,7 @@ func TestTreeValidation(t *testing.T) {
 func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	s := rng.New(3)
 	d := blobs(s, 80, 0.9, []float64{0, 0, 0, 0}, []float64{2, 0, 1, 0}, []float64{0, 2, 0, 1})
-	train, test := TrainTestSplit(d, 0.3, s)
+	train, test := trainTestSplit(d, 0.3, s)
 	tree, err := Tree{MaxDepth: 8}.Fit(train)
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +86,8 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeAcc := EvaluateClassifier(tree, test, 3).Accuracy()
-	forestAcc := EvaluateClassifier(forest, test, 3).Accuracy()
+	treeAcc := evaluateClassifier(tree, test, 3).Accuracy()
+	forestAcc := evaluateClassifier(forest, test, 3).Accuracy()
 	if forestAcc+0.03 < treeAcc {
 		t.Fatalf("forest %.3f clearly worse than single tree %.3f", forestAcc, treeAcc)
 	}

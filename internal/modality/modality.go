@@ -103,14 +103,3 @@ func FromDataset(d ml.Dataset) []cnn.Sample {
 	}
 	return out
 }
-
-// ToDataset flattens CNN samples into a labelled feature matrix — the
-// inverse of FromDataset for classical-ML consumers. Sample data is copied.
-func ToDataset(samples []cnn.Sample) ml.Dataset {
-	var d ml.Dataset
-	for _, s := range samples {
-		d.X = append(d.X, append([]float64(nil), s.Input.Data()...))
-		d.Y = append(d.Y, s.Label)
-	}
-	return d
-}

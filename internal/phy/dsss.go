@@ -73,19 +73,6 @@ func hamming(a, b [ChipsPerSymbol]float64) int {
 	return d
 }
 
-// MinDistance returns the smallest pairwise chip distance of the codebook.
-func (cb *Codebook) MinDistance() int {
-	minD := ChipsPerSymbol
-	for i := 0; i < Symbols; i++ {
-		for j := i + 1; j < Symbols; j++ {
-			if d := hamming(cb.chips[i], cb.chips[j]); d < minD {
-				minD = d
-			}
-		}
-	}
-	return minD
-}
-
 // Spread maps symbols (values 0..15) to a chip waveform.
 func (cb *Codebook) Spread(symbols []int) ([]float64, error) {
 	out := make([]float64, 0, len(symbols)*ChipsPerSymbol)

@@ -8,7 +8,7 @@ import (
 
 func TestCodebookGeometry(t *testing.T) {
 	cb := NewCodebook()
-	if d := cb.MinDistance(); d < 13 {
+	if d := minDistance(cb); d < 13 {
 		t.Fatalf("codebook min distance = %d, want >= 13", d)
 	}
 	// Chips are ±1 only.
@@ -150,4 +150,18 @@ func TestErrorRateValidation(t *testing.T) {
 	if _, err := UnspreadErrorRate(Channel{}, -1, rng.New(1)); err == nil {
 		t.Fatal("negative trials accepted")
 	}
+}
+
+// minDistance returns the smallest pairwise chip distance of the codebook,
+// the margin the geometry test holds it to.
+func minDistance(cb *Codebook) int {
+	minD := ChipsPerSymbol
+	for i := 0; i < Symbols; i++ {
+		for j := i + 1; j < Symbols; j++ {
+			if d := hamming(cb.chips[i], cb.chips[j]); d < minD {
+				minD = d
+			}
+		}
+	}
+	return minD
 }

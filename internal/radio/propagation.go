@@ -52,12 +52,6 @@ type LogDistance struct {
 	ShadowSigmaDB float64
 }
 
-// Indoor24GHz returns a log-distance model calibrated for 2.4 GHz indoor
-// environments: 40 dB loss at 1 m, exponent 3.0, 4 dB shadowing.
-func Indoor24GHz() LogDistance {
-	return LogDistance{RefLossDB: 40, RefDist: 1, Exponent: 3.0, ShadowSigmaDB: 4}
-}
-
 // PathLossDB returns the deterministic (no shadowing) loss at distance d.
 func (m LogDistance) PathLossDB(d float64) float64 {
 	if d < m.RefDist {
@@ -150,10 +144,4 @@ func PacketErrorRate(ber float64, bits int) float64 {
 		return 1
 	}
 	return 1 - math.Pow(1-ber, float64(bits))
-}
-
-// SNRLinear converts received signal and noise powers in dBm to a linear
-// SNR.
-func SNRLinear(rssiDBm, noiseDBm float64) float64 {
-	return math.Pow(10, (rssiDBm-noiseDBm)/10)
 }

@@ -38,7 +38,7 @@ func TestFreeSpacePathLoss(t *testing.T) {
 }
 
 func TestLogDistanceMonotonic(t *testing.T) {
-	m := Indoor24GHz()
+	m := indoor24GHz()
 	prev := math.Inf(-1)
 	for d := 1.0; d <= 64; d *= 2 {
 		loss := m.PathLossDB(d)
@@ -54,14 +54,14 @@ func TestLogDistanceMonotonic(t *testing.T) {
 }
 
 func TestLogDistanceBelowReference(t *testing.T) {
-	m := Indoor24GHz()
+	m := indoor24GHz()
 	if m.PathLossDB(0.1) != m.PathLossDB(1) {
 		t.Fatal("distances below reference must clamp")
 	}
 }
 
 func TestShadowingStatistics(t *testing.T) {
-	m := Indoor24GHz()
+	m := indoor24GHz()
 	s := rng.New(1)
 	const n = 20000
 	sum, sumSq := 0.0, 0.0
@@ -82,7 +82,7 @@ func TestShadowingStatistics(t *testing.T) {
 }
 
 func TestRSSIDeterministicWithoutStream(t *testing.T) {
-	m := Indoor24GHz()
+	m := indoor24GHz()
 	a := m.RSSI(0, 2, 2, 5, nil)
 	b := m.RSSI(0, 2, 2, 5, nil)
 	if a != b {
@@ -391,4 +391,10 @@ func TestEnergyPerBitRatios(t *testing.T) {
 	if !(back < ble && ble < wifi) {
 		t.Fatal("energy ordering backscatter < ble < wifi violated")
 	}
+}
+
+// indoor24GHz returns a log-distance model calibrated for 2.4 GHz indoor
+// environments: 40 dB loss at 1 m, exponent 3.0, 4 dB shadowing.
+func indoor24GHz() LogDistance {
+	return LogDistance{RefLossDB: 40, RefDist: 1, Exponent: 3.0, ShadowSigmaDB: 4}
 }

@@ -24,7 +24,12 @@ func TestPropertyRandomPlansValidate(t *testing.T) {
 		n := 5 + stream.Intn(40)
 		for i := 0; i < n; i++ {
 			from := stream.Intn(w.NumNodes())
-			neighbors := w.Neighbors(from)
+			var neighbors []int
+			for j := range w.NumNodes() {
+				if w.Linked(from, j) {
+					neighbors = append(neighbors, j)
+				}
+			}
 			if len(neighbors) == 0 {
 				continue
 			}

@@ -26,7 +26,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 
 	"zeiot/internal/microdeep"
 	"zeiot/internal/wsn"
@@ -57,12 +56,6 @@ type Options struct {
 	// is within this many hops of the receiver. 1 models standard
 	// one-cell reuse.
 	InterferenceHops int
-}
-
-// DefaultOptions returns single-channel operation with one-hop
-// interference.
-func DefaultOptions() Options {
-	return Options{Channels: 1, InterferenceHops: 1}
 }
 
 // Build schedules the transfer plan over w. Transfers must reference valid
@@ -262,39 +255,6 @@ type CollectionReport struct {
 	CycleOK      bool
 	RequiredHz   float64
 	UtilizationP float64 // fraction of the cycle the schedule occupies
-}
-
-// PipelinedRate returns the maximum sustainable sample rate (Hz) when
-// consecutive samples are pipelined through the stage phases: while stage 2
-// of sample k is in the air, stage 1 of sample k+1 can run, so the
-// steady-state bottleneck is the longest stage phase rather than the whole
-// round.
-func (s *Schedule) PipelinedRate(slotSec float64) float64 {
-	if slotSec <= 0 {
-		panic("schedule: non-positive slot duration")
-	}
-	if s.Slots == 0 {
-		return 1 / slotSec
-	}
-	longest := 0
-	prevEnd := 0
-	// StageEnd is cumulative; reconstruct per-stage phase lengths.
-	stages := make([]int, 0, len(s.StageEnd))
-	for st := range s.StageEnd {
-		stages = append(stages, st)
-	}
-	sort.Ints(stages)
-	for _, st := range stages {
-		length := s.StageEnd[st] - prevEnd
-		if length > longest {
-			longest = length
-		}
-		prevEnd = s.StageEnd[st]
-	}
-	if longest == 0 {
-		return 1 / slotSec
-	}
-	return 1 / (float64(longest) * slotSec)
 }
 
 // Feasibility reports whether the schedule can sustain the required

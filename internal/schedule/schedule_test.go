@@ -86,7 +86,7 @@ func TestMoreChannelsNeverLengthen(t *testing.T) {
 
 func TestStageCausality(t *testing.T) {
 	plan, w := testPlan(t, 6, 6)
-	s, err := Build(plan, w, DefaultOptions())
+	s, err := Build(plan, w, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestInterferenceRangeMatters(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	plan, w := testPlan(t, 4, 4)
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	s, err := Build(plan, w, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -165,18 +165,18 @@ func TestBuildRejectsBadInput(t *testing.T) {
 		t.Fatal("zero channels accepted")
 	}
 	bad := []microdeep.Transfer{{From: 0, To: 15, Scalars: 1, Stage: 1}} // not a link on 4x4 grid
-	if _, err := Build(bad, w, DefaultOptions()); err == nil {
+	if _, err := Build(bad, w, defaultOptions()); err == nil {
 		t.Fatal("non-link transfer accepted")
 	}
 	self := []microdeep.Transfer{{From: 3, To: 3, Scalars: 1, Stage: 1}}
-	if _, err := Build(self, w, DefaultOptions()); err == nil {
+	if _, err := Build(self, w, defaultOptions()); err == nil {
 		t.Fatal("self transfer accepted")
 	}
 }
 
 func TestFeasibility(t *testing.T) {
 	plan, w := testPlan(t, 6, 6)
-	s, err := Build(plan, w, DefaultOptions())
+	s, err := Build(plan, w, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestFeasibility(t *testing.T) {
 
 func TestDeterministicSchedule(t *testing.T) {
 	plan, w := testPlan(t, 6, 6)
-	a, err := Build(plan, w, DefaultOptions())
+	a, err := Build(plan, w, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(plan, w, DefaultOptions())
+	b, err := Build(plan, w, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,25 +218,8 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 }
 
-func TestPipelinedRateBeatsRoundRate(t *testing.T) {
-	plan, w := testPlan(t, 6, 6)
-	s, err := Build(plan, w, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const slotSec = 0.001
-	round := s.Feasibility(slotSec, 1).MaxRateHz
-	pipelined := s.PipelinedRate(slotSec)
-	if pipelined < round {
-		t.Fatalf("pipelined rate %.2f below round rate %.2f", pipelined, round)
-	}
-	// Multi-stage plans must genuinely pipeline (strictly faster).
-	if len(s.StageEnd) > 1 && pipelined <= round {
-		t.Fatalf("multi-stage schedule did not pipeline: %.2f vs %.2f", pipelined, round)
-	}
-	// Empty schedule: bounded by slotting only.
-	empty := &Schedule{Channels: 1, StageEnd: map[int]int{}}
-	if empty.PipelinedRate(slotSec) != 1/slotSec {
-		t.Fatal("empty schedule pipelined rate wrong")
-	}
+// defaultOptions returns single-channel operation with one-hop
+// interference.
+func defaultOptions() Options {
+	return Options{Channels: 1, InterferenceHops: 1}
 }

@@ -140,25 +140,6 @@ func (s *SpringAccelerometer) Step(accel float64) int {
 // States implements Device.
 func (s *SpringAccelerometer) States() int { return 2 }
 
-// ChatterRate runs the accelerometer over a sinusoidal excitation of the
-// given amplitude and frequency for duration seconds and returns the
-// fraction of ticks the contact is closed — the quantity a backscatter
-// reader measures to estimate vibration strength.
-func (s *SpringAccelerometer) ChatterRate(amplitude, freqHz, durationSec float64) float64 {
-	s.pos, s.vel = 0, 0
-	ticks := int(durationSec / s.TickSec)
-	closed := 0
-	for i := 0; i < ticks; i++ {
-		tSec := float64(i) * s.TickSec
-		a := amplitude * math.Sin(2*math.Pi*freqHz*tSec)
-		closed += s.Step(a)
-	}
-	if ticks == 0 {
-		return 0
-	}
-	return float64(closed) / float64(ticks)
-}
-
 // FlowMeter is the Printed Wi-Fi water meter of ref. [36] (§II.B): water
 // flow spins a 3D-printed turbine whose gear toggles the antenna impedance
 // once per revolution, so the reader sees an on/off pattern whose rate

@@ -28,9 +28,6 @@ type Event struct {
 // already-cancelled event is a no-op.
 func (e *Event) Cancel() { e.dead = true }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() time.Duration { return e.at }
-
 type eventQueue []*Event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -122,11 +119,4 @@ func (k *Kernel) Run(horizon time.Duration) error {
 		return ErrStopped
 	}
 	return nil
-}
-
-// RunAll executes events until the queue drains, with no horizon. Use only
-// for simulations that are known to terminate.
-func (k *Kernel) RunAll() error {
-	const forever = time.Duration(1<<63 - 1)
-	return k.Run(forever)
 }

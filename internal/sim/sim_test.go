@@ -12,7 +12,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	k.At(30*time.Millisecond, func() { order = append(order, 3) })
 	k.At(10*time.Millisecond, func() { order = append(order, 1) })
 	k.At(20*time.Millisecond, func() { order = append(order, 2) })
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 3}
@@ -30,7 +30,7 @@ func TestTiesBreakByInsertionOrder(t *testing.T) {
 		i := i
 		k.At(time.Second, func() { order = append(order, i) })
 	}
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
@@ -44,7 +44,7 @@ func TestNowAdvances(t *testing.T) {
 	k := New()
 	var at time.Duration
 	k.At(42*time.Millisecond, func() { at = k.Now() })
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 	if at != 42*time.Millisecond {
@@ -58,7 +58,7 @@ func TestAfterIsRelative(t *testing.T) {
 	k.At(10*time.Millisecond, func() {
 		k.After(5*time.Millisecond, func() { second = k.Now() })
 	})
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 	if second != 15*time.Millisecond {
@@ -71,7 +71,7 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := k.At(time.Second, func() { fired = true })
 	e.Cancel()
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
@@ -96,7 +96,7 @@ func TestHorizonStopsExecution(t *testing.T) {
 		t.Fatalf("clock = %v after horizon run", k.Now())
 	}
 	// Resuming must execute the remaining event.
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 3 {
@@ -109,7 +109,7 @@ func TestStop(t *testing.T) {
 	count := 0
 	k.At(time.Second, func() { count++; k.Stop() })
 	k.At(2*time.Second, func() { count++ })
-	err := k.RunAll()
+	err := runAll(k)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
@@ -129,7 +129,7 @@ func TestSchedulingInsideEvents(t *testing.T) {
 		}
 	}
 	k.At(0, step)
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 	if hops != 100 {
@@ -150,7 +150,7 @@ func TestPastSchedulingPanics(t *testing.T) {
 		}()
 		k.At(500*time.Millisecond, func() {})
 	})
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,10 +162,16 @@ func TestPending(t *testing.T) {
 	if k.Pending() != 2 {
 		t.Fatalf("Pending = %d", k.Pending())
 	}
-	if err := k.RunAll(); err != nil {
+	if err := runAll(k); err != nil {
 		t.Fatal(err)
 	}
 	if k.Pending() != 0 {
 		t.Fatalf("Pending after run = %d", k.Pending())
 	}
+}
+
+// runAll executes events until the queue drains, with no horizon.
+func runAll(k *Kernel) error {
+	const forever = time.Duration(1<<63 - 1)
+	return k.Run(forever)
 }

@@ -30,7 +30,9 @@ func TestStridesRowMajor(t *testing.T) {
 
 func TestEnsureReusesStorage(t *testing.T) {
 	a := New(4, 4)
-	a.Fill(3)
+	for i := range a.data {
+		a.data[i] = 3
+	}
 	b := Ensure(a, 2, 8)
 	if b != a {
 		t.Fatal("Ensure did not reuse a same-volume tensor")
@@ -174,8 +176,7 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 			}
 		}
 	}
-	buf := New(2, 2)
-	buf.Fill(42) // must be cleared by MatMulInto
+	buf := FromSlice([]float64{42, 42, 42, 42}, 2, 2) // must be cleared by MatMulInto
 	got := MatMulInto(buf, a, b)
 	if got != buf || !Equal(want, got, 0) {
 		t.Fatalf("MatMulInto = %v, want %v", got, want)

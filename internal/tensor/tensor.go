@@ -154,13 +154,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	clear(t.data)

@@ -171,16 +171,6 @@ func (m *LinkFaultModel) Attempt(from, to int) bool {
 	return !st.stream.Bool(m.cfg.DropProb)
 }
 
-// Clock returns the number of attempts the model has processed.
-func (m *LinkFaultModel) Clock() uint64 { return m.clock }
-
-// Reset restores the model to its initial state: clock zero, every link's
-// loss process rewound to its seed.
-func (m *LinkFaultModel) Reset() {
-	m.clock = 0
-	m.links = make(map[uint64]*linkState)
-}
-
 // RetryPolicy bounds the reliable transport's per-hop retransmissions.
 type RetryPolicy struct {
 	// MaxRetries is the number of retransmissions allowed per hop after the

@@ -28,19 +28,6 @@ func TestLinkFaultModelDeterminism(t *testing.T) {
 		}
 	}
 
-	m := NewLinkFaultModel(cfg)
-	first := attempts(m)
-	m.Reset()
-	if m.Clock() != 0 {
-		t.Fatalf("Reset left clock at %d", m.Clock())
-	}
-	second := attempts(m)
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("attempt %d differs after Reset", i)
-		}
-	}
-
 	other := attempts(NewLinkFaultModel(FaultConfig{Seed: 43, DropProb: 0.3}))
 	same := 0
 	for i := range a {

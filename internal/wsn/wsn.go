@@ -154,24 +154,12 @@ func (n *Network) Recover(id int) {
 // raw pointer could alias a freed network's recycled address.
 func (n *Network) ID() uint64 { return n.id }
 
-// TopologyEpoch returns a counter that advances on every effective Fail or
-// Recover. Two calls returning the same value bracket a window in which
-// the connectivity graph — and therefore every hop count and route — was
-// unchanged.
-func (n *Network) TopologyEpoch() uint64 { return n.epoch }
-
 // Linked reports whether i and j are both live and share a direct link.
 func (n *Network) Linked(i, j int) bool {
 	if n.nodes[i].Failed || n.nodes[j].Failed {
 		return false
 	}
 	return n.adj.contains(i, j)
-}
-
-// Neighbors returns the live direct neighbours of i in ascending order,
-// freshly allocated per call.
-func (n *Network) Neighbors(i int) []int {
-	return n.liveNeighbors(i, nil)
 }
 
 // Hops returns the hop distance between i and j, or -1 if unreachable.
@@ -368,15 +356,6 @@ func (n *Network) MaxCost() int {
 		}
 	}
 	return maxC
-}
-
-// TotalCost returns the sum of per-node communication costs.
-func (n *Network) TotalCost() int {
-	t := 0
-	for _, nd := range n.nodes {
-		t += nd.Cost()
-	}
-	return t
 }
 
 // LinkRSSI is one directed live-link measurement of ref. [66]'s inter-node
