@@ -4,9 +4,12 @@
 # data-parallel training path, the experiment fan-out that trains e1's and
 # e2's fits and scores e8's failure patterns side by side, and the
 # concurrent mixed-config runs make the race run load-bearing, not
-# optional), a 10 s fuzz of geom.SegmentIntersectsCircle against its
-# distance oracle, a 10 s fuzz of wsn's FuzzShardedChurn (random Fail/Recover
-# sequences against the all-pairs BFS oracle), and two end-to-end smokes: e1
+# optional; it also runs TestSourceCheck), a 10 s fuzz of
+# geom.SegmentIntersectsCircle against its distance oracle, a 10 s fuzz of
+# wsn's FuzzShardedChurn (random Fail/Recover sequences against the
+# all-pairs BFS oracle), a 10 s fuzz of zeiotd's submit decoder, a build,
+# vet and test of the zbench module (its own go.mod, which the root
+# ./... never reaches), and two end-to-end smokes: e1
 # and e7 at seed 1 must emit exactly the checked-in golden JSON, so a
 # determinism regression anywhere in the stack fails CI even if no unit test
 # covers it, and a
@@ -35,6 +38,12 @@ go test -run '^$' -fuzz FuzzSegmentIntersectsCircle -fuzztime 10s ./internal/geo
 # Fuzz step: under arbitrary churn the routing core's hop counts and routes
 # must agree with the all-pairs BFS oracle of the wsn tests.
 go test -run '^$' -fuzz FuzzShardedChurn -fuzztime 10s ./internal/wsn
+# Fuzz step: POST /jobs decodes network input; any body must answer 200,
+# 202, 400 or 429 without a panic, every 2xx with the config's ConfigKey.
+go test -run '^$' -fuzz FuzzSubmit -fuzztime 10s ./cmd/zeiotd
+# zbench is a module of its own (replace zeiot => ../), so the steps above
+# never compile it; a deleted or renamed API it calls fails here.
+(cd zbench && go build ./... && go vet ./... && go test ./...)
 
 smoke="$(mktemp)"
 m1="$(mktemp)"

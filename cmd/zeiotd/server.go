@@ -126,10 +126,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Add("jobs_submitted", 1)
 
-	// Cache check and job creation under one lock, so two identical
-	// submissions racing an eviction-free cache still each get a coherent
-	// answer (both may miss and run; the results are byte-identical, so
-	// whichever finishes last overwrites with the same bytes).
+	// The lock covers only the cache read, not the job creation after it:
+	// two identical submissions may both miss and both run. Their results
+	// are byte-identical, so whichever finishes last overwrites the entry
+	// with the same bytes.
 	s.mu.Lock()
 	cached, hit := s.cache[key]
 	s.mu.Unlock()
