@@ -7,9 +7,11 @@
 # optional; it also runs TestSourceCheck), a 10 s fuzz of
 # geom.SegmentIntersectsCircle against its distance oracle, a 10 s fuzz of
 # wsn's FuzzShardedChurn (random Fail/Recover sequences against the
-# all-pairs BFS oracle), a 10 s fuzz of zeiotd's submit decoder, a build,
-# vet and test of the zbench module (its own go.mod, which the root
-# ./... never reaches), and two end-to-end smokes: e1
+# all-pairs BFS oracle), a 10 s fuzz of zeiotd's submit decoder, a 10 s
+# fuzz of the CNN checkpoint decoders (FuzzLoad: the reader E17's
+# -checkpoint … -resume goes through), a build, vet and test of the zbench
+# module (its own go.mod, which the root ./... never reaches), and two
+# end-to-end smokes: e1
 # and e7 at seed 1 must emit exactly the checked-in golden JSON, so a
 # determinism regression anywhere in the stack fails CI even if no unit test
 # covers it, and a
@@ -41,6 +43,9 @@ go test -run '^$' -fuzz FuzzShardedChurn -fuzztime 10s ./internal/wsn
 # Fuzz step: POST /jobs decodes network input; any body must answer 200,
 # 202, 400 or 429 without a panic, every 2xx with the config's ConfigKey.
 go test -run '^$' -fuzz FuzzSubmit -fuzztime 10s ./cmd/zeiotd
+# Fuzz step: the checkpoint decoders E17's -resume reads must reject any
+# garbage without a panic, and every trainer they accept must take a step.
+go test -run '^$' -fuzz FuzzLoad -fuzztime 10s ./internal/cnn
 # zbench is a module of its own (replace zeiot => ../), so the steps above
 # never compile it; a deleted or renamed API it calls fails here.
 (cd zbench && go build ./... && go vet ./... && go test ./...)

@@ -108,6 +108,9 @@ func TestSubmitValidation(t *testing.T) {
 		"invalid value":     `{"experiment":"e1","config":{"TrainWorkers":-1}}`,
 		"recorder":          `{"experiment":"e1","config":{"Recorder":{}}}`,
 		"bad loss":          `{"experiment":"e1","config":{"Loss":{"DropProb":0.5}}}`,
+		"trailing input":    `{"experiment":"e1","config":{"Seed":1}} {"experiment":"e2"} garbage`,
+		"trailing value":    `{"experiment":"e1","config":{"Seed":1}} {"experiment":"e2"}`,
+		"trailing brace":    `{"experiment":"e1","config":{"Seed":1}}}`,
 	}
 	for name, body := range cases {
 		if _, code := submit(t, ts, body); code != http.StatusBadRequest {

@@ -15,8 +15,9 @@ import (
 // FuzzSubmit drives POST /jobs with arbitrary bodies through the handler,
 // with no socket and a stub runner. The submit decoder must never panic and
 // must answer 200 (cache hit), 202 (queued), 400 (rejected) or 429 (queue
-// full), and every 2xx must carry the ConfigKey of the config the body
-// decodes to.
+// full), every 2xx must carry the ConfigKey of the config the body decodes
+// to, and a 2xx body holds one JSON value with only JSON whitespace after
+// it.
 func FuzzSubmit(f *testing.F) {
 	for _, body := range []string{
 		`{"experiment":"e1","config":{"Seed":1}}`,
@@ -29,6 +30,8 @@ func FuzzSubmit(f *testing.F) {
 		`{"experiment"`,
 		`{"experiment":"e1","config":{"Sede":1}}`,
 		`{"experiment":"e1","config":{"Recorder":{}}}`,
+		`{"experiment":"e1","config":{"Seed":1}} {"experiment":"e2"} garbage`,
+		"{\"experiment\":\"e1\"}\r\n\t ",
 		``,
 	} {
 		f.Add([]byte(body))
@@ -65,6 +68,9 @@ func FuzzSubmit(f *testing.F) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			t.Fatalf("accepted body %q that does not decode: %v", body, err)
+		}
+		if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+			t.Fatalf("accepted body %q with %q after its JSON value", body, rest)
 		}
 		rc := &zeiot.RunConfig{}
 		if len(req.Config) > 0 {

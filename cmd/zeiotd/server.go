@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -100,6 +101,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
+	}
+	// Decode stops after the first value; a body is one request, so
+	// anything but whitespace after it is malformed, not ignored.
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, errors.New("bad request body: data after the request object"))
 		return
 	}
 	if req.Experiment == "" {

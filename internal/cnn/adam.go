@@ -25,27 +25,6 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Reset drops all moment estimates and the step counter, releasing the
-// buffers for garbage collection when the trained networks are retired.
-func (a *Adam) Reset() {
-	a.step = 0
-	clear(a.m)
-	clear(a.v)
-}
-
-// Release drops the moment estimates of the given parameter tensors (see
-// SGD.Release).
-func (a *Adam) Release(params ...*tensor.Tensor) {
-	for _, p := range params {
-		delete(a.m, p)
-		delete(a.v, p)
-	}
-}
-
-// StateSize returns the number of parameter tensors the optimizer currently
-// holds moment buffers for (exposed for leak tests).
-func (a *Adam) StateSize() int { return len(a.m) }
-
 // Step applies one Adam update with gradients averaged over batch.
 func (a *Adam) Step(params, grads []*tensor.Tensor, batch int) {
 	if len(params) != len(grads) {

@@ -12,25 +12,6 @@ import (
 // The race detector instruments allocations, so these steady-state alloc
 // budgets only hold in normal builds (hence the build tag above).
 
-func allocNet(seed uint64) (*Network, *tensor.Tensor) {
-	s := rng.New(seed)
-	net := NewNetwork([]int{1, 17, 25},
-		NewConv2D(1, 4, 3, 3, 1, 1, s.Split("c")),
-		NewReLU(),
-		NewMaxPool2D(3, 3),
-		NewFlatten(),
-		NewDense(4*5*8, 16, s.Split("d1")),
-		NewReLU(),
-		NewDense(16, 2, s.Split("d2")),
-	)
-	in := tensor.New(1, 17, 25)
-	d := in.Data()
-	for i := range d {
-		d[i] = s.NormMeanStd(0, 1)
-	}
-	return net, in
-}
-
 // TestForwardAllocFree guards the scratch-buffer design: once warmed, a full
 // network forward pass must not allocate (budget ≤ 2 allows for runtime
 // noise like stack growth, not for per-layer buffers).

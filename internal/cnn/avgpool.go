@@ -7,12 +7,10 @@ import (
 )
 
 // AvgPool2D is an average pooling layer over (channels, height, width)
-// input. Windows clipped by the input edge average over the cells actually
-// present, which keeps the operation an exact associative mean — the
-// property the distributed executor's in-network aggregation relies on.
+// input: each output is the mean of its Size×Size window, which lies wholly
+// inside the input (see poolDims).
 type AvgPool2D struct {
 	Size, Stride int
-	counts       []int // cells actually inside each output's window
 	// Scratch (see batch.go).
 	bInShape      []int
 	outB, gradInB *tensor.Tensor
@@ -45,17 +43,7 @@ func (p *AvgPool2D) Name() string { return fmt.Sprintf("avgpool%dx%d", p.Size, p
 func (p *AvgPool2D) shadow() Layer { return &AvgPool2D{Size: p.Size, Stride: p.Stride} }
 
 // OutShape implements Layer.
-func (p *AvgPool2D) OutShape(in []int) []int {
-	if len(in) != 3 {
-		panic(fmt.Sprintf("cnn: pool input shape %v, want 3-d", in))
-	}
-	oh := (in[1]-p.Size)/p.Stride + 1
-	ow := (in[2]-p.Size)/p.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("cnn: pool output collapses for input %v", in))
-	}
-	return []int{in[0], oh, ow}
-}
+func (p *AvgPool2D) OutShape(in []int) []int { return poolOutShape(p.Size, p.Stride, in) }
 
 // Receptive implements SpatialLayer.
 func (p *AvgPool2D) Receptive(oy, ox int) (y0, y1, x0, x1 int) {

@@ -49,8 +49,16 @@ package cnn
 //     all accumulate in ascending feature/sample/output order, matching the
 //     reference loops term for term (zero-skip differences are ±0 no-ops as
 //     above, on accumulators that start at +0).
-//   - ReLU/pooling/flatten: element-wise or per-plane operations applied in
-//     the reference's scan order; only the memory layout changes.
+//   - Pooling: per-plane window folds. Max-pool's forward records each
+//     window's winner, the first cell equal to its max, which is where the
+//     reference routes the gradient; every backward scatters from that
+//     record in pool-output order, the reference's, so no backward searches
+//     a window. Its 2×2/3×3 folds regroup the max only on NaN-free windows,
+//     where max is associative. Fused behind a ReLU it gates each gradient on
+//     the ReLU output at the winner, exactly the reference's ReLU backward
+//     (see MaxPool2D.forwardBatchImpl for the NaN case).
+//   - ReLU/flatten: element-wise operations applied in the reference's scan
+//     order; only the memory layout changes.
 //   - Cross-entropy: crossEntropyRows runs CrossEntropy's arithmetic row by
 //     row.
 
@@ -695,9 +703,9 @@ func (c *Conv2D) scatterBatch(gid, god, ind []float64, bsz, h, w, oh, ow int) {
 // sparseWinner is one routed max-pool gradient in a packed block: the conv
 // output position that won its pooling window (channel oc, sample b, spatial
 // y/x) and the gradient it carries. The emission order — oc-major, then
-// sample, then (y, x) ascending after the per-plane sort — is exactly the
-// per-element accumulation order of the dense scatter, which is what keeps
-// the sparse handoff bit-identical.
+// sample, then (y, x) ascending — is exactly the per-element accumulation
+// order of the dense scatter, which is what keeps the sparse handoff
+// bit-identical.
 type sparseWinner struct {
 	oc, b, y, x int32
 	g           float64
@@ -972,517 +980,195 @@ func (p *MaxPool2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // forwardBatchReLU is forwardBatch over a raw (pre-activation) block with the
-// preceding ReLU applied to each pooled maximum at the store (see
-// forwardBatchAll; relu and max commute exactly).
+// preceding ReLU layer fused in (see forwardBatchAll).
 func (p *MaxPool2D) forwardBatchReLU(in *tensor.Tensor) *tensor.Tensor {
 	return p.forwardBatchImpl(in, true)
 }
 
+// forwardBatchImpl pools each window and records in win the flat input index
+// of its winner, the first window cell equal to the max: the cell the
+// reference routes the window's gradient to, or the window origin when no
+// cell is equal, as for a NaN max. Every backward reads win; none searches a
+// window.
+//
+// Every fold merges runs of cells in scan order with pick. On a window
+// without NaN the builtin max is associative, so the 2×2 and 3×3 cases fold
+// as balanced trees, which shortens the dependency chain, and still give the
+// reference's left-fold max and its first equal cell. A NaN max's payload
+// depends on the grouping (amd64 ORs the operands' bits into it), so such a
+// window is folded again by poolWindow in the reference's order.
+//
+// With relu the block holds raw conv outputs and the ReLU applies to each
+// pooled max. On a window without NaN that matches the reference's ReLU, then
+// MaxPool: ReLU is monotone and keeps every positive value, so the ReLU of the
+// raw max is the max of the ReLU'd window, and while that max is positive the
+// first raw cell equal to it is the reference's winner; when it is +0 the ReLU
+// backward drops the window's gradient at whichever cell won. A NaN makes the
+// raw max NaN where the ReLU maps a negative NaN to +0, so such a window is
+// folded over its ReLU'd cells instead, as the reference folds it.
 func (p *MaxPool2D) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tensor {
 	if in.Dims() != 4 {
 		panic(fmt.Sprintf("cnn: batched pool input shape %v, want (C,B,H,W)", in.Shape()))
 	}
-	p.bInShape = append(p.bInShape[:0], in.Shape()...)
 	p.lastInB = in
 	ch, bsz, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	oh := (h-p.Size)/p.Stride + 1
-	ow := (w-p.Size)/p.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("cnn: pool output collapses for input %v", in.Shape()))
-	}
+	oh, ow := poolDims(p.Size, p.Stride, h, w)
 	p.outB = tensor.Ensure(p.outB, ch, bsz, oh, ow)
-	ind := in.Data()
 	outd := p.outB.Data()
-	idx := 0
+	p.win = slices.Grow(p.win[:0], len(outd))[:len(outd)]
+	ind := in.Data()
+	i := 0
 	for cb := 0; cb < ch*bsz; cb++ {
-		cBase := cb * h * w
-		switch {
-		// The size-2/3 fast paths fold each window as a balanced max tree:
-		// the builtin max is associative and commutative (NaN and ±0
-		// included), so regrouping the reference's left fold is exact while
-		// cutting the dependency chain in half.
-		case p.Size == 2:
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					o := row + ox*p.Stride
-					r0 := ind[o : o+2]
-					r1 := ind[o+w : o+w+2]
-					m := max(max(r0[0], r0[1]), max(r1[0], r1[1]))
-					if relu {
-						m = reluMask(m)
-					}
-					outd[idx] = m
-					idx++
+		for oy := 0; oy < oh; oy++ {
+			row := (cb*h + oy*p.Stride) * w
+			for ox := 0; ox < ow; ox++ {
+				o := row + ox*p.Stride
+				var m float64
+				var t int
+				switch p.Size {
+				case 2:
+					r0, r1 := ind[o:o+2], ind[o+w:o+w+2]
+					m0, t0 := pick(r0[0], o, r0[1], o+1)
+					m1, t1 := pick(r1[0], o+w, r1[1], o+w+1)
+					m, t = pick(m0, t0, m1, t1)
+				case 3:
+					r0, r1, r2 := ind[o:o+3], ind[o+w:o+w+3], ind[o+2*w:o+2*w+3]
+					m0, t0 := pick(r0[0], o, r0[1], o+1)
+					m0, t0 = pick(m0, t0, r0[2], o+2)
+					m1, t1 := pick(r1[0], o+w, r1[1], o+w+1)
+					m1, t1 = pick(m1, t1, r1[2], o+w+2)
+					m2, t2 := pick(r2[0], o+2*w, r2[1], o+2*w+1)
+					m2, t2 = pick(m2, t2, r2[2], o+2*w+2)
+					m, t = pick(m0, t0, m1, t1)
+					m, t = pick(m, t, m2, t2)
+				default:
+					m, t = poolWindow(ind, o, p.Size, w, false)
 				}
-			}
-		case p.Size == 3:
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					o := row + ox*p.Stride
-					r0 := ind[o : o+3]
-					r1 := ind[o+w : o+w+3]
-					r2 := ind[o+2*w : o+2*w+3]
-					m0 := max(max(r0[0], r0[1]), r0[2])
-					m1 := max(max(r1[0], r1[1]), r1[2])
-					m2 := max(max(r2[0], r2[1]), r2[2])
-					m := max(max(m0, m1), m2)
-					if relu {
-						m = reluMask(m)
-					}
-					outd[idx] = m
-					idx++
+				if m != m {
+					m, t = poolWindow(ind, o, p.Size, w, relu)
 				}
-			}
-		default:
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy * p.Stride
-				ky1 := p.Size
-				if iy0+ky1 > h {
-					ky1 = h - iy0
+				if relu {
+					m = reluMask(m)
 				}
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox * p.Stride
-					kx1 := p.Size
-					if ix0+kx1 > w {
-						kx1 = w - ix0
-					}
-					best := ind[cBase+iy0*w+ix0]
-					for ky := 0; ky < ky1; ky++ {
-						row := cBase + (iy0+ky)*w + ix0
-						for _, v := range ind[row : row+kx1] {
-							best = max(best, v)
-						}
-					}
-					if relu {
-						best = reluMask(best)
-					}
-					outd[idx] = best
-					idx++
-				}
+				outd[i], p.win[i] = m, t
+				i++
 			}
 		}
 	}
 	return p.outB
 }
 
-// backwardBatch implements Layer: per plane, the reference's
-// first-equal-to-max routing in its scan order.
+// pick merges the max m and winner t of a run of window cells with the max
+// mb and winner tb of the run that follows it. The later winner takes over
+// only when strictly greater, so on NaN-free cells t stays the first cell
+// equal to the max (−0 and +0 are equal, as in the reference's search). The
+// comparison compiles to a conditional move: the winning cell is
+// data-dependent, so a branch on it would mispredict.
+func pick(m float64, t int, mb float64, tb int) (float64, int) {
+	if mb > m {
+		t = tb
+	}
+	return max(m, mb), t
+}
+
+// poolWindow is the reference's fold of the size×size window at flat index o
+// of a plane w wide: the builtin max in scan order from the origin cell, over
+// the cells' reluMask when relu is set. It returns the max and the first cell
+// equal to it, or the origin for a NaN max, which no cell equals.
+func poolWindow(ind []float64, o, size, w int, relu bool) (m float64, t int) {
+	m, t = ind[o], o
+	if relu {
+		m = reluMask(m)
+	}
+	for r := o; r < o+size*w; r += w {
+		for x := r; x < r+size; x++ {
+			v := ind[x]
+			if relu {
+				v = reluMask(v)
+			}
+			m, t = pick(m, t, v, x)
+		}
+	}
+	if m != m {
+		t = o
+	}
+	return m, t
+}
+
+// backwardBatch implements Layer: each nonzero gradient goes to its window's
+// recorded winner.
 func (p *MaxPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor {
 	if !withInGrad {
 		return nil
 	}
-	if len(p.bInShape) != 4 || p.lastInB == nil {
+	return p.scatter(gradOut, false)
+}
+
+// scatter adds each nonzero output gradient into the input gradient at its
+// window's recorded winner, in pool-output order: per plane the reference's
+// scan order, so a cell that overlapping windows share sums their gradients
+// in the reference's order. With gated the preceding ReLU's backward runs
+// fused (see backwardBatchAll): a gradient is dropped where the ReLU output
+// at the winner is +0, exactly where the ReLU backward would zero it.
+func (p *MaxPool2D) scatter(gradOut *tensor.Tensor, gated bool) *tensor.Tensor {
+	if p.lastInB == nil || len(p.win) != gradOut.Size() {
 		panic("cnn: batched MaxPool2D backward before forward")
 	}
-	ch, bsz, h, w := p.bInShape[0], p.bInShape[1], p.bInShape[2], p.bInShape[3]
-	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
-	p.gradInB = tensor.Ensure(p.gradInB, ch, bsz, h, w)
+	p.gradInB = tensor.Ensure(p.gradInB, p.lastInB.Shape()...)
 	p.gradInB.Zero()
-	gi := p.gradInB.Data()
-	ind := p.lastInB.Data()
-	outd := p.outB.Data()
-	god := gradOut.Data()
-	idx := 0
-	for cb := 0; cb < ch*bsz; cb++ {
-		cBase := cb * h * w
-		switch {
-		case p.Size == 2:
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					if g == 0 {
-						idx++
-						continue
-					}
-					o := row + ox*p.Stride
-					best := outd[idx]
-					t := o
-					switch {
-					case ind[o] == best:
-					case ind[o+1] == best:
-						t = o + 1
-					case ind[o+w] == best:
-						t = o + w
-					case ind[o+w+1] == best:
-						t = o + w + 1
-					}
-					gi[t] += g
-					idx++
-				}
-			}
-		case p.Size == 3:
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					if g == 0 {
-						idx++
-						continue
-					}
-					o := row + ox*p.Stride
-					best := outd[idx]
-					t := o
-					switch {
-					case ind[o] == best:
-					case ind[o+1] == best:
-						t = o + 1
-					case ind[o+2] == best:
-						t = o + 2
-					case ind[o+w] == best:
-						t = o + w
-					case ind[o+w+1] == best:
-						t = o + w + 1
-					case ind[o+w+2] == best:
-						t = o + w + 2
-					case ind[o+2*w] == best:
-						t = o + 2*w
-					case ind[o+2*w+1] == best:
-						t = o + 2*w + 1
-					case ind[o+2*w+2] == best:
-						t = o + 2*w + 2
-					}
-					gi[t] += g
-					idx++
-				}
-			}
-		default:
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy * p.Stride
-				ky1 := p.Size
-				if iy0+ky1 > h {
-					ky1 = h - iy0
-				}
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					if g == 0 {
-						idx++
-						continue
-					}
-					ix0 := ox * p.Stride
-					kx1 := p.Size
-					if ix0+kx1 > w {
-						kx1 = w - ix0
-					}
-					best := outd[idx]
-					bestFlat := cBase + iy0*w + ix0
-				find:
-					for ky := 0; ky < ky1; ky++ {
-						row := cBase + (iy0+ky)*w + ix0
-						for kx := 0; kx < kx1; kx++ {
-							if ind[row+kx] == best {
-								bestFlat = row + kx
-								break find
-							}
-						}
-					}
-					gi[bestFlat] += g
-					idx++
-				}
-			}
+	gi, ind := p.gradInB.Data(), p.lastInB.Data()
+	for i, g := range gradOut.Data() {
+		t := p.win[i]
+		if g != 0 && (!gated || reluMask(ind[t]) != 0) {
+			gi[t] += g
 		}
 	}
 	return p.gradInB
 }
 
-// backwardBatchReLUGated is backwardBatch with the preceding ReLU layer's
-// backward fused in (see backwardBatchAll). The pool input is the ReLU output,
-// so the ReLU pass mask at the winner cell is just outd != 0 (the winner
-// equals the pooled max): gradient routed to a cell the ReLU backward would
-// zero is dropped at the scatter instead of by a full-plane masking pass. The
-// reference order is preserved — non-winner cells stay zero in both
-// formulations, and the winner receives either the identical g or the
-// identical +0 skip.
-func (p *MaxPool2D) backwardBatchReLUGated(gradOut *tensor.Tensor) *tensor.Tensor {
-	if len(p.bInShape) != 4 || p.lastInB == nil {
-		panic("cnn: batched MaxPool2D backward before forward")
-	}
-	ch, bsz, h, w := p.bInShape[0], p.bInShape[1], p.bInShape[2], p.bInShape[3]
-	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
-	p.gradInB = tensor.Ensure(p.gradInB, ch, bsz, h, w)
-	p.gradInB.Zero()
-	gi := p.gradInB.Data()
-	ind := p.lastInB.Data()
-	outd := p.outB.Data()
-	god := gradOut.Data()
-	idx := 0
-	for cb := 0; cb < ch*bsz; cb++ {
-		cBase := cb * h * w
-		switch {
-		case p.Size == 2:
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					best := outd[idx]
-					if g == 0 || best == 0 {
-						idx++
-						continue
-					}
-					o := row + ox*p.Stride
-					t := o
-					switch {
-					case ind[o] == best:
-					case ind[o+1] == best:
-						t = o + 1
-					case ind[o+w] == best:
-						t = o + w
-					case ind[o+w+1] == best:
-						t = o + w + 1
-					}
-					gi[t] += g
-					idx++
-				}
-			}
-		case p.Size == 3:
-			for oy := 0; oy < oh; oy++ {
-				row := cBase + oy*p.Stride*w
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					best := outd[idx]
-					if g == 0 || best == 0 {
-						idx++
-						continue
-					}
-					o := row + ox*p.Stride
-					t := o
-					switch {
-					case ind[o] == best:
-					case ind[o+1] == best:
-						t = o + 1
-					case ind[o+2] == best:
-						t = o + 2
-					case ind[o+w] == best:
-						t = o + w
-					case ind[o+w+1] == best:
-						t = o + w + 1
-					case ind[o+w+2] == best:
-						t = o + w + 2
-					case ind[o+2*w] == best:
-						t = o + 2*w
-					case ind[o+2*w+1] == best:
-						t = o + 2*w + 1
-					case ind[o+2*w+2] == best:
-						t = o + 2*w + 2
-					}
-					gi[t] += g
-					idx++
-				}
-			}
-		default:
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy * p.Stride
-				ky1 := p.Size
-				if iy0+ky1 > h {
-					ky1 = h - iy0
-				}
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					best := outd[idx]
-					if g == 0 || best == 0 {
-						idx++
-						continue
-					}
-					ix0 := ox * p.Stride
-					kx1 := p.Size
-					if ix0+kx1 > w {
-						kx1 = w - ix0
-					}
-					bestFlat := cBase + iy0*w + ix0
-				find:
-					for ky := 0; ky < ky1; ky++ {
-						row := cBase + (iy0+ky)*w + ix0
-						for kx := 0; kx < kx1; kx++ {
-							if ind[row+kx] == best {
-								bestFlat = row + kx
-								break find
-							}
-						}
-					}
-					gi[bestFlat] += g
-					idx++
-				}
-			}
-		}
-	}
-	return p.gradInB
-}
-
-// backwardBatchSparse is backwardBatchReLUGated emitting a sparse winner
-// list instead of a dense gradient plane, for the Conv2D+ReLU+MaxPool2D
-// stack prefix (see backwardBatchAll). Windows within a plane are visited in
-// pool-output order, which interleaves winner rows; each plane's segment is
-// restored to (y, x) ascending order — the dense scatter's per-element
-// accumulation order — by bucketed emission in the unclipped 2×2/3×3 cases
-// and by an insertion sort in the general case. Requires
-// non-overlapping windows (Stride >= Size): an input cell winning two
-// windows would need its gradients summed before the conv consumes them.
+// backwardBatchSparse is the gated scatter emitting a winner list instead of
+// a dense gradient plane, for the Conv2D+ReLU+MaxPool2D stack prefix (see
+// backwardBatchAll). The list keeps the dense scatter's per-element order:
+// channel-major, then sample, then (y, x) ascending within the plane. Windows
+// are visited in pool-output order, which interleaves winner rows; with
+// non-overlapping windows (Stride >= Size, which the caller checks) each
+// window row covers input rows of its own, so bucketing its winners by row
+// offset and concatenating the buckets restores (y, x) order. Overlapping
+// windows could route two gradients to one cell, which the conv would need
+// summed first.
 func (p *MaxPool2D) backwardBatchSparse(gradOut *tensor.Tensor) []sparseWinner {
-	if len(p.bInShape) != 4 || p.lastInB == nil {
+	if p.lastInB == nil || len(p.win) != gradOut.Size() {
 		panic("cnn: batched MaxPool2D backward before forward")
 	}
-	ch, bsz, h, w := p.bInShape[0], p.bInShape[1], p.bInShape[2], p.bInShape[3]
+	ch, bsz, h, w := p.lastInB.Dim(0), p.lastInB.Dim(1), p.lastInB.Dim(2), p.lastInB.Dim(3)
 	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
-	ind := p.lastInB.Data()
-	outd := p.outB.Data()
-	god := gradOut.Data()
+	ind, god := p.lastInB.Data(), gradOut.Data()
+	if len(p.bkts) != p.Size {
+		p.bkts = make([][]sparseWinner, p.Size)
+	}
 	winners := p.spw[:0]
-	idx := 0
-	oc, b := int32(0), int32(0)
+	i := 0
 	for cb := 0; cb < ch*bsz; cb++ {
-		cBase := cb * h * w
-		segStart := len(winners)
-		switch {
-		case p.Size == 2:
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy * p.Stride
-				row := cBase + iy0*w
-				p.bkts[0] = p.bkts[0][:0]
-				p.bkts[1] = p.bkts[1][:0]
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					best := outd[idx]
-					if g == 0 || best == 0 {
-						idx++
-						continue
-					}
-					ix0 := ox * p.Stride
-					o := row + ix0
-					dy, dx := int32(0), int32(0)
-					if ind[o+w+1] == best {
-						dy, dx = 1, 1
-					}
-					if ind[o+w] == best {
-						dy, dx = 1, 0
-					}
-					if ind[o+1] == best {
-						dy, dx = 0, 1
-					}
-					if ind[o] == best {
-						dy, dx = 0, 0
-					}
-					p.bkts[dy] = append(p.bkts[dy], sparseWinner{oc, b, int32(iy0) + dy, int32(ix0) + dx, g})
-					idx++
+		oc, b := int32(cb/bsz), int32(cb%bsz)
+		for oy := 0; oy < oh; oy++ {
+			y0 := oy * p.Stride
+			row := (cb*h + y0) * w
+			for range ow {
+				g, t := god[i], p.win[i]
+				i++
+				if g == 0 || reluMask(ind[t]) == 0 {
+					continue
 				}
-				winners = append(winners, p.bkts[0]...)
-				winners = append(winners, p.bkts[1]...)
+				// A 32-bit divide: t-row < Size·w, and it is several
+				// times cheaper than a 64-bit one on amd64.
+				dy := int(uint32(t-row) / uint32(w))
+				x := t - row - dy*w
+				p.bkts[dy] = append(p.bkts[dy], sparseWinner{oc, b, int32(y0 + dy), int32(x), g})
 			}
-		case p.Size == 3:
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy * p.Stride
-				row := cBase + iy0*w
-				p.bkts[0] = p.bkts[0][:0]
-				p.bkts[1] = p.bkts[1][:0]
-				p.bkts[2] = p.bkts[2][:0]
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					best := outd[idx]
-					if g == 0 || best == 0 {
-						idx++
-						continue
-					}
-					ix0 := ox * p.Stride
-					o := row + ix0
-					// First-equal-to-max routing, branchless: check the nine
-					// cells in descending scan order with conditional
-					// assignments (compiled to CMOVs — the winner cell is
-					// data-dependent, so branches here mispredict), letting
-					// the earliest equal cell's write land last. Winners land
-					// in a per-window-row bucket indexed by their row offset
-					// (again no data-dependent branch); concatenating the
-					// buckets after each window row yields (y, x) ascending
-					// order directly, because non-overlapping windows can't
-					// interleave winners across window rows.
-					dy, dx := int32(0), int32(0)
-					if ind[o+2*w+2] == best {
-						dy, dx = 2, 2
-					}
-					if ind[o+2*w+1] == best {
-						dy, dx = 2, 1
-					}
-					if ind[o+2*w] == best {
-						dy, dx = 2, 0
-					}
-					if ind[o+w+2] == best {
-						dy, dx = 1, 2
-					}
-					if ind[o+w+1] == best {
-						dy, dx = 1, 1
-					}
-					if ind[o+w] == best {
-						dy, dx = 1, 0
-					}
-					if ind[o+2] == best {
-						dy, dx = 0, 2
-					}
-					if ind[o+1] == best {
-						dy, dx = 0, 1
-					}
-					if ind[o] == best {
-						dy, dx = 0, 0
-					}
-					p.bkts[dy] = append(p.bkts[dy], sparseWinner{oc, b, int32(iy0) + dy, int32(ix0) + dx, g})
-					idx++
-				}
-				winners = append(winners, p.bkts[0]...)
-				winners = append(winners, p.bkts[1]...)
-				winners = append(winners, p.bkts[2]...)
+			for dy, bk := range p.bkts {
+				winners = append(winners, bk...)
+				p.bkts[dy] = bk[:0]
 			}
-		default:
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy * p.Stride
-				ky1 := p.Size
-				if iy0+ky1 > h {
-					ky1 = h - iy0
-				}
-				for ox := 0; ox < ow; ox++ {
-					g := god[idx]
-					best := outd[idx]
-					if g == 0 || best == 0 {
-						idx++
-						continue
-					}
-					ix0 := ox * p.Stride
-					kx1 := p.Size
-					if ix0+kx1 > w {
-						kx1 = w - ix0
-					}
-					wy, wx := int32(iy0), int32(ix0)
-				find:
-					for ky := 0; ky < ky1; ky++ {
-						row := cBase + (iy0+ky)*w + ix0
-						for kx := 0; kx < kx1; kx++ {
-							if ind[row+kx] == best {
-								wy, wx = int32(iy0+ky), int32(ix0+kx)
-								break find
-							}
-						}
-					}
-					winners = append(winners, sparseWinner{oc, b, wy, wx, g})
-					idx++
-				}
-			}
-			// Window rows may interleave winner rows here, so restore the
-			// dense scatter's (y, x) ascending order with an insertion sort
-			// over the plane's segment. The Size-specific cases above emit in
-			// sorted order already via the row-offset buckets.
-			seg := winners[segStart:]
-			for i := 1; i < len(seg); i++ {
-				v := seg[i]
-				j := i - 1
-				for j >= 0 && (seg[j].y > v.y || (seg[j].y == v.y && seg[j].x > v.x)) {
-					seg[j+1] = seg[j]
-					j--
-				}
-				seg[j+1] = v
-			}
-		}
-		b++
-		if int(b) == bsz {
-			b = 0
-			oc++
 		}
 	}
 	p.spw = winners
@@ -1492,53 +1178,32 @@ func (p *MaxPool2D) backwardBatchSparse(gradOut *tensor.Tensor) []sparseWinner {
 // ---------------------------------------------------------------------------
 // AvgPool2D
 
-// forwardBatch implements Layer: the reference's clipped-window mean per
-// contiguous (channel, sample) plane.
+// forwardBatch implements Layer: the reference's window mean per contiguous
+// (channel, sample) plane.
 func (p *AvgPool2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	if in.Dims() != 4 {
 		panic(fmt.Sprintf("cnn: batched pool input shape %v, want (C,B,H,W)", in.Shape()))
 	}
 	p.bInShape = append(p.bInShape[:0], in.Shape()...)
 	ch, bsz, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	oh := (h-p.Size)/p.Stride + 1
-	ow := (w-p.Size)/p.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("cnn: pool output collapses for input %v", in.Shape()))
-	}
+	oh, ow := poolDims(p.Size, p.Stride, h, w)
 	p.outB = tensor.Ensure(p.outB, ch, bsz, oh, ow)
 	ind := in.Data()
 	outd := p.outB.Data()
-	if cap(p.counts) < oh*ow {
-		p.counts = make([]int, oh*ow)
-	}
-	p.counts = p.counts[:oh*ow]
+	count := float64(p.Size * p.Size)
 	idx := 0
 	for cb := 0; cb < ch*bsz; cb++ {
-		cBase := cb * h * w
 		for oy := 0; oy < oh; oy++ {
-			iy0 := oy * p.Stride
-			ky1 := p.Size
-			if iy0+ky1 > h {
-				ky1 = h - iy0
-			}
+			row := (cb*h + oy*p.Stride) * w
 			for ox := 0; ox < ow; ox++ {
-				ix0 := ox * p.Stride
-				kx1 := p.Size
-				if ix0+kx1 > w {
-					kx1 = w - ix0
-				}
+				o := row + ox*p.Stride
 				sum := 0.0
-				for ky := 0; ky < ky1; ky++ {
-					row := ind[cBase+(iy0+ky)*w+ix0 : cBase+(iy0+ky)*w+ix0+kx1]
-					for _, v := range row {
+				for r := o; r < o+p.Size*w; r += w {
+					for _, v := range ind[r : r+p.Size] {
 						sum += v
 					}
 				}
-				count := ky1 * kx1
-				outd[idx] = sum / float64(count)
-				if cb == 0 {
-					p.counts[oy*ow+ox] = count
-				}
+				outd[idx] = sum / count
 				idx++
 			}
 		}
@@ -1560,28 +1225,20 @@ func (p *AvgPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tens
 	p.gradInB.Zero()
 	gid := p.gradInB.Data()
 	god := gradOut.Data()
+	count := float64(p.Size * p.Size)
+	idx := 0
 	for cb := 0; cb < ch*bsz; cb++ {
-		cBase := cb * h * w
-		oBase := cb * oh * ow
 		for oy := 0; oy < oh; oy++ {
-			iy0 := oy * p.Stride
-			ky1 := p.Size
-			if iy0+ky1 > h {
-				ky1 = h - iy0
-			}
+			row := (cb*h + oy*p.Stride) * w
 			for ox := 0; ox < ow; ox++ {
-				ix0 := ox * p.Stride
-				kx1 := p.Size
-				if ix0+kx1 > w {
-					kx1 = w - ix0
-				}
-				g := god[oBase+oy*ow+ox] / float64(p.counts[oy*ow+ox])
-				for ky := 0; ky < ky1; ky++ {
-					row := gid[cBase+(iy0+ky)*w+ix0 : cBase+(iy0+ky)*w+ix0+kx1]
-					for i := range row {
-						row[i] += g
+				o := row + ox*p.Stride
+				g := god[idx] / count
+				for r := o; r < o+p.Size*w; r += w {
+					for x := r; x < r+p.Size; x++ {
+						gid[x] += g
 					}
 				}
+				idx++
 			}
 		}
 	}
@@ -1595,9 +1252,9 @@ func (p *AvgPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tens
 // Dense+ReLU pairs run fused — the ReLU select folds into the producer's
 // bias pass, skipping one full read-modify-write sweep of the activation
 // block. The skipped ReLU layer's outB is aliased to the fused output so its
-// backwardBatch (and the pool fusion's gate) still see the activation bits
-// they key on; reluMask reproduces the reference ReLU bit for bit,
-// so the fused path stays bit-identical.
+// backwardBatch still sees the activation bits it keys on; reluMask
+// reproduces the reference ReLU bit for bit, so the fused path stays
+// bit-identical.
 func (n *Network) forwardBatchAll(in *tensor.Tensor) *tensor.Tensor {
 	x := in
 	ls := n.layers
@@ -1606,13 +1263,12 @@ func (n *Network) forwardBatchAll(in *tensor.Tensor) *tensor.Tensor {
 			if r, ok := ls[i+1].(*ReLU); ok {
 				switch l := ls[i].(type) {
 				case *Conv2D:
-					// Conv2D+ReLU+MaxPool2D: ReLU and max commute (both
-					// monotone, and reluMask(m) == m bit-for-bit when m > 0),
-					// so the select runs once per pooled output instead of
-					// once per conv output. The pool's winner search and
-					// backward gate work off the raw conv plane plus the
-					// relu'd pooled max, which route gradients to exactly the
-					// cells the unfused path picks.
+					// Conv2D+ReLU+MaxPool2D: the pool reads the raw conv
+					// block and applies the select once per pooled output
+					// instead of once per conv output (see
+					// MaxPool2D.forwardBatchImpl). Its backward is always the
+					// gated scatter, which reads that raw block, so the ReLU
+					// layer keeps no output.
 					if i+2 < len(ls) {
 						if p, ok2 := ls[i+2].(*MaxPool2D); ok2 {
 							x = p.forwardBatchReLU(l.forwardBatch(x))
@@ -1639,12 +1295,11 @@ func (n *Network) forwardBatchAll(in *tensor.Tensor) *tensor.Tensor {
 
 // backwardBatchAll propagates packed dLoss/dLogits rows through all layers,
 // skipping the first layer's input gradient, which nothing consumes. A ReLU
-// feeding a MaxPool2D runs fused: the pool scatter gates each routed gradient
-// on the winner's activation instead of materializing a full-plane masked
-// gradient block. Every non-winner cell's gradient is zero either way, and the
-// winner cell's ReLU backward mask is exactly the best != 0 test (post-ReLU
-// values are never -0, and a NaN max keeps the gradient in both paths), so the
-// fusion is bit-identical.
+// feeding a MaxPool2D runs fused into the pool's scatter: after the pool only
+// winner cells hold a gradient, and the ReLU backward passes a cell's
+// gradient where the ReLU output is nonzero, so gating each routed gradient on
+// the ReLU output at its winner (reluMask of the pool's input there, raw or
+// already ReLU'd) gives the unfused bits without a full-plane masking pass.
 func (n *Network) backwardBatchAll(grad *tensor.Tensor) {
 	g := grad
 	ls := n.layers
@@ -1659,7 +1314,7 @@ func (n *Network) backwardBatchAll(grad *tensor.Tensor) {
 					c.backwardBatchSparse(p.backwardBatchSparse(g))
 					return
 				}
-				g = p.backwardBatchReLUGated(g)
+				g = p.scatter(g, true)
 				i -= 2
 				continue
 			}

@@ -373,6 +373,22 @@ func TestBatchedReplicaEditNotStale(t *testing.T) {
 	}
 }
 
+// allocNet builds the e2 lounge CNN, which the alloc tests and
+// BenchmarkTrainBlockSize run, and one random input for it.
+func allocNet(seed uint64) (*Network, *tensor.Tensor) {
+	s := rng.New(seed)
+	net := NewNetwork([]int{1, 17, 25},
+		NewConv2D(1, 4, 3, 3, 1, 1, s.Split("c")),
+		NewReLU(),
+		NewMaxPool2D(3, 3),
+		NewFlatten(),
+		NewDense(4*5*8, 16, s.Split("d1")),
+		NewReLU(),
+		NewDense(16, 2, s.Split("d2")),
+	)
+	return net, randomInput(s, 1, 17, 25)
+}
+
 // BenchmarkTrainBlockSize sweeps the engine's block size over one epoch of
 // the e2 lounge CNN (64 samples, batch 16, one worker) — the evidence for
 // blockSize. The local-block variants run the same CNN with a replica table
@@ -394,7 +410,7 @@ func BenchmarkTrainBlockSize(b *testing.B) {
 	}
 	run := func(name string, block int, local bool) {
 		b.Run(name, func(b *testing.B) {
-			net, _ := allocNetAnyBuild(6)
+			net, _ := allocNet(6)
 			var opt Optimizer = NewSGD(0.01, 0.9)
 			if local {
 				installReplicas(net.Layers()[0].(*Conv2D), 17, 25, rng.New(78))

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"zeiot/internal/rng"
 )
@@ -62,7 +63,9 @@ func (t *Trainer) Save(w io.Writer) error {
 // caller supplies the (deterministically regenerated) samples and the worker
 // count — worker count never changes results, so a run may resume with a
 // different one. Continuing the returned trainer to completion yields
-// weights bit-identical to the uninterrupted run.
+// weights bit-identical to the uninterrupted run. Samples whose count, shape
+// or label does not fit the checkpoint's network are an error, not a panic
+// in the first Step.
 func ResumeTrainer(r io.Reader, samples []Sample, workers int) (*Trainer, error) {
 	var ck trainerCheckpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
@@ -84,6 +87,15 @@ func ResumeTrainer(r io.Reader, samples []Sample, workers int) (*Trainer, error)
 	net, err := decodeNetBlob(ck.Net)
 	if err != nil {
 		return nil, err
+	}
+	nclass := net.OutShape()[0]
+	for i, s := range samples {
+		if !slices.Equal(s.Input.Shape(), net.inShape) {
+			return nil, fmt.Errorf("cnn: sample %d has shape %v, checkpoint network input is %v", i, s.Input.Shape(), net.inShape)
+		}
+		if s.Label < 0 || s.Label >= nclass {
+			return nil, fmt.Errorf("cnn: sample %d has label %d, checkpoint network has %d classes", i, s.Label, nclass)
+		}
 	}
 	if ck.Net.Opt == nil || len(ck.Net.Streams) != 1 {
 		return nil, fmt.Errorf("cnn: trainer checkpoint missing optimizer or stream state")

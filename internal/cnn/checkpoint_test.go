@@ -3,6 +3,8 @@ package cnn
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -198,6 +200,33 @@ func TestResumeTrainerValidation(t *testing.T) {
 		t.Error("ResumeTrainer accepted a dataset of the wrong size")
 	} else if !strings.Contains(err.Error(), "samples") {
 		t.Errorf("wrong-size error %q does not mention samples", err)
+	}
+	// Samples the checkpoint's network cannot take must be an error naming
+	// the first such sample, not a panic in the first Step.
+	s := rng.New(24)
+	bad := slices.Clone(samples)
+	bad[15] = Sample{Input: randomInput(s, 1, 5, 7), Label: 0}
+	bad[20] = Sample{Input: randomInput(s, 1, 5, 7), Label: 0}
+	if _, err := ResumeTrainer(bytes.NewReader(ck.Bytes()), bad, 1); err == nil {
+		t.Error("ResumeTrainer accepted 1×5×7 samples for a 1×6×6 network")
+	} else if want := "sample 15 has shape [1 5 7], checkpoint network input is [1 6 6]"; !strings.Contains(err.Error(), want) {
+		t.Errorf("wrong-shape error %q, want it to contain %q", err, want)
+	}
+	bad = slices.Clone(samples)
+	bad[7].Label = 3
+	if _, err := ResumeTrainer(bytes.NewReader(ck.Bytes()), bad, 1); err == nil {
+		t.Error("ResumeTrainer accepted label 3 for a 3-class network")
+	} else if want := "sample 7 has label 3"; !strings.Contains(err.Error(), want) {
+		t.Errorf("bad-label error %q, want it to contain %q", err, want)
+	}
+	// A batch larger than the dataset is one partial batch per epoch, up to
+	// the largest int, where counting the epoch's batches used to overflow
+	// to zero and Step looped forever.
+	huge := tamper(t, ck.Bytes(), func(c *trainerCheckpoint) { c.Trainer.Batch = math.MaxInt })
+	if tr, err := ResumeTrainer(bytes.NewReader(huge), samples, 1); err != nil {
+		t.Errorf("ResumeTrainer rejected batch %d: %v", math.MaxInt, err)
+	} else if n := tr.Step(1); n != 1 {
+		t.Errorf("Step(1) at batch %d ran %d batches, want 1", math.MaxInt, n)
 	}
 }
 

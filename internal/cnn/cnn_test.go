@@ -1,7 +1,9 @@
 package cnn
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"zeiot/internal/rng"
@@ -218,6 +220,27 @@ func TestConvKnownValues(t *testing.T) {
 	}
 }
 
+// TestPoolWindowsInsideInput pins that no pooling window is clipped: a
+// window wider than its input is rejected, though Go's truncating division
+// alone would give (2-3)/3+1 = 1 output row.
+func TestPoolWindowsInsideInput(t *testing.T) {
+	for _, l := range []Layer{NewMaxPool2D(3, 3), NewAvgPool2D(3, 3)} {
+		if got := l.OutShape([]int{1, 3, 7}); !slices.Equal(got, []int{1, 1, 2}) {
+			t.Errorf("%s: OutShape([1 3 7]) = %v, want [1 1 2]", l.Name(), got)
+		}
+		for _, in := range [][]int{{1, 2, 5}, {1, 5, 2}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: OutShape(%v) accepted a window wider than the input", l.Name(), in)
+					}
+				}()
+				l.OutShape(in)
+			}()
+		}
+	}
+}
+
 func TestConvReceptive(t *testing.T) {
 	s := rng.New(1)
 	c := NewConv2D(1, 1, 3, 3, 2, 1, s)
@@ -251,13 +274,158 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	}
 }
 
+// TestPoolTieBreaksToFirst pins max-pool routing to the reference bit for
+// bit: pooled values and input gradients of the plain pool, of the pool with
+// the preceding ReLU fused in (over the raw block, and over an already
+// ReLU'd one), and, for non-overlapping windows, the sparse winner list the
+// first conv consumes. The rows draw every window from few values, so ties
+// are common, and cover ±0 and NaN of both signs, whose payloads also carry
+// the low mantissa bits a fold may OR in.
 func TestPoolTieBreaksToFirst(t *testing.T) {
-	p := NewMaxPool2D(2, 2)
-	in := tensor.FromSlice([]float64{7, 7, 7, 7}, 1, 2, 2)
-	p.forwardBatch(block1(in))
-	gin := unblock1(p.backwardBatch(block1(tensor.FromSlice([]float64{1}, 1, 1, 1)), true))
-	if gin.At(0, 0, 0) != 1 {
-		t.Fatalf("tie did not route to first element: %v", gin)
+	posNaN := math.Float64frombits(0x7ff8000000000001)
+	negNaN := math.Float64frombits(0xfff8000000000002)
+	odd := math.Float64frombits(0x3ff0000000000003) // 1 + 3ulp
+	kinds := []struct {
+		name   string
+		values []float64
+	}{
+		{"ties", []float64{-1, 0.5, 2, 2, odd}},
+		{"signed zeros", []float64{math.Copysign(0, -1), 0, -1}},
+		{"positive NaN", []float64{-1, odd, 2, posNaN}},
+		{"negative NaN", []float64{-1, -2, odd, negNaN}},
+		{"both NaNs", []float64{-1, odd, posNaN, negNaN, math.Copysign(0, -1)}},
+	}
+	grads := []float64{-1.5, 0, 0.25, 3}
+	for _, size := range []int{2, 3, 4} {
+		for _, stride := range []int{size, size - 1} {
+			for ki, kind := range kinds {
+				name := fmt.Sprintf("size%d/stride%d/%s", size, stride, kind.name)
+				t.Run(name, func(t *testing.T) {
+					s := rng.New(uint64(100*size + 10*stride + ki))
+					h := size + 2*stride + 1
+					samples := make([]*tensor.Tensor, 2)
+					for b := range samples {
+						samples[b] = tensor.New(2, h, h+1)
+						for i := range samples[b].Data() {
+							samples[b].Data()[i] = kind.values[s.Intn(len(kind.values))]
+						}
+					}
+					p := NewMaxPool2D(size, stride)
+					out := p.OutShape(samples[0].Shape())
+					gs := make([]*tensor.Tensor, len(samples))
+					for b := range gs {
+						gs[b] = tensor.New(out...)
+						for i := range gs[b].Data() {
+							gs[b].Data()[i] = grads[s.Intn(len(grads))]
+						}
+					}
+					checkPoolRouting(t, size, stride, samples, gs)
+				})
+			}
+		}
+	}
+	// The windows of the fused ReLU+MaxPool bug: Inf−Inf, on amd64 a NaN
+	// with its sign bit set, which the ReLU zeroes, and a NaN whose window
+	// the ReLU backward must not route.
+	inf := math.Inf(1)
+	for _, window := range [][]float64{{inf - inf, 5, -1, -1}, {-1, posNaN, -1, -1}} {
+		t.Run(fmt.Sprintf("window%v", window), func(t *testing.T) {
+			in := tensor.FromSlice(window, 1, 2, 2)
+			checkPoolRouting(t, 2, 2, []*tensor.Tensor{in}, []*tensor.Tensor{tensor.FromSlice([]float64{1}, 1, 1, 1)})
+		})
+	}
+}
+
+// checkPoolRouting runs samples as one packed block through every max-pool
+// path and compares each with the reference loops bit for bit.
+func checkPoolRouting(t *testing.T, size, stride int, samples, grads []*tensor.Tensor) {
+	t.Helper()
+	ref := NewMaxPool2D(size, stride)
+	relu := NewReLU()
+	blk, gblk := packSamples(samples), packSamples(grads)
+	reluBlk := relu.forwardBatch(blk)
+
+	plain := NewMaxPool2D(size, stride)
+	plainOut := plain.forwardBatch(blk)
+	plainIn := plain.backwardBatch(gblk, true)
+	fused := NewMaxPool2D(size, stride)
+	fusedOut := fused.forwardBatchReLU(blk)
+	fusedIn := fused.scatter(gblk, true)
+	unfused := NewMaxPool2D(size, stride)
+	unfusedOut := unfused.forwardBatch(reluBlk)
+	unfusedIn := unfused.scatter(gblk, true)
+	var sparseIn *tensor.Tensor
+	if stride >= size {
+		sparse := NewMaxPool2D(size, stride)
+		sparse.forwardBatchReLU(blk)
+		sparseIn = densifyWinners(t, sparse.backwardBatchSparse(gblk), blk.Shape())
+	}
+
+	for b, in := range samples {
+		out := refMaxPoolForward(ref, in)
+		requireSameBits(t, "plain pooled", unpackSample(plainOut, b), out)
+		requireSameBits(t, "plain gradient", unpackSample(plainIn, b), refMaxPoolBackward(ref, in, out, grads[b]))
+
+		r := refReLUForward(in)
+		rOut := refMaxPoolForward(ref, r)
+		want := refReLUBackward(r, refMaxPoolBackward(ref, r, rOut, grads[b]))
+		requireSameBits(t, "fused pooled", unpackSample(fusedOut, b), rOut)
+		requireSameBits(t, "fused gradient", unpackSample(fusedIn, b), want)
+		requireSameBits(t, "ReLU'd pooled", unpackSample(unfusedOut, b), rOut)
+		requireSameBits(t, "ReLU'd gradient", unpackSample(unfusedIn, b), want)
+		if sparseIn != nil {
+			requireSameBits(t, "sparse gradient", unpackSample(sparseIn, b), want)
+		}
+	}
+}
+
+// packSamples packs (C,H,W) samples into one (C,B,H,W) block.
+func packSamples(samples []*tensor.Tensor) *tensor.Tensor {
+	ch, h, w := samples[0].Dim(0), samples[0].Dim(1), samples[0].Dim(2)
+	blk := tensor.New(ch, len(samples), h, w)
+	for b, s := range samples {
+		for c := 0; c < ch; c++ {
+			copy(blk.Data()[(c*len(samples)+b)*h*w:], s.Data()[c*h*w:(c+1)*h*w])
+		}
+	}
+	return blk
+}
+
+// unpackSample copies sample b out of a (C,B,H,W) block.
+func unpackSample(blk *tensor.Tensor, b int) *tensor.Tensor {
+	ch, bsz, h, w := blk.Dim(0), blk.Dim(1), blk.Dim(2), blk.Dim(3)
+	s := tensor.New(ch, h, w)
+	for c := 0; c < ch; c++ {
+		copy(s.Data()[c*h*w:(c+1)*h*w], blk.Data()[(c*bsz+b)*h*w:])
+	}
+	return s
+}
+
+// densifyWinners spreads a sparse winner list over a zero block of shape,
+// failing unless the list is strictly ascending in (oc, b, y, x): the dense
+// scatter's order, with no cell twice.
+func densifyWinners(t *testing.T, winners []sparseWinner, shape []int) *tensor.Tensor {
+	t.Helper()
+	blk := tensor.New(shape...)
+	bsz, h, w := shape[1], shape[2], shape[3]
+	prev := -1
+	for _, sw := range winners {
+		k := ((int(sw.oc)*bsz+int(sw.b))*h+int(sw.y))*w + int(sw.x)
+		if k <= prev {
+			t.Fatalf("winner %+v out of order", sw)
+		}
+		blk.Data()[k], prev = sw.g, k
+	}
+	return blk
+}
+
+// requireSameBits fails unless got and want hold the same float64 bits.
+func requireSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	for i, w := range want.Data() {
+		if g := got.Data()[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d is %v (%#x), reference %v (%#x)", what, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
 	}
 }
 

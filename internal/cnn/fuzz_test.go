@@ -11,7 +11,8 @@ import (
 
 // FuzzLoad feeds arbitrary bytes to the two decoders the program reads
 // checkpoints through, decodeBlob (behind RestoreTraining) and
-// ResumeTrainer: they must never panic, only return errors for garbage.
+// ResumeTrainer: they must never panic, only return errors for garbage, and
+// every trainer ResumeTrainer accepts must take a training step.
 func FuzzLoad(f *testing.F) {
 	// Seed with a valid blob and some mutations of it.
 	net := buildTinyNet(1)
@@ -64,8 +65,11 @@ func FuzzLoad(f *testing.F) {
 		if n, _, err := decodeBlob(bytes.NewReader(data)); err == nil && (n == nil || len(n.InShape()) == 0) {
 			t.Fatal("decodeBlob returned success with an unusable network")
 		}
-		if tr, err := ResumeTrainer(bytes.NewReader(data), samples, 1); err == nil && (tr == nil || len(tr.Net().InShape()) == 0) {
-			t.Fatal("ResumeTrainer returned success with an unusable trainer")
+		if tr, err := ResumeTrainer(bytes.NewReader(data), samples, 1); err == nil {
+			if tr == nil || len(tr.Net().InShape()) == 0 {
+				t.Fatal("ResumeTrainer returned success with an unusable trainer")
+			}
+			tr.Step(1)
 		}
 	})
 }

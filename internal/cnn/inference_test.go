@@ -20,8 +20,8 @@ func refClasses(net *Network, samples []Sample) []int {
 	return classes
 }
 
-// requireInferenceMatchesRef fails unless Forward, Predict, PredictAll and
-// Evaluate on net agree with the reference on ref at tolerance 0.
+// requireInferenceMatchesRef fails unless Forward, PredictAll and Evaluate
+// on net agree with the reference on ref at tolerance 0.
 func requireInferenceMatchesRef(t *testing.T, net, ref *Network, samples []Sample, ctx string) {
 	t.Helper()
 	want := refClasses(ref, samples)
@@ -29,9 +29,6 @@ func requireInferenceMatchesRef(t *testing.T, net, ref *Network, samples []Sampl
 		acts := refForward(ref, s.Input)
 		if got := net.Forward(s.Input); !tensor.Equal(got, acts[len(acts)-1], 0) {
 			t.Fatalf("%s: sample %d: Forward %v, reference %v", ctx, i, got.Data(), acts[len(acts)-1].Data())
-		}
-		if got := net.Predict(s.Input); got != want[i] {
-			t.Fatalf("%s: sample %d: Predict %d, reference %d", ctx, i, got, want[i])
 		}
 	}
 	got := net.PredictAll(samples)
@@ -152,9 +149,9 @@ func TestInferenceMatchesReference(t *testing.T) {
 }
 
 // TestMisShapedSamplesPanic pins the shape check where samples enter the
-// network: training at any batch size, Forward, Predict, PredictAll and
-// Evaluate all panic on a sample whose shape is not the input shape, naming
-// the sample's index and both shapes.
+// network: training at any batch size, Forward, PredictAll and Evaluate all
+// panic on a sample whose shape is not the input shape, naming the sample's
+// index and both shapes.
 func TestMisShapedSamplesPanic(t *testing.T) {
 	flat := batchNets()["dense-only"]
 	spatial := batchNets()["conv3x3-maxpool"]
@@ -185,8 +182,8 @@ func TestMisShapedSamplesPanic(t *testing.T) {
 		{"fit batch 1, wide map", func() {
 			spatial.build().FitParallel(wide, 1, 1, 1, NewSGD(0.05, 0.9), rng.New(1))
 		}, "sample 3 has shape [1 6 7], network input is [1 6 6]"},
-		{"Predict, wide lounge map", func() {
-			lounge.build().Predict(wider[2].Input)
+		{"Forward, wide lounge map", func() {
+			lounge.build().Forward(wider[2].Input)
 		}, "has shape [1 17 26], network input is [1 17 25]"},
 		{"Forward, short vector", func() {
 			flat.build().Forward(short[5].Input)

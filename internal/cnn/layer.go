@@ -9,8 +9,8 @@
 // Every layer computes over packed blocks of samples, with the kernels of
 // batch.go: spatial activations travel as (C,B,H,W) tensors and flat ones as
 // (B,F). Training (Trainer, FitParallel) runs blocks of up to blockSize
-// samples, and so do PredictAll and Evaluate. Forward, Backward and Predict
-// run one sample as a block of one: a (C,H,W) sample already has the
+// samples, and so do PredictAll and Evaluate. Forward and Backward run one
+// sample as a block of one: a (C,H,W) sample already has the
 // (C,1,H,W) layout and an (F) vector the (1,F) one, so they run on zero-copy
 // views. Every sample's result is independent of its block, so all entry
 // points agree bit for bit with the plain per-sample loops of ref_test.go.

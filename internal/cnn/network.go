@@ -90,15 +90,9 @@ func (n *Network) ZeroGrads() {
 	}
 }
 
-// Predict returns the argmax class for in. Classifying a sample set is
-// faster with PredictAll, which runs blocks of samples per pass.
-func (n *Network) Predict(in *tensor.Tensor) int {
-	return n.Forward(in).Argmax()
-}
-
 // PredictAll returns the argmax class of every sample, running blockSize
-// samples per packed pass. Each class is the one Predict returns for that
-// sample.
+// samples per packed pass: for each sample, the first index of the largest
+// of the logits Forward returns.
 func (n *Network) PredictAll(samples []Sample) []int {
 	classes := make([]int, len(samples))
 	n.predictInto(samples, classes)
@@ -189,36 +183,6 @@ type SGD struct {
 func NewSGD(lr, momentum float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*tensor.Tensor]*tensor.Tensor)}
 }
-
-// Reset drops all per-parameter momentum state, releasing the buffers for
-// garbage collection. Use it when every network the optimizer touched is
-// retired; the next Step starts from zero velocity.
-func (s *SGD) Reset() {
-	clear(s.velocity)
-}
-
-// Release drops the momentum state of the given parameter tensors. Long
-// multi-trial experiments that retire networks (or MicroDeep kernel
-// replicas) while keeping one optimizer alive should release the retired
-// parameters so their velocity buffers do not accumulate.
-func (s *SGD) Release(params ...*tensor.Tensor) {
-	for _, p := range params {
-		delete(s.velocity, p)
-	}
-}
-
-// ReleaseNetwork drops the momentum state of every parameter of n.
-func (s *SGD) ReleaseNetwork(n *Network) {
-	for _, l := range n.layers {
-		if pl, ok := l.(ParamLayer); ok {
-			s.Release(pl.Params()...)
-		}
-	}
-}
-
-// StateSize returns the number of parameter tensors the optimizer currently
-// holds momentum buffers for (exposed for leak tests).
-func (s *SGD) StateSize() int { return len(s.velocity) }
 
 // Step applies one update: p -= lr*(g/batch + decay*p), with momentum.
 func (s *SGD) Step(params, grads []*tensor.Tensor, batch int) {

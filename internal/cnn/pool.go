@@ -9,16 +9,15 @@ import (
 // MaxPool2D is a max pooling layer over (channels, height, width) input.
 type MaxPool2D struct {
 	Size, Stride int
-	// Scratch (see batch.go). spw is the reused sparse winner list for the
-	// fused first-layer backward.
-	bInShape      []int
+	// Scratch (see batch.go). win holds, per pooled output of the last
+	// forward, the flat index into lastInB of the cell its gradient routes
+	// to; spw is the reused sparse winner list for the fused first-layer
+	// backward and bkts its per-row-offset emission buckets.
 	lastInB       *tensor.Tensor
 	outB, gradInB *tensor.Tensor
+	win           []int
 	spw           []sparseWinner
-	// bkts are per-window-row emission buckets indexed by a winner's row
-	// offset inside its window; concatenating them in order after each
-	// window row yields winners sorted by (y, x) without a comparison sort.
-	bkts [3][]sparseWinner
+	bkts          [][]sparseWinner
 }
 
 var (
@@ -48,16 +47,25 @@ func (p *MaxPool2D) Name() string { return fmt.Sprintf("maxpool%dx%d", p.Size, p
 func (p *MaxPool2D) shadow() Layer { return &MaxPool2D{Size: p.Size, Stride: p.Stride} }
 
 // OutShape implements Layer.
-func (p *MaxPool2D) OutShape(in []int) []int {
+func (p *MaxPool2D) OutShape(in []int) []int { return poolOutShape(p.Size, p.Stride, in) }
+
+// poolOutShape is OutShape of both pooling layers.
+func poolOutShape(size, stride int, in []int) []int {
 	if len(in) != 3 {
 		panic(fmt.Sprintf("cnn: pool input shape %v, want 3-d", in))
 	}
-	oh := (in[1]-p.Size)/p.Stride + 1
-	ow := (in[2]-p.Size)/p.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("cnn: pool output collapses for input %v", in))
-	}
+	oh, ow := poolDims(size, stride, in[1], in[2])
 	return []int{in[0], oh, ow}
+}
+
+// poolDims returns the output height and width of size×size windows at
+// stride over an h×w plane. Every window lies wholly inside the plane: one
+// larger than the plane panics rather than being clipped.
+func poolDims(size, stride, h, w int) (oh, ow int) {
+	if h < size || w < size {
+		panic(fmt.Sprintf("cnn: pool output collapses for a %d×%d input", h, w))
+	}
+	return (h-size)/stride + 1, (w-size)/stride + 1
 }
 
 // Receptive implements SpatialLayer.

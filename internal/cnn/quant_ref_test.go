@@ -220,7 +220,7 @@ func (p *refQPool) forward(in []int8) []int8 {
 	for c := 0; c < p.ch; c++ {
 		for oy := 0; oy < p.outH; oy++ {
 			for ox := 0; ox < p.outW; ox++ {
-				y0, y1, x0, x1 := refPoolWindow(p.size, p.stride, p.inH, p.inW, oy, ox)
+				y0, y1, x0, x1 := refPoolWindow(p.size, p.stride, oy, ox)
 				best, sum := int8(-128), int32(0)
 				for y := y0; y < y1; y++ {
 					for x := x0; x < x1; x++ {

@@ -106,7 +106,7 @@ func TestQuantAgreesWithFloat(t *testing.T) {
 	agree, n := 0, 400
 	for i := 0; i < n; i++ {
 		in := randomInput(s, 1, 6, 6)
-		if qn.Classify(in) == net.Predict(in) {
+		if qn.Classify(in) == net.Forward(in).Argmax() {
 			agree++
 		}
 	}
@@ -159,7 +159,7 @@ func TestQuantAvgPoolNetwork(t *testing.T) {
 	}
 	agree := 0
 	for _, smp := range samples {
-		if qn.Classify(smp.Input) == net.Predict(smp.Input) {
+		if qn.Classify(smp.Input) == net.Forward(smp.Input).Argmax() {
 			agree++
 		}
 	}

@@ -24,7 +24,7 @@ import (
 //   - MaxPool2D: a left max fold over the window in scan order; backward
 //     routes each nonzero gradient to the first window cell equal to the
 //     max.
-//   - AvgPool2D: the clipped-window mean; backward spreads g/count.
+//   - AvgPool2D: the window mean; backward spreads g/count.
 //   - ReLU: v for v > 0, +0 otherwise; backward passes g where the output
 //     is nonzero.
 //   - Flatten: a reshape.
@@ -210,11 +210,11 @@ func refDenseBackward(d *Dense, in, gradOut *tensor.Tensor) *tensor.Tensor {
 	return gradIn
 }
 
-// refPoolWindow returns pooling window (oy, ox)'s in-range input rows
-// [y0, y1) and columns [x0, x1).
-func refPoolWindow(size, stride, h, w, oy, ox int) (y0, y1, x0, x1 int) {
+// refPoolWindow returns pooling window (oy, ox)'s input rows [y0, y1) and
+// columns [x0, x1); OutShape keeps every window inside the input.
+func refPoolWindow(size, stride, oy, ox int) (y0, y1, x0, x1 int) {
 	y0, x0 = oy*stride, ox*stride
-	return y0, min(y0+size, h), x0, min(x0+size, w)
+	return y0, y0 + size, x0, x0 + size
 }
 
 func refMaxPoolForward(p *MaxPool2D, in *tensor.Tensor) *tensor.Tensor {
@@ -225,7 +225,7 @@ func refMaxPoolForward(p *MaxPool2D, in *tensor.Tensor) *tensor.Tensor {
 	for c := 0; c < ch; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, h, w, oy, ox)
+				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, oy, ox)
 				best := ind[(c*h+y0)*w+x0]
 				for y := y0; y < y1; y++ {
 					for x := x0; x < x1; x++ {
@@ -251,7 +251,7 @@ func refMaxPoolBackward(p *MaxPool2D, in, out, gradOut *tensor.Tensor) *tensor.T
 				if god[o] == 0 {
 					continue
 				}
-				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, h, w, oy, ox)
+				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, oy, ox)
 				t := (c*h+y0)*w + x0
 			find:
 				for y := y0; y < y1; y++ {
@@ -277,7 +277,7 @@ func refAvgPoolForward(p *AvgPool2D, in *tensor.Tensor) *tensor.Tensor {
 	for c := 0; c < ch; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, h, w, oy, ox)
+				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, oy, ox)
 				sum := 0.0
 				for y := y0; y < y1; y++ {
 					for x := x0; x < x1; x++ {
@@ -299,7 +299,7 @@ func refAvgPoolBackward(p *AvgPool2D, in, gradOut *tensor.Tensor) *tensor.Tensor
 	for c := 0; c < ch; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, h, w, oy, ox)
+				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, oy, ox)
 				g := god[(c*oh+oy)*ow+ox] / float64((y1-y0)*(x1-x0))
 				for y := y0; y < y1; y++ {
 					for x := x0; x < x1; x++ {

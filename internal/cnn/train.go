@@ -97,8 +97,15 @@ func (t *Trainer) Step(maxBatches int) int {
 		if t.perm == nil {
 			t.beginEpoch()
 		}
-		k := min(maxBatches-ran, (len(t.perm)-t.cursor+t.batch-1)/t.batch)
-		end := min(t.cursor+k*t.batch, len(t.perm))
+		// The mini-batches left in the epoch, the last maybe partial,
+		// counted without overflow for any batch size.
+		left := len(t.perm) - t.cursor
+		k := left / t.batch
+		if left%t.batch != 0 {
+			k++
+		}
+		k = min(maxBatches-ran, k)
+		end := t.cursor + min(left, k*t.batch)
 		t.lossSum = t.net.trainChunk(t.samples, t.perm[t.cursor:end], t.batch, blockSize, t.workers, t.lossSum, t.stepOptimizer)
 		t.lossCount += end - t.cursor
 		t.batches += k

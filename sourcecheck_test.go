@@ -32,31 +32,25 @@ var unusedAllowed = map[string]string{
 	// deletion.
 	"backscatter.RFHarvestPowerW":              retire + "TestRFHarvestPower",
 	"backscatter.IntermittentDevice.DutyCycle": retire + "TestDutyCycle",
-	"cnn.SGD.Reset":                            retire + "TestSGDResetRestartsMomentum",
-	"cnn.SGD.ReleaseNetwork":                   retire + "TestSGDReleaseNetwork",
-	"cnn.SGD.StateSize":                        retire + "TestSGDReleaseNetwork",
-	"cnn.Adam.Reset":                           retire + "TestAdamResetAndRelease",
-	"cnn.Adam.Release":                         retire + "TestAdamResetAndRelease",
-	"cnn.Adam.StateSize":                       retire + "TestAdamResetAndRelease",
-	"obs.Nop":                                  retire + "TestNopDiscards",
-	"radio.FreeSpacePathLoss":                  retire + "TestFreeSpacePathLoss",
-	"radio.RayleighGain":                       retire + "TestFadingMeansAreUnity",
-	"radio.RicianGain":                         retire + "TestRicianVarianceShrinksWithK",
-	"rng.Stream.Poisson":                       retire + "TestPoissonMean",
-	"rng.Stream.Choice":                        retire + "TestChoiceRespectsWeights",
-	"sensors.NewBimetallicSwitch":              retire + "TestBimetallicHysteresis",
-	"sensors.BimetallicSwitch.Step":            retire + "TestBimetallicHysteresis",
-	"sensors.BimetallicSwitch.States":          retire + "TestDeviceInterfaces",
-	"sensors.IRFilmPixel.Step":                 retire + "TestIRFilmMonotone",
-	"sensors.IRFilmPixel.States":               retire + "TestIRFilmQuantization",
-	"sensors.SpringAccelerometer.States":       retire + "TestDeviceInterfaces",
-	"sensors.FlowMeter.States":                 retire + "TestDeviceInterfaces",
-	"sim.Event.Cancel":                         retire + "TestCancel",
-	"sim.Kernel.Stop":                          retire + "TestStop",
-	"sim.Kernel.Pending":                       retire + "TestPending",
-	"tensor.Tensor.Max":                        retire + "TestReductions",
-	"tensor.Tensor.Mean":                       retire + "TestReductions",
-	"tensor.Tensor.L2":                         retire + "TestDotAndL2",
+	"obs.Nop":                            retire + "TestNopDiscards",
+	"radio.FreeSpacePathLoss":            retire + "TestFreeSpacePathLoss",
+	"radio.RayleighGain":                 retire + "TestFadingMeansAreUnity",
+	"radio.RicianGain":                   retire + "TestRicianVarianceShrinksWithK",
+	"rng.Stream.Poisson":                 retire + "TestPoissonMean",
+	"rng.Stream.Choice":                  retire + "TestChoiceRespectsWeights",
+	"sensors.NewBimetallicSwitch":        retire + "TestBimetallicHysteresis",
+	"sensors.BimetallicSwitch.Step":      retire + "TestBimetallicHysteresis",
+	"sensors.BimetallicSwitch.States":    retire + "TestDeviceInterfaces",
+	"sensors.IRFilmPixel.Step":           retire + "TestIRFilmMonotone",
+	"sensors.IRFilmPixel.States":         retire + "TestIRFilmQuantization",
+	"sensors.SpringAccelerometer.States": retire + "TestDeviceInterfaces",
+	"sensors.FlowMeter.States":           retire + "TestDeviceInterfaces",
+	"sim.Event.Cancel":                   retire + "TestCancel",
+	"sim.Kernel.Stop":                    retire + "TestStop",
+	"sim.Kernel.Pending":                 retire + "TestPending",
+	"tensor.Tensor.Max":                  retire + "TestReductions",
+	"tensor.Tensor.Mean":                 retire + "TestReductions",
+	"tensor.Tensor.L2":                   retire + "TestDotAndL2",
 }
 
 // retire prefixes the reason of a declaration that only its own test
