@@ -126,6 +126,33 @@ func BenchmarkDistributedForward(b *testing.B) {
 	}
 }
 
+// BenchmarkDistributedForwardBatch runs e8's test-set size, 175 samples,
+// through one ForwardBatch call per op and reports the time per sample.
+func BenchmarkDistributedForwardBatch(b *testing.B) {
+	net, _ := benchNet(3)
+	g, err := microdeep.BuildGraph(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := rng.New(3)
+	inputs := make([]*tensor.Tensor, 175)
+	for i := range inputs {
+		inputs[i] = tensor.New(1, 17, 25)
+		for j := range inputs[i].Data() {
+			inputs[i].Data()[j] = s.NormMeanStd(0, 1)
+		}
+	}
+	ex := microdeep.NewExecutor(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ex.ForwardBatch(inputs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(inputs)), "ns/sample")
+}
+
 func BenchmarkAssignBalanced(b *testing.B) {
 	net, _ := benchNet(4)
 	g, err := microdeep.BuildGraph(net)

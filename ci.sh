@@ -9,8 +9,9 @@
 # wsn's FuzzShardedChurn (random Fail/Recover sequences against the
 # all-pairs BFS oracle), a 10 s fuzz of zeiotd's submit decoder, a 10 s
 # fuzz of the CNN checkpoint decoders (FuzzLoad: the reader E17's
-# -checkpoint … -resume goes through), a build, vet and test of the zbench
-# module (its own go.mod, which the root ./... never reaches), and two
+# -checkpoint … -resume goes through), a 10 s fuzz of the MicroDeep
+# checkpoint loader (FuzzRestoreTraining), a build, vet and test of the
+# zbench module (its own go.mod, which the root ./... never reaches), and two
 # end-to-end smokes: e1
 # and e7 at seed 1 must emit exactly the checked-in golden JSON, so a
 # determinism regression anywhere in the stack fails CI even if no unit test
@@ -46,6 +47,10 @@ go test -run '^$' -fuzz FuzzSubmit -fuzztime 10s ./cmd/zeiotd
 # Fuzz step: the checkpoint decoders E17's -resume reads must reject any
 # garbage without a panic, and every trainer they accept must take a step.
 go test -run '^$' -fuzz FuzzLoad -fuzztime 10s ./internal/cnn
+# Fuzz step: Model.RestoreTraining must reject any garbage without a panic,
+# and every checkpoint it accepts must leave a model that runs a
+# distributed forward pass and a training step.
+go test -run '^$' -fuzz FuzzRestoreTraining -fuzztime 10s ./internal/microdeep
 # zbench is a module of its own (replace zeiot => ../), so the steps above
 # never compile it; a deleted or renamed API it calls fails here.
 (cd zbench && go build ./... && go vet ./... && go test ./...)

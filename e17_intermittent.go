@@ -388,19 +388,25 @@ func RunE17Intermittent(ctx context.Context, rc *RunConfig) (*Result, error) {
 	if stride == 0 {
 		stride = 1
 	}
-	cleanOK, brownOK := 0, 0
+	// The clean pass runs as one batch; the brownout pass runs per sample,
+	// because the compute faults move with ComputeTick.
+	inputs := make([]*tensor.Tensor, len(eval))
 	for k, s := range eval {
-		ex.ComputeFaults = nil
-		out, err := ex.Forward(s.Input)
-		if err != nil {
-			return nil, err
-		}
-		if argmax(out.Data()) == s.Label {
+		inputs[k] = s.Input
+	}
+	ex.ComputeFaults = nil
+	clean, err := ex.ForwardBatch(inputs)
+	if err != nil {
+		return nil, err
+	}
+	cleanOK, brownOK := 0, 0
+	ex.ComputeFaults = fm
+	for k, s := range eval {
+		if argmax(clean[k].Data()) == s.Label {
 			cleanOK++
 		}
-		ex.ComputeFaults = fm
 		ex.ComputeTick = uint64(k) * stride
-		out, err = ex.Forward(s.Input)
+		out, err := ex.Forward(s.Input)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"zeiot/internal/microdeep"
 	"zeiot/internal/obs"
 	"zeiot/internal/rng"
+	"zeiot/internal/tensor"
 	"zeiot/internal/wsn"
 )
 
@@ -59,16 +60,20 @@ func RunE8Resilience(ctx context.Context, rc *RunConfig) (*Result, error) {
 	model.FitParallel(train, 6, 16, h.cfg.workers(), cnn.NewSGD(0.02, 0.9), sNet.Split("fit"))
 	h.mark(StageTrain)
 
-	// accuracy runs the test set through ex and returns the share it
-	// classifies correctly.
+	// accuracy runs the test set through ex in one batch and returns the
+	// share it classifies correctly.
+	inputs := make([]*tensor.Tensor, len(test))
+	for i, s := range test {
+		inputs[i] = s.Input
+	}
 	accuracy := func(ex *microdeep.Executor) (float64, error) {
+		outs, err := ex.ForwardBatch(inputs)
+		if err != nil {
+			return 0, err
+		}
 		correct := 0
-		for _, s := range test {
-			out, err := ex.Forward(s.Input)
-			if err != nil {
-				return 0, err
-			}
-			if out.Argmax() == s.Label {
+		for i, s := range test {
+			if outs[i].Argmax() == s.Label {
 				correct++
 			}
 		}

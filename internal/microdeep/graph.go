@@ -11,9 +11,10 @@
 //     mapping) and the paper's balanced heuristic that equalizes units per
 //     node while maximizing the correspondence of CNN links and WSN links;
 //   - per-node communication-cost accounting (the Fig. 10 metric);
-//   - a distributed forward executor whose output is exactly equal to the
-//     centralized CNN (property-tested), so the only accuracy-relevant
-//     approximation is the local weight-update mode;
+//   - a distributed forward executor that computes the centralized CNN's
+//     function in its own summation order, so its outputs equal the
+//     centralized pass's up to rounding (property-tested to 1e-9) and the
+//     only accuracy-relevant approximation is the local weight-update mode;
 //   - the local update mode itself: per-node replicas of shared
 //     convolution kernels trained without gradient aggregation,
 //     "sacrificing some accuracy" to eliminate weight-synchronization
@@ -207,7 +208,7 @@ func BuildGraph(net *cnn.Network) (*Graph, error) {
 			}
 			out := l.OutShape(prevShape)
 			st := addStage(Stage{Kind: StagePool, C: out[0], H: out[1], W: out[2], Pool: l})
-			newIdx := poolSites(g, addSite, st, l, out, prevShape, prevIdx)
+			newIdx := poolSites(addSite, st, l, out, prevIdx)
 			prevIdx, prevShape = newIdx, out
 		case *cnn.AvgPool2D:
 			if prevDense != nil {
@@ -215,7 +216,7 @@ func BuildGraph(net *cnn.Network) (*Graph, error) {
 			}
 			out := l.OutShape(prevShape)
 			st := addStage(Stage{Kind: StagePool, C: out[0], H: out[1], W: out[2], AvgPool: l})
-			newIdx := poolSites(g, addSite, st, l, out, prevShape, prevIdx)
+			newIdx := poolSites(addSite, st, l, out, prevIdx)
 			prevIdx, prevShape = newIdx, out
 		case *cnn.Flatten:
 			// No units: flattening is a bookkeeping step. The following
@@ -260,22 +261,22 @@ func BuildGraph(net *cnn.Network) (*Graph, error) {
 }
 
 // poolSites adds one site per pooling output position with its window
-// dependencies, for either pooling flavour.
-func poolSites(g *Graph, addSite func(stageIdx, y, x, width int, coord geom.Point, deps []int) int, st int, l cnn.SpatialLayer, out, prevShape []int, prevIdx [][]int) [][]int {
+// dependencies in scan order, for either pooling flavour. Both pools'
+// OutShape reject a window wider than the input, so no window is clipped.
+func poolSites(addSite func(stageIdx, y, x, width int, coord geom.Point, deps []int) int, st int, l cnn.SpatialLayer, out []int, prevIdx [][]int) [][]int {
 	newIdx := make([][]int, out[1])
 	for oy := 0; oy < out[1]; oy++ {
 		newIdx[oy] = make([]int, out[2])
 		for ox := 0; ox < out[2]; ox++ {
 			y0, y1, x0, x1 := l.Receptive(oy, ox)
 			var deps []int
-			for y := y0; y <= y1 && y < prevShape[1]; y++ {
-				for x := x0; x <= x1 && x < prevShape[2]; x++ {
+			for y := y0; y <= y1; y++ {
+				for x := x0; x <= x1; x++ {
 					deps = append(deps, prevIdx[y][x])
 				}
 			}
 			newIdx[oy][ox] = addSite(st, oy, ox, out[0], normCoord(oy, ox, out[1], out[2]), deps)
 		}
 	}
-	_ = g
 	return newIdx
 }
