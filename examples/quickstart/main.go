@@ -71,7 +71,8 @@ func run() error {
 	model.FitParallel(train, 6, 16, 0, cnn.NewSGD(0.05, 0.9), root.Split("fit")) // 0 workers: one per CPU
 	fmt.Printf("test accuracy: %.1f%%\n", 100*model.Evaluate(test))
 
-	// 5. The distributed forward pass is exactly the centralized one.
+	// 5. The distributed forward pass agrees with the centralized one up
+	// to rounding: it sums the same terms in its own order.
 	out, err := model.ForwardDistributed(test[0].Input)
 	if err != nil {
 		return err

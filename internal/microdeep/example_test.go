@@ -36,7 +36,7 @@ func Example() {
 		fmt.Println("forward:", err)
 		return
 	}
-	fmt.Println("identical:", tensor.Equal(central, distributed, 1e-9))
+	fmt.Println("equal to 1e-9:", tensor.Equal(central, distributed, 1e-9))
 
 	cost, err := model.CostPerSample(false)
 	if err != nil {
@@ -45,7 +45,7 @@ func Example() {
 	}
 	fmt.Println("total cost positive:", cost.Total > 0)
 	// Output:
-	// identical: true
+	// equal to 1e-9: true
 	// total cost positive: true
 }
 

@@ -38,7 +38,7 @@ func randomNet(t *testing.T, a, b, c uint8) (*cnn.Network, int) {
 
 // TestPropertyDistributedEquivalence: for random CNN geometries and random
 // inputs, the site-by-site distributed executor matches the centralized
-// forward pass exactly.
+// forward pass to 1e-9 (its sums run in their own order).
 func TestPropertyDistributedEquivalence(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
 	err := quick.Check(func(a, b, c uint8) bool {
