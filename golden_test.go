@@ -76,14 +76,7 @@ func TestGoldenDefaultConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.Timings = nil
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode([]*zeiot.Result{r}); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
+			if !bytes.Equal(cliJSON(t, r), want) {
 				flags := "-seed 1"
 				if tc.cfg != nil && tc.cfg.Nodes != 0 {
 					flags += fmt.Sprintf(" -nodes %d", tc.cfg.Nodes)
@@ -96,4 +89,18 @@ func TestGoldenDefaultConfig(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cliJSON renders r as `zeiotbench -json` prints it, with Timings, the one
+// nondeterministic field, stripped.
+func cliJSON(t *testing.T, r *zeiot.Result) []byte {
+	t.Helper()
+	r.Timings = nil
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode([]*zeiot.Result{r}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
