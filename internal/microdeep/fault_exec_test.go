@@ -3,6 +3,7 @@ package microdeep
 import (
 	"testing"
 
+	"zeiot/internal/cnn"
 	"zeiot/internal/geom"
 	"zeiot/internal/rng"
 	"zeiot/internal/tensor"
@@ -233,4 +234,47 @@ func TestPlanCacheDistinguishesTopologies(t *testing.T) {
 		t.Fatal("replay on the wide topology returned a different plan")
 	}
 	_ = planNarrow
+}
+
+// TestExecutorLossyPaddingOnlySites runs the lossy path over a conv whose
+// padding is wider than its kernel, so its border sites read no input at
+// all: with every transfer dropped the pass must still complete, and with
+// none dropped it must equal the fault-free executor.
+func TestExecutorLossyPaddingOnlySites(t *testing.T) {
+	s := rng.New(5)
+	net := cnn.NewNetwork([]int{1, 4, 4},
+		cnn.NewConv2D(1, 2, 1, 1, 1, 1, s.Split("c")),
+		cnn.NewReLU(),
+		cnn.NewFlatten(),
+		cnn.NewDense(2*6*6, 2, s.Split("d")),
+	)
+	g, err := BuildGraph(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wsn.NewGrid(3, 3, 1)
+	a, err := AssignBalanced(g, w, DefaultBalanceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.New(1, 4, 4)
+	for i := range in.Data() {
+		in.Data()[i] = s.NormMeanStd(0, 1)
+	}
+	want, err := NewExecutor(g).Forward(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, drop := range []float64{0, 1} {
+		ex := NewExecutor(g)
+		ex.Assign, ex.Net, ex.Retry = &a, w, wsn.RetryPolicy{}
+		ex.Faults = wsn.NewLinkFaultModel(wsn.FaultConfig{Seed: 1, DropProb: drop})
+		got, err := ex.Forward(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drop == 0 && !tensor.Equal(want, got, 0) {
+			t.Fatalf("zero-loss lossy forward %v, fault-free %v", got, want)
+		}
+	}
 }
