@@ -32,12 +32,12 @@ import (
 // (at the crowd-smoke size of TestGoldenDefaultConfig) the per-step
 // detection and live-node series and the shard counters.
 //
-// The goldens were recorded with TrainWorkers 1. The e1, e2, e8, e13 and e14
-// rows at 2 or 4 workers compare against the same files, so a worker count
-// that moves a result or reorders a recorded series fails here. The export
-// records the raw worker count as config_trainworkers, the one line that may
-// differ, so that sample of the expected export is rewritten to the row's
-// count.
+// The goldens were recorded with TrainWorkers 1. The e1, e2, e8, e13, e14,
+// e17 and e18 rows at 2 or 4 workers compare against the same files, so a
+// worker count that moves a result or reorders a recorded series fails
+// here. The export records the raw worker count as config_trainworkers, the
+// one line that may differ, so that sample of the expected export is
+// rewritten to the row's count.
 func TestMetricsGolden(t *testing.T) {
 	// The exports hold loss curves computed through math.Exp, which on amd64
 	// picks its FMA or non-FMA assembly at run time and the two disagree in
@@ -70,6 +70,8 @@ func TestMetricsGolden(t *testing.T) {
 		{"e8", 4, "trains the resilience CNN", nil},
 		{"e13", 4, "trains the HAR CNN", nil},
 		{"e14", 4, "trains the intrusion CNNs", nil},
+		{"e17", 4, "trains the intermittent CNN", nil},
+		{"e18", 4, "trains the cross-modal CNNs", nil},
 	}
 	for _, tc := range cases {
 		name := tc.id
