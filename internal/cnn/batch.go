@@ -1176,76 +1176,6 @@ func (p *MaxPool2D) backwardBatchSparse(gradOut *tensor.Tensor) []sparseWinner {
 }
 
 // ---------------------------------------------------------------------------
-// AvgPool2D
-
-// forwardBatch implements Layer: the reference's window mean per contiguous
-// (channel, sample) plane.
-func (p *AvgPool2D) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
-	if in.Dims() != 4 {
-		panic(fmt.Sprintf("cnn: batched pool input shape %v, want (C,B,H,W)", in.Shape()))
-	}
-	p.bInShape = append(p.bInShape[:0], in.Shape()...)
-	ch, bsz, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	oh, ow := poolDims(p.Size, p.Stride, h, w)
-	p.outB = tensor.Ensure(p.outB, ch, bsz, oh, ow)
-	ind := in.Data()
-	outd := p.outB.Data()
-	count := float64(p.Size * p.Size)
-	idx := 0
-	for cb := 0; cb < ch*bsz; cb++ {
-		for oy := 0; oy < oh; oy++ {
-			row := (cb*h + oy*p.Stride) * w
-			for ox := 0; ox < ow; ox++ {
-				o := row + ox*p.Stride
-				sum := 0.0
-				for r := o; r < o+p.Size*w; r += w {
-					for _, v := range ind[r : r+p.Size] {
-						sum += v
-					}
-				}
-				outd[idx] = sum / count
-				idx++
-			}
-		}
-	}
-	return p.outB
-}
-
-// backwardBatch implements Layer.
-func (p *AvgPool2D) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.Tensor {
-	if !withInGrad {
-		return nil
-	}
-	if len(p.bInShape) != 4 {
-		panic("cnn: batched AvgPool2D backward before forward")
-	}
-	ch, bsz, h, w := p.bInShape[0], p.bInShape[1], p.bInShape[2], p.bInShape[3]
-	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
-	p.gradInB = tensor.Ensure(p.gradInB, ch, bsz, h, w)
-	p.gradInB.Zero()
-	gid := p.gradInB.Data()
-	god := gradOut.Data()
-	count := float64(p.Size * p.Size)
-	idx := 0
-	for cb := 0; cb < ch*bsz; cb++ {
-		for oy := 0; oy < oh; oy++ {
-			row := (cb*h + oy*p.Stride) * w
-			for ox := 0; ox < ow; ox++ {
-				o := row + ox*p.Stride
-				g := god[idx] / count
-				for r := o; r < o+p.Size*w; r += w {
-					for x := r; x < r+p.Size; x++ {
-						gid[x] += g
-					}
-				}
-				idx++
-			}
-		}
-	}
-	return p.gradInB
-}
-
-// ---------------------------------------------------------------------------
 // Network engine
 
 // forwardBatchAll runs all layers over a packed block. Conv2D+ReLU and

@@ -136,8 +136,7 @@ func flatSamples(seed uint64, n, f, classes int) []Sample {
 
 // batchNets returns the architectures the bit-identity suite covers: padded
 // 3×3 convs with max pooling (the fast paths), a stride-2 5×5 conv (the
-// general im2col/scatter path), average pooling, a dense-only stack on flat
-// input, and four locally connected stacks (replica tables with a distinct
+// general im2col/scatter path), a dense-only stack on flat input, and four locally connected stacks (replica tables with a distinct
 // kernel per position): e2's MicroDeep CNN (single-channel input, the
 // sparse-winner backward), e1's feasible CNN (multi-channel input), a
 // stride-2 5×5 replica conv (the general scatter) and a replica conv behind a
@@ -165,10 +164,6 @@ func batchNets() map[string]struct {
 				)
 			},
 			samples: spatialSamples(102, 19, 2, 9, 9, 4),
-		},
-		"conv-avgpool": {
-			build:   func() *Network { return buildFullNet(13) },
-			samples: spatialSamples(103, 21, 1, 8, 8, 2),
 		},
 		"dense-only": {
 			build: func() *Network {

@@ -247,21 +247,25 @@ func tamper[T any](t *testing.T, data []byte, mutate func(*T)) []byte {
 }
 
 // TestLoadRejectsTamperedGeometry: a blob whose geometry fields disagree
-// with its saved weights must be rejected with a descriptive error, not
-// silently reinterpreted (or panicked on). Each tamper goes through both
-// readers the program has: decodeBlob, behind RestoreTraining, and
-// ResumeTrainer, whose checkpoint embeds the same blob.
+// with its saved weights, or that names a layer or optimizer the package
+// cannot build, must be rejected with a descriptive error, not silently
+// reinterpreted (or panicked on). Each tamper goes through every reader the
+// program has: decodeBlob, RestoreTraining, and ResumeTrainer, whose
+// checkpoint embeds the same blob.
 func TestLoadRejectsTamperedGeometry(t *testing.T) {
-	s := rng.New(43)
 	// On a square input a 3×1 kernel's KH/KW swap keeps the flattened size,
 	// so the swapped stack still chains and only the recorded parameter
 	// shapes can tell.
-	net := NewNetwork([]int{1, 6, 6},
-		NewConv2D(1, 2, 3, 1, 1, 0, s.Split("conv")),
-		NewReLU(),
-		NewFlatten(),
-		NewDense(2*4*6, 4, s.Split("d")), // 48×4: In/Out swap preserves flat size
-	)
+	build := func() *Network {
+		s := rng.New(43)
+		return NewNetwork([]int{1, 6, 6},
+			NewConv2D(1, 2, 3, 1, 1, 0, s.Split("conv")),
+			NewReLU(),
+			NewFlatten(),
+			NewDense(2*4*6, 4, s.Split("d")), // 48×4: In/Out swap preserves flat size
+		)
+	}
+	net := build()
 	var blob bytes.Buffer
 	if err := net.SaveTraining(&blob, nil); err != nil {
 		t.Fatal(err)
@@ -323,6 +327,10 @@ func TestLoadRejectsTamperedGeometry(t *testing.T) {
 		{"spatial output", func(b *netBlob) {
 			b.Layers = b.Layers[:2]
 		}, "want 1-D logits"},
+		// A 1×1 average pool in the ReLU's place would chain.
+		{"avgpool layer", func(b *netBlob) {
+			b.Layers[1] = layerBlob{Kind: "avgpool", Size: 1, PoolStride: 1}
+		}, `unknown layer kind "avgpool"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -331,6 +339,11 @@ func TestLoadRejectsTamperedGeometry(t *testing.T) {
 				t.Error("decodeBlob accepted the tampered blob")
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("decodeBlob error %q does not contain %q", err, tc.want)
+			}
+			if _, err := build().RestoreTraining(bytes.NewReader(data), NewSGD(0, 0)); err == nil {
+				t.Error("RestoreTraining accepted the tampered blob")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("RestoreTraining error %q does not contain %q", err, tc.want)
 			}
 			data = tamper(t, ck.Bytes(), func(c *trainerCheckpoint) { tc.mutate(c.Net) })
 			if _, err := ResumeTrainer(bytes.NewReader(data), samples, 1); err == nil {

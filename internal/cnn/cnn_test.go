@@ -224,20 +224,19 @@ func TestConvKnownValues(t *testing.T) {
 // window wider than its input is rejected, though Go's truncating division
 // alone would give (2-3)/3+1 = 1 output row.
 func TestPoolWindowsInsideInput(t *testing.T) {
-	for _, l := range []Layer{NewMaxPool2D(3, 3), NewAvgPool2D(3, 3)} {
-		if got := l.OutShape([]int{1, 3, 7}); !slices.Equal(got, []int{1, 1, 2}) {
-			t.Errorf("%s: OutShape([1 3 7]) = %v, want [1 1 2]", l.Name(), got)
-		}
-		for _, in := range [][]int{{1, 2, 5}, {1, 5, 2}} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: OutShape(%v) accepted a window wider than the input", l.Name(), in)
-					}
-				}()
-				l.OutShape(in)
+	l := NewMaxPool2D(3, 3)
+	if got := l.OutShape([]int{1, 3, 7}); !slices.Equal(got, []int{1, 1, 2}) {
+		t.Errorf("OutShape([1 3 7]) = %v, want [1 1 2]", got)
+	}
+	for _, in := range [][]int{{1, 2, 5}, {1, 5, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("OutShape(%v) accepted a window wider than the input", in)
+				}
 			}()
-		}
+			l.OutShape(in)
+		}()
 	}
 }
 

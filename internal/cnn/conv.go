@@ -41,9 +41,8 @@ type Conv2D struct {
 }
 
 var (
-	_ Layer        = (*Conv2D)(nil)
-	_ ParamLayer   = (*Conv2D)(nil)
-	_ SpatialLayer = (*Conv2D)(nil)
+	_ Layer      = (*Conv2D)(nil)
+	_ ParamLayer = (*Conv2D)(nil)
 )
 
 // NewConv2D builds a convolution layer with He-initialized weights drawn
@@ -135,7 +134,8 @@ func (c *Conv2D) OutShape(in []int) []int {
 	return []int{c.OutC, oh, ow}
 }
 
-// Receptive implements SpatialLayer.
+// Receptive returns the inclusive input window [y0,y1]×[x0,x1] that output
+// position (oy, ox) reads (all input channels), padding included.
 func (c *Conv2D) Receptive(oy, ox int) (y0, y1, x0, x1 int) {
 	y0 = oy*c.Stride - c.Pad
 	x0 = ox*c.Stride - c.Pad

@@ -1,5 +1,5 @@
 // Package cnn implements a small, from-scratch convolutional neural network:
-// Conv2D, MaxPool2D, AvgPool2D, Dense, ReLU and Flatten layers, softmax
+// Conv2D, MaxPool2D, Dense, ReLU and Flatten layers, softmax
 // cross-entropy, and SGD with momentum or Adam. It is the "standard CNN"
 // baseline of the paper and the numeric core that package microdeep
 // distributes across a wireless sensor network.
@@ -67,17 +67,6 @@ type ParamLayer interface {
 	Grads() []*tensor.Tensor
 	// ZeroGrads clears accumulated gradients.
 	ZeroGrads()
-}
-
-// SpatialLayer is a layer whose output units sit at (channel, y, x)
-// coordinates and read a bounded receptive field of input units. Package
-// microdeep uses this to build the CNN unit graph it assigns to sensor
-// nodes.
-type SpatialLayer interface {
-	Layer
-	// Receptive returns, for output position (oy, ox), the inclusive input
-	// window [y0,y1]×[x0,x1] it reads (all input channels).
-	Receptive(oy, ox int) (y0, y1, x0, x1 int)
 }
 
 // ReLU applies max(0, x) element-wise.

@@ -20,10 +20,7 @@ type MaxPool2D struct {
 	bkts          [][]sparseWinner
 }
 
-var (
-	_ Layer        = (*MaxPool2D)(nil)
-	_ SpatialLayer = (*MaxPool2D)(nil)
-)
+var _ Layer = (*MaxPool2D)(nil)
 
 // NewMaxPool2D returns a pooling layer with the given window size and
 // stride. A stride of 0 defaults to the window size (non-overlapping).
@@ -47,14 +44,11 @@ func (p *MaxPool2D) Name() string { return fmt.Sprintf("maxpool%dx%d", p.Size, p
 func (p *MaxPool2D) shadow() Layer { return &MaxPool2D{Size: p.Size, Stride: p.Stride} }
 
 // OutShape implements Layer.
-func (p *MaxPool2D) OutShape(in []int) []int { return poolOutShape(p.Size, p.Stride, in) }
-
-// poolOutShape is OutShape of both pooling layers.
-func poolOutShape(size, stride int, in []int) []int {
+func (p *MaxPool2D) OutShape(in []int) []int {
 	if len(in) != 3 {
 		panic(fmt.Sprintf("cnn: pool input shape %v, want 3-d", in))
 	}
-	oh, ow := poolDims(size, stride, in[1], in[2])
+	oh, ow := poolDims(p.Size, p.Stride, in[1], in[2])
 	return []int{in[0], oh, ow}
 }
 
@@ -68,7 +62,8 @@ func poolDims(size, stride, h, w int) (oh, ow int) {
 	return (h-size)/stride + 1, (w-size)/stride + 1
 }
 
-// Receptive implements SpatialLayer.
+// Receptive returns the inclusive input window [y0,y1]×[x0,x1] that output
+// position (oy, ox) reads (all input channels).
 func (p *MaxPool2D) Receptive(oy, ox int) (y0, y1, x0, x1 int) {
 	y0 = oy * p.Stride
 	x0 = ox * p.Stride

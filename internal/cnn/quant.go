@@ -15,10 +15,9 @@ package cnn
 // (inScale·wScale) as int32. Between layers the int32 accumulator is
 // rescaled to the next activation scale with a fixed-point multiplier
 // (round(m·2^24), round-half-up, saturating to ±127). ReLU, max pooling and
-// flatten operate directly on the int8 values (the scale passes through);
-// average pooling takes the round-half-up integer mean. The final Dense
-// layer skips requantization and keeps its int32 accumulators: Classify is
-// an argmax over them.
+// flatten operate directly on the int8 values (the scale passes through).
+// The final Dense layer skips requantization and keeps its int32
+// accumulators: Classify is an argmax over them.
 //
 // # One kernel family
 //
@@ -27,16 +26,12 @@ package cnn
 // the same type whose weights and biases are the quantized integers stored
 // as float64, and every other layer to a fresh copy; a QuantizedNetwork
 // runs one sample as a block of one through their forwardBatch, applying
-// requantize in place after each interior Conv2D and Dense and the
-// round-half-up step after each AvgPool2D. The result is exact, not close:
-// QuantizeNetwork refuses any layer whose bias magnitude plus fan-in·127²
-// could reach 2³¹, so every partial sum of every accumulator, in any order,
-// is an integer below 2³¹ and exactly represented in float64, and the
-// finished sum equals the int32 accumulator. AvgPool2D computes sum/count
-// correctly rounded. The exact mean is either a half-way point, which is
-// exactly representable, or at least 1/(2·count) from one, far more than
-// the rounding error, so floor(mean+0.5) is the integer round-half-up mean.
-// quant_ref_test.go holds the plain int8 loops this must match at
+// requantize in place after each interior Conv2D and Dense. The result is
+// exact, not close: QuantizeNetwork refuses any layer whose bias magnitude
+// plus fan-in·127² could reach 2³¹, so every partial sum of every
+// accumulator, in any order, is an integer below 2³¹ and exactly
+// represented in float64, and the finished sum equals the int32
+// accumulator. quant_ref_test.go holds the plain int8 loops this must match at
 // tolerance 0.
 //
 // Once constructed, Classify allocates nothing.
@@ -115,7 +110,6 @@ type qStep struct {
 	layer   Layer
 	requant bool  // rescale the accumulators to int8 with mult
 	mult    int64 // requantization multiplier at 2^-qShift
-	round   bool  // round AvgPool2D's means half up
 }
 
 // QuantizedNetwork is an int8 fixed-point inference copy of a trained
@@ -193,9 +187,6 @@ func QuantizeNetwork(n *Network, calib []Sample) (*QuantizedNetwork, error) {
 			st.layer = NewReLU()
 		case *MaxPool2D:
 			st.layer = NewMaxPool2D(t.Size, t.Stride)
-		case *AvgPool2D:
-			st.layer = NewAvgPool2D(t.Size, t.Stride)
-			st.round = true
 		case *Flatten:
 			st.layer = NewFlatten()
 		default:
@@ -255,15 +246,10 @@ func (q *QuantizedNetwork) forwardInt(in *tensor.Tensor) []float64 {
 	quantizeInput(x.Data(), d, 1/q.inScale)
 	for _, st := range q.steps {
 		x = st.layer.forwardBatch(x)
-		xd := x.Data()
-		switch {
-		case st.requant:
+		if st.requant {
+			xd := x.Data()
 			for i, v := range xd {
 				xd[i] = float64(requantize(int32(v), st.mult))
-			}
-		case st.round:
-			for i, v := range xd {
-				xd[i] = math.Floor(v + 0.5)
 			}
 		}
 	}

@@ -18,7 +18,6 @@ import (
 //     int8×int8 terms; interior layers requantize to int8, the final Dense
 //     keeps the int32 accumulators.
 //   - ReLU and MaxPool2D: clamp at zero and a window max, on int8.
-//   - AvgPool2D: floor((2·sum + count) / (2·count)), the round-half-up mean.
 //   - Flatten: a no-op on one contiguous sample.
 
 // refQLayer is one int8 stage of the oracle.
@@ -79,9 +78,6 @@ func refQuantize(net *Network, calib []Sample) *refQuantNet {
 			r.layers = append(r.layers, refQReLU{})
 		case *MaxPool2D:
 			r.layers = append(r.layers, &refQPool{size: t.Size, stride: t.Stride,
-				ch: shape[0], inH: shape[1], inW: shape[2], outH: out[1], outW: out[2], out: make([]int8, vol)})
-		case *AvgPool2D:
-			r.layers = append(r.layers, &refQPool{avg: true, size: t.Size, stride: t.Stride,
 				ch: shape[0], inH: shape[1], inW: shape[2], outH: out[1], outW: out[2], out: make([]int8, vol)})
 		case *Flatten:
 		default:
@@ -203,16 +199,11 @@ func (refQReLU) forward(in []int8) []int8 {
 	return in
 }
 
-// refQPool is an int8 max pool, or with avg the round-half-up integer mean
-// over the cells of each window. halfway counts the means that were exact
-// half-way points, negative ones in [0] and positive ones in [1], so a test
-// can tell that its inputs reach the rounding rule on both sides of zero.
+// refQPool is an int8 max pool.
 type refQPool struct {
-	avg                      bool
 	size, stride             int
 	ch, inH, inW, outH, outW int
 	out                      []int8
-	halfway                  [2]int
 }
 
 func (p *refQPool) forward(in []int8) []int8 {
@@ -221,29 +212,13 @@ func (p *refQPool) forward(in []int8) []int8 {
 		for oy := 0; oy < p.outH; oy++ {
 			for ox := 0; ox < p.outW; ox++ {
 				y0, y1, x0, x1 := refPoolWindow(p.size, p.stride, oy, ox)
-				best, sum := int8(-128), int32(0)
+				best := int8(-128)
 				for y := y0; y < y1; y++ {
 					for x := x0; x < x1; x++ {
-						v := in[(c*p.inH+y)*p.inW+x]
-						best = max(best, v)
-						sum += int32(v)
+						best = max(best, in[(c*p.inH+y)*p.inW+x])
 					}
 				}
-				if !p.avg {
-					p.out[idx] = best
-					idx++
-					continue
-				}
-				count := int32((y1 - y0) * (x1 - x0))
-				if sum%count != 0 && 2*sum%count == 0 {
-					p.halfway[min(max(sum, 0), 1)]++
-				}
-				num, den := 2*sum+count, 2*count
-				q := num / den
-				if num < 0 && num%den != 0 {
-					q-- // floor, not truncation
-				}
-				p.out[idx] = int8(q)
+				p.out[idx] = best
 				idx++
 			}
 		}

@@ -148,59 +148,16 @@ func TestQuantForwardMatchesClassify(t *testing.T) {
 	}
 }
 
-func TestQuantAvgPoolNetwork(t *testing.T) {
-	// Exercise the AvgPool2D rounded mean end to end.
-	net := buildFullNet(7)
-	samples := spatialSamples(311, 40, 1, 8, 8, 2)
-	net.FitParallel(samples, 4, 8, 1, NewSGD(0.05, 0.9), rng.New(23).Split("fit"))
-	qn, err := QuantizeNetwork(net, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree := 0
-	for _, smp := range samples {
-		if qn.Classify(smp.Input) == net.Forward(smp.Input).Argmax() {
-			agree++
-		}
-	}
-	if frac := float64(agree) / float64(len(samples)); frac < 0.9 {
-		t.Fatalf("avgpool-net quantized agreement %.3f < 0.9", frac)
-	}
-}
-
-func TestQuantDeterministic(t *testing.T) {
-	net, _, samples := trainedQuantPair(t)
-	qa, err := QuantizeNetwork(net, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qb, err := QuantizeNetwork(net, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rng.New(99)
-	for i := 0; i < 50; i++ {
-		in := randomInput(s, 1, 6, 6)
-		if qa.Classify(in) != qb.Classify(in) {
-			t.Fatal("two quantizations of the same network diverge")
-		}
-		if !slices.Equal(qa.forwardInt(in), qb.forwardInt(in)) {
-			t.Fatal("quantized integer logits not bit-deterministic")
-		}
-	}
-}
-
 type namedNet struct {
 	name string
 	net  *Network
 }
 
-// quantOracleNets returns the stacks the int8 oracle test covers: e2's lounge CNN (a single-channel 3×3 conv into a
-// 3×3 max pool), e1's 10-channel gait CNN, e13's dense-only net, a
-// stride-2/pad-0 conv feeding two stacked Dense layers (an interior Dense
-// with no ReLU after it), and a conv whose signed outputs feed a 2×2
-// average pool and then a Dense, so half-way means of both signs reach the
-// logits. Biases are random so the accumulator seeds are exercised.
+// quantOracleNets returns the stacks the int8 oracle test covers: e2's
+// lounge CNN (a single-channel 3×3 conv into a 3×3 max pool), e1's
+// 10-channel gait CNN, e13's dense-only net, and a stride-2/pad-0 conv
+// feeding two stacked Dense layers (an interior Dense with no ReLU after
+// it). Biases are random so the accumulator seeds are exercised.
 func quantOracleNets() []namedNet {
 	s := rng.New(5)
 	nets := []namedNet{
@@ -215,9 +172,6 @@ func quantOracleNets() []namedNet {
 		{"stride2", NewNetwork([]int{2, 9, 9},
 			NewConv2D(2, 3, 3, 3, 2, 0, s.Split("s.c")), NewReLU(), NewFlatten(),
 			NewDense(3*4*4, 6, s.Split("s.d1")), NewDense(6, 3, s.Split("s.d2")))},
-		{"avgpool", NewNetwork([]int{1, 8, 8},
-			NewConv2D(1, 3, 3, 3, 1, 1, s.Split("a.c")), NewAvgPool2D(2, 2),
-			NewFlatten(), NewDense(3*4*4, 8, s.Split("a.d1")), NewReLU(), NewDense(8, 2, s.Split("a.d2")))},
 	}
 	for _, n := range nets {
 		bs := s.Split(n.name + ".bias")
@@ -271,11 +225,6 @@ func TestQuantMatchesIntegerOracle(t *testing.T) {
 				}
 				if got := qn.Classify(x); got != best {
 					t.Fatalf("input %d: Classify %d, oracle %d (int32 %v)", i, got, best, logits)
-				}
-			}
-			for _, l := range oracle.layers {
-				if p, ok := l.(*refQPool); ok && p.avg && min(p.halfway[0], p.halfway[1]) == 0 {
-					t.Fatalf("average-pool half-way means (negative, positive) = %v, want both", p.halfway)
 				}
 			}
 		})

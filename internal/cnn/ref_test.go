@@ -24,7 +24,6 @@ import (
 //   - MaxPool2D: a left max fold over the window in scan order; backward
 //     routes each nonzero gradient to the first window cell equal to the
 //     max.
-//   - AvgPool2D: the window mean; backward spreads g/count.
 //   - ReLU: v for v > 0, +0 otherwise; backward passes g where the output
 //     is nonzero.
 //   - Flatten: a reshape.
@@ -43,8 +42,6 @@ func refForward(net *Network, in *tensor.Tensor) []*tensor.Tensor {
 			x = refDenseForward(l, x)
 		case *MaxPool2D:
 			x = refMaxPoolForward(l, x)
-		case *AvgPool2D:
-			x = refAvgPoolForward(l, x)
 		case *ReLU:
 			x = refReLUForward(x)
 		case *Flatten:
@@ -71,8 +68,6 @@ func refBackward(net *Network, acts []*tensor.Tensor, grad *tensor.Tensor) *tens
 			g = refDenseBackward(l, in, g)
 		case *MaxPool2D:
 			g = refMaxPoolBackward(l, in, out, g)
-		case *AvgPool2D:
-			g = refAvgPoolBackward(l, in, g)
 		case *ReLU:
 			g = refReLUBackward(out, g)
 		case *Flatten:
@@ -263,49 +258,6 @@ func refMaxPoolBackward(p *MaxPool2D, in, out, gradOut *tensor.Tensor) *tensor.T
 					}
 				}
 				gid[t] += god[o]
-			}
-		}
-	}
-	return gradIn
-}
-
-func refAvgPoolForward(p *AvgPool2D, in *tensor.Tensor) *tensor.Tensor {
-	ch, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	oh, ow := (h-p.Size)/p.Stride+1, (w-p.Size)/p.Stride+1
-	out := tensor.New(ch, oh, ow)
-	ind, outd := in.Data(), out.Data()
-	for c := 0; c < ch; c++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, oy, ox)
-				sum := 0.0
-				for y := y0; y < y1; y++ {
-					for x := x0; x < x1; x++ {
-						sum += ind[(c*h+y)*w+x]
-					}
-				}
-				outd[(c*oh+oy)*ow+ox] = sum / float64((y1-y0)*(x1-x0))
-			}
-		}
-	}
-	return out
-}
-
-func refAvgPoolBackward(p *AvgPool2D, in, gradOut *tensor.Tensor) *tensor.Tensor {
-	ch, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	oh, ow := gradOut.Dim(1), gradOut.Dim(2)
-	gradIn := tensor.New(ch, h, w)
-	god, gid := gradOut.Data(), gradIn.Data()
-	for c := 0; c < ch; c++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				y0, y1, x0, x1 := refPoolWindow(p.Size, p.Stride, oy, ox)
-				g := god[(c*oh+oy)*ow+ox] / float64((y1-y0)*(x1-x0))
-				for y := y0; y < y1; y++ {
-					for x := x0; x < x1; x++ {
-						gid[(c*h+y)*w+x] += g
-					}
-				}
 			}
 		}
 	}

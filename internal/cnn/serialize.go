@@ -100,8 +100,6 @@ func (n *Network) blob(opt Optimizer) (*netBlob, error) {
 			lb = layerBlob{Kind: "conv", InC: v.InC, OutC: v.OutC, KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad}
 		case *MaxPool2D:
 			lb = layerBlob{Kind: "maxpool", Size: v.Size, PoolStride: v.Stride}
-		case *AvgPool2D:
-			lb = layerBlob{Kind: "avgpool", Size: v.Size, PoolStride: v.Stride}
 		case *Dense:
 			lb = layerBlob{Kind: "dense", In: v.In, Out: v.Out}
 		case *ReLU:
@@ -154,7 +152,7 @@ func validateLayerBlob(i int, lb layerBlob) error {
 		if n := int64(lb.InC) * int64(lb.OutC) * int64(lb.KH) * int64(lb.KW); n > maxBlobTensor {
 			return fmt.Errorf("cnn: layer %d: conv kernel has %d weights (limit %d)", i, n, maxBlobTensor)
 		}
-	case "maxpool", "avgpool":
+	case "maxpool":
 		if lb.Size <= 0 || lb.PoolStride <= 0 {
 			return fmt.Errorf("cnn: layer %d: invalid pool geometry (size=%d stride=%d)", i, lb.Size, lb.PoolStride)
 		}
@@ -228,8 +226,6 @@ func decodeNetBlob(blob *netBlob) (n *Network, err error) {
 			l = NewConv2D(lb.InC, lb.OutC, lb.KH, lb.KW, lb.Stride, lb.Pad, stream)
 		case "maxpool":
 			l = NewMaxPool2D(lb.Size, lb.PoolStride)
-		case "avgpool":
-			l = NewAvgPool2D(lb.Size, lb.PoolStride)
 		case "dense":
 			l = NewDense(lb.In, lb.Out, stream)
 		case "relu":

@@ -19,11 +19,10 @@ const blockSize = 8
 // centralized cnn.Network forward pass in its own summation order: a conv
 // or dense site starts from its bias and adds its dependencies' terms in
 // Deps order, input channel inner. Pooling and ReLU are cnn's arithmetic
-// (average pooling divides the window sum by the cell count, max pooling
-// folds the builtin max in scan order, ReLU is cnn's select), so the
-// outputs equal Network.Forward's up to rounding, not bit for bit: over 200
-// lounge samples, 342 to 373 of the lounge network's 400 logits differ, by
-// at most 2.5e-14, and the package's property tests check 1e-9.
+// (max pooling folds the builtin max in scan order, ReLU is cnn's select),
+// so the outputs equal Network.Forward's up to rounding, not bit for bit:
+// over 200 lounge samples, 342 to 373 of the lounge network's 400 logits
+// differ, by at most 2.5e-14, and the package's property tests check 1e-9.
 // Distribution itself costs no accuracy, only communication.
 //
 // An Executor reuses its value arena across calls and is therefore not
@@ -263,7 +262,7 @@ func (e *Executor) ForwardBatch(inputs []*tensor.Tensor) ([]*tensor.Tensor, erro
 					dotSite(a, lanes, out, terms, w.Data()[s.X*w.Dim(1):],
 						st.Dense.Params()[1].Data()[s.X:s.X+1], 0, st.FusedReLU)
 				case StagePool:
-					poolSite(a[out*lanes:(out+s.Width)*lanes], a, lanes, terms, st.AvgPool != nil, st.FusedReLU)
+					poolSite(a[out*lanes:(out+s.Width)*lanes], a, lanes, terms, st.FusedReLU)
 				default:
 					return nil, fmt.Errorf("microdeep: cannot execute stage kind %v", st.Kind)
 				}
@@ -380,30 +379,16 @@ func dotSite(a []float64, lanes, out int, terms []term, w, bias []float64, rowSt
 	}
 }
 
-// poolSite computes a pool site's values, out, for a block of lanes
-// samples from the window cells its terms name, in scan order: average
-// pooling sums from +0 and divides by the cell count, as cnn.AvgPool2D
-// does; max pooling folds the builtin max from the first cell, as
-// cnn.MaxPool2D does, so a NaN propagates and +0 beats −0.
-func poolSite(out, a []float64, lanes int, terms []term, avg, relu bool) {
+// poolSite computes a max-pool site's values, out, for a block of lanes
+// samples from the window cells its terms name: it folds the builtin max
+// from the first cell in scan order, as cnn.MaxPool2D does, so a NaN
+// propagates and +0 beats −0.
+func poolSite(out, a []float64, lanes int, terms []term, relu bool) {
 	cell := func(t term) []float64 { return a[int(t.u)*lanes : int(t.u)*lanes+len(out)] }
-	if avg {
-		clear(out)
-		for _, t := range terms {
-			for i, v := range cell(t) {
-				out[i] += v
-			}
-		}
-		n := float64(len(terms))
-		for i := range out {
-			out[i] /= n
-		}
-	} else {
-		copy(out, cell(terms[0]))
-		for _, t := range terms[1:] {
-			for i, v := range cell(t) {
-				out[i] = max(out[i], v)
-			}
+	copy(out, cell(terms[0]))
+	for _, t := range terms[1:] {
+		for i, v := range cell(t) {
+			out[i] = max(out[i], v)
 		}
 	}
 	if relu {

@@ -54,7 +54,7 @@ func refForward(e *Executor, input *tensor.Tensor) []float64 {
 			case StageConv:
 				refConvSite(g, st, s, values, out)
 			case StagePool:
-				refPoolSite(st, s, values, out)
+				refPoolSite(s, values, out)
 			case StageDense:
 				refDenseSite(g, st, prev, s, values, out)
 			}
@@ -100,19 +100,7 @@ func refConvSite(g *Graph, st *Stage, s *Site, values [][]float64, out []float64
 	}
 }
 
-func refPoolSite(st *Stage, s *Site, values [][]float64, out []float64) {
-	if st.AvgPool != nil {
-		clear(out)
-		for _, dep := range s.Deps {
-			for c := range out {
-				out[c] += values[dep][c]
-			}
-		}
-		for c := range out {
-			out[c] /= float64(len(s.Deps))
-		}
-		return
-	}
+func refPoolSite(s *Site, values [][]float64, out []float64) {
 	copy(out, values[s.Deps[0]])
 	for _, dep := range s.Deps[1:] {
 		for c := range out {

@@ -79,12 +79,11 @@ type Stage struct {
 	Kind StageKind
 	// H, W, C are the output dims; dense stages have H=1, W=#neurons, C=1.
 	H, W, C int
-	// Conv/Pool/AvgPool/Dense point at the owning layer for weight access
-	// and pooling semantics.
-	Conv    *cnn.Conv2D
-	Pool    *cnn.MaxPool2D
-	AvgPool *cnn.AvgPool2D
-	Dense   *cnn.Dense
+	// Conv/Pool/Dense point at the owning layer for weight access and
+	// pooling geometry.
+	Conv  *cnn.Conv2D
+	Pool  *cnn.MaxPool2D
+	Dense *cnn.Dense
 	// FusedReLU records that a ReLU immediately follows and is evaluated
 	// in place on the producing node (no extra units or traffic).
 	FusedReLU bool
@@ -206,17 +205,22 @@ func BuildGraph(net *cnn.Network) (*Graph, error) {
 			if prevDense != nil {
 				return nil, fmt.Errorf("microdeep: pool after dense unsupported")
 			}
+			// OutShape rejects a window wider than the input, so no window
+			// is clipped; each site reads its window in scan order.
 			out := l.OutShape(prevShape)
 			st := addStage(Stage{Kind: StagePool, C: out[0], H: out[1], W: out[2], Pool: l})
-			newIdx := poolSites(addSite, st, l, out, prevIdx)
-			prevIdx, prevShape = newIdx, out
-		case *cnn.AvgPool2D:
-			if prevDense != nil {
-				return nil, fmt.Errorf("microdeep: pool after dense unsupported")
+			newIdx := make([][]int, out[1])
+			for oy := 0; oy < out[1]; oy++ {
+				newIdx[oy] = make([]int, out[2])
+				for ox := 0; ox < out[2]; ox++ {
+					y0, y1, x0, x1 := l.Receptive(oy, ox)
+					var deps []int
+					for y := y0; y <= y1; y++ {
+						deps = append(deps, prevIdx[y][x0:x1+1]...)
+					}
+					newIdx[oy][ox] = addSite(st, oy, ox, out[0], normCoord(oy, ox, out[1], out[2]), deps)
+				}
 			}
-			out := l.OutShape(prevShape)
-			st := addStage(Stage{Kind: StagePool, C: out[0], H: out[1], W: out[2], AvgPool: l})
-			newIdx := poolSites(addSite, st, l, out, prevIdx)
 			prevIdx, prevShape = newIdx, out
 		case *cnn.Flatten:
 			// No units: flattening is a bookkeeping step. The following
@@ -258,25 +262,4 @@ func BuildGraph(net *cnn.Network) (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// poolSites adds one site per pooling output position with its window
-// dependencies in scan order, for either pooling flavour. Both pools'
-// OutShape reject a window wider than the input, so no window is clipped.
-func poolSites(addSite func(stageIdx, y, x, width int, coord geom.Point, deps []int) int, st int, l cnn.SpatialLayer, out []int, prevIdx [][]int) [][]int {
-	newIdx := make([][]int, out[1])
-	for oy := 0; oy < out[1]; oy++ {
-		newIdx[oy] = make([]int, out[2])
-		for ox := 0; ox < out[2]; ox++ {
-			y0, y1, x0, x1 := l.Receptive(oy, ox)
-			var deps []int
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					deps = append(deps, prevIdx[y][x])
-				}
-			}
-			newIdx[oy][ox] = addSite(st, oy, ox, out[0], normCoord(oy, ox, out[1], out[2]), deps)
-		}
-	}
-	return newIdx
 }

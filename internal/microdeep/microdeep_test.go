@@ -567,55 +567,6 @@ func TestExecutorDeadNodesDegradeGracefully(t *testing.T) {
 	}
 }
 
-// TestAvgPoolDistributedEquivalence checks average pooling against the
-// centralized pass: the 2×2 net to 1e-9, and a 3×3 net bit for bit. Its
-// single-channel conv leaves one term per window cell, and a 3×3 window sum
-// divided by 9, as cnn.AvgPool2D does, differs from the sum times 1/9 for
-// about a third of inputs.
-func TestAvgPoolDistributedEquivalence(t *testing.T) {
-	s := rng.New(41)
-	nets := []struct {
-		net  *cnn.Network
-		size int
-		tol  float64
-	}{
-		{cnn.NewNetwork([]int{1, 6, 6},
-			cnn.NewConv2D(1, 3, 3, 3, 1, 1, s.Split("c")),
-			cnn.NewReLU(),
-			cnn.NewAvgPool2D(2, 2),
-			cnn.NewFlatten(),
-			cnn.NewDense(27, 2, s.Split("d")),
-		), 6, 1e-9},
-		{cnn.NewNetwork([]int{1, 15, 15},
-			cnn.NewConv2D(1, 1, 3, 3, 1, 1, s.Split("c3")),
-			cnn.NewReLU(),
-			cnn.NewAvgPool2D(3, 3),
-			cnn.NewFlatten(),
-		), 15, 0},
-	}
-	for _, tc := range nets {
-		g, err := BuildGraph(tc.net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := NewExecutor(g)
-		for trial := 0; trial < 72; trial++ {
-			in := tensor.New(1, tc.size, tc.size)
-			for i := range in.Data() {
-				in.Data()[i] = s.NormMeanStd(0, 1)
-			}
-			want := tc.net.Forward(in)
-			got, err := ex.Forward(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tensor.Equal(want, got, tc.tol) {
-				t.Fatalf("%d×%d avg-pool distributed forward diverged: %v vs %v", tc.size, tc.size, want, got)
-			}
-		}
-	}
-}
-
 // TestMaxPoolSpecialValues runs windows that hold NaN, ±Inf and ±0 through
 // a max pool, alone and followed by a ReLU, and requires the distributed
 // forward's bits to equal the centralized pass's: the builtin max

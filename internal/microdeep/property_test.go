@@ -11,23 +11,18 @@ import (
 )
 
 // randomNet builds a random small CNN from three geometry bytes: input
-// size 5..8, conv channels 2..5, dense width 4..11, with a random pooling
-// flavour.
+// size 5..8, conv channels 2..5, dense width 4..11.
 func randomNet(t *testing.T, a, b, c uint8) (*cnn.Network, int) {
 	t.Helper()
 	size := 5 + int(a%4)
 	channels := 2 + int(b%4)
 	hidden := 4 + int(c%8)
 	s := rng.New(uint64(a)<<16 | uint64(b)<<8 | uint64(c))
-	var pool cnn.Layer = cnn.NewMaxPool2D(2, 2)
-	if c%2 == 1 {
-		pool = cnn.NewAvgPool2D(2, 2)
-	}
 	half := size / 2
 	net := cnn.NewNetwork([]int{1, size, size},
 		cnn.NewConv2D(1, channels, 3, 3, 1, 1, s.Split("c")),
 		cnn.NewReLU(),
-		pool,
+		cnn.NewMaxPool2D(2, 2),
 		cnn.NewFlatten(),
 		cnn.NewDense(channels*half*half, hidden, s.Split("d1")),
 		cnn.NewReLU(),
