@@ -523,20 +523,6 @@ func TestTrainLossDecreases(t *testing.T) {
 	}
 }
 
-func TestSGDWeightDecayShrinksParams(t *testing.T) {
-	s := rng.New(9)
-	d := NewDense(4, 4, s)
-	opt := NewSGD(0.1, 0)
-	opt.Decay = 0.5
-	before := d.Weight().L2()
-	d.ZeroGrads()
-	opt.Step(d.Params(), d.Grads(), 1)
-	after := d.Weight().L2()
-	if after >= before {
-		t.Fatalf("decay did not shrink weights: %v -> %v", before, after)
-	}
-}
-
 func TestReplicaTableMatchesSharedWhenIdentical(t *testing.T) {
 	// A replica table whose every position holds the shared kernel must not
 	// change the forward output.

@@ -50,75 +50,3 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		}
 	}
 }
-
-func TestAdamConvergesFasterThanPlainSGD(t *testing.T) {
-	s := rng.New(7)
-	var samples []Sample
-	for i := 0; i < 150; i++ {
-		in := tensor.New(1, 6, 6)
-		label := i % 2
-		x := s.Intn(3)
-		if label == 1 {
-			x += 3
-		}
-		in.Set(1, 0, s.Intn(6), x)
-		samples = append(samples, Sample{Input: in, Label: label})
-	}
-	lossAfter := func(opt interface {
-		StepNetwork(*Network, int)
-	}) float64 {
-		net := buildTinyNet(9)
-		loss := 0.0
-		stream := rng.New(11)
-		for e := 0; e < 4; e++ {
-			perm := stream.Perm(len(samples))
-			total, count := 0.0, 0
-			net.ZeroGrads()
-			batch := 0
-			for _, idx := range perm {
-				sm := samples[idx]
-				l, grad := CrossEntropy(net.Forward(sm.Input), sm.Label)
-				total += l
-				count++
-				net.Backward(grad)
-				batch++
-				if batch == 10 {
-					opt.StepNetwork(net, batch)
-					net.ZeroGrads()
-					batch = 0
-				}
-			}
-			if batch > 0 {
-				opt.StepNetwork(net, batch)
-				net.ZeroGrads()
-			}
-			loss = total / float64(count)
-		}
-		return loss
-	}
-	sgdLoss := lossAfter(NewSGD(0.01, 0))
-	adamLoss := lossAfter(NewAdam(0.01))
-	if adamLoss >= sgdLoss {
-		t.Fatalf("adam loss %.4f not below momentum-free SGD %.4f after 4 epochs", adamLoss, sgdLoss)
-	}
-}
-
-func TestAdamStateIsPerParameter(t *testing.T) {
-	s := rng.New(13)
-	d1 := NewDense(3, 3, s)
-	d2 := NewDense(3, 3, s)
-	opt := NewAdam(0.1)
-	d1.ZeroGrads()
-	d2.ZeroGrads()
-	for i := range d1.Grads()[0].Data() {
-		d1.Grads()[0].Data()[i] = 1
-	}
-	before2 := d2.Weight().Clone()
-	opt.Step(d1.Params(), d1.Grads(), 1)
-	if tensor.Equal(d1.Weight(), before2, 0) {
-		t.Fatal("step did not move d1")
-	}
-	if !tensor.Equal(d2.Weight(), before2, 0) {
-		t.Fatal("stepping d1 moved d2")
-	}
-}

@@ -170,12 +170,10 @@ type Sample struct {
 	Label int
 }
 
-// SGD is a stochastic gradient descent optimizer with classical momentum
-// and optional L2 weight decay.
+// SGD is a stochastic gradient descent optimizer with classical momentum.
 type SGD struct {
 	LR       float64
 	Momentum float64
-	Decay    float64
 	velocity map[*tensor.Tensor]*tensor.Tensor
 }
 
@@ -184,7 +182,8 @@ func NewSGD(lr, momentum float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*tensor.Tensor]*tensor.Tensor)}
 }
 
-// Step applies one update: p -= lr*(g/batch + decay*p), with momentum.
+// Step applies one update with momentum: v = momentum*v - lr*g/batch, then
+// p += v.
 func (s *SGD) Step(params, grads []*tensor.Tensor, batch int) {
 	if len(params) != len(grads) {
 		panic("cnn: params/grads length mismatch")
@@ -210,10 +209,9 @@ func (s *SGD) StepOne(p, g *tensor.Tensor, batch int) {
 	pd, gd, vd := p.Data(), g.Data(), v.Data()
 	gd = gd[:len(pd)]
 	vd = vd[:len(pd)]
-	mom, lr, dec := s.Momentum, s.LR, s.Decay
+	mom, lr := s.Momentum, s.LR
 	for j := range pd {
-		step := gd[j]*inv + dec*pd[j]
-		nv := mom*vd[j] - lr*step
+		nv := mom*vd[j] - lr*(gd[j]*inv)
 		vd[j] = nv
 		pd[j] += nv
 	}

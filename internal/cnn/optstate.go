@@ -6,14 +6,14 @@ import (
 	"zeiot/internal/tensor"
 )
 
-// Optimizer state is keyed by parameter-tensor pointer, so it cannot be
+// SGD's momentum is keyed by parameter-tensor pointer, so it cannot be
 // serialized directly: a checkpoint names parameters positionally instead.
-// The accessors here snapshot and restore optimizer state against an ordered
-// parameter list — the network's Params() order for whole-network
-// checkpoints, a replica kernel list for MicroDeep's local-update mode. A
-// nil slice in a snapshot means "no state yet" (the optimizer lazily creates
-// buffers on first step), which restores to exactly that: absent state, so a
-// resumed run's first step behaves like the uninterrupted run's next step.
+// The accessors here snapshot and restore it against an ordered parameter
+// list — the network's Params() order for whole-network checkpoints, a
+// replica kernel list for MicroDeep's local-update mode. A nil slice in a
+// snapshot means "no state yet" (the optimizer lazily creates buffers on
+// first step), which restores to exactly that: absent state, so a resumed
+// run's first step behaves like the uninterrupted run's next step.
 
 // paramTensors returns the network's parameter tensors in layer order — the
 // canonical positional order the serialized formats use.
@@ -61,63 +61,6 @@ func (s *SGD) RestoreVelocity(params []*tensor.Tensor, vel [][]float64) error {
 			s.velocity[p] = v
 		}
 		copy(v.Data(), vel[i])
-	}
-	return nil
-}
-
-// StepCount returns the number of Step calls applied so far (the t in the
-// bias-correction terms).
-func (a *Adam) StepCount() int { return a.step }
-
-// SetStepCount restores the step counter from a checkpoint.
-func (a *Adam) SetStepCount(n int) error {
-	if n < 0 {
-		return fmt.Errorf("cnn: negative Adam step count %d", n)
-	}
-	a.step = n
-	return nil
-}
-
-// MomentSnapshot returns copies of the first and second moment estimates for
-// params, in order; nil entries mean no accumulated state.
-func (a *Adam) MomentSnapshot(params []*tensor.Tensor) (m, v [][]float64) {
-	m = make([][]float64, len(params))
-	v = make([][]float64, len(params))
-	for i, p := range params {
-		if mb, ok := a.m[p]; ok {
-			m[i] = append([]float64(nil), mb.Data()...)
-			v[i] = append([]float64(nil), a.v[p].Data()...)
-		}
-	}
-	return m, v
-}
-
-// RestoreMoments installs a snapshot taken with MomentSnapshot against
-// params (same order). Nil entries clear any existing state.
-func (a *Adam) RestoreMoments(params []*tensor.Tensor, m, v [][]float64) error {
-	if len(m) != len(params) || len(v) != len(params) {
-		return fmt.Errorf("cnn: moment snapshot has %d/%d entries for %d params", len(m), len(v), len(params))
-	}
-	for i, p := range params {
-		if m[i] == nil || v[i] == nil {
-			if m[i] != nil || v[i] != nil {
-				return fmt.Errorf("cnn: moment snapshot %d has only one of m/v", i)
-			}
-			delete(a.m, p)
-			delete(a.v, p)
-			continue
-		}
-		if len(m[i]) != p.Size() || len(v[i]) != p.Size() {
-			return fmt.Errorf("cnn: moment %d has %d/%d elements, param has %d", i, len(m[i]), len(v[i]), p.Size())
-		}
-		mb, ok := a.m[p]
-		if !ok {
-			mb = tensor.New(p.Shape()...)
-			a.m[p] = mb
-			a.v[p] = tensor.New(p.Shape()...)
-		}
-		copy(mb.Data(), m[i])
-		copy(a.v[p].Data(), v[i])
 	}
 	return nil
 }

@@ -54,30 +54,29 @@ type layerBlob struct {
 	ParamShapes [][]int
 }
 
-// optBlob is the serialized optimizer state: hyperparameters plus the
-// per-parameter buffers in network Params() order (nil entries mean the
-// optimizer had not touched that parameter yet).
+// optBlob is the serialized SGD state: hyperparameters plus the momentum
+// buffers in network Params() order (nil entries mean the optimizer had not
+// touched that parameter yet). Kind is always "sgd"; the decoders reject a
+// blob that names any other optimizer.
 type optBlob struct {
-	Kind                string // "sgd" or "adam"
-	LR, Momentum, Decay float64
-	Beta1, Beta2, Eps   float64
-	Step                int
-	Vel                 [][]float64 // SGD momentum buffers
-	M, V                [][]float64 // Adam moment estimates
+	Kind         string
+	LR, Momentum float64
+	Vel          [][]float64
 }
 
 // Optimizer steps a network's parameters over the gradients of one
-// mini-batch; the Trainer calls it at every mini-batch boundary. SGD and
-// Adam implement it, and SaveTraining serializes either.
+// mini-batch; the Trainer calls it at every mini-batch boundary. SGD
+// implements it, and so does microdeep's local-update step, which wraps an
+// SGD. Only an SGD serializes.
 type Optimizer interface {
 	StepNetwork(n *Network, batch int)
 }
 
 // SaveTraining writes the network plus everything needed to resume training
-// bit-identically: the optimizer's state (SGD momentum, or Adam moments and
-// step count) and the positions of the given rng streams (typically the fit
-// stream, so the resumed run replays the same shuffles). A nil opt writes
-// the architecture and weights only. RestoreTraining is the inverse.
+// bit-identically: the SGD momentum buffers and the positions of the given
+// rng streams (typically the fit stream, so the resumed run replays the
+// same shuffles). A nil opt writes the architecture and weights only.
+// RestoreTraining is the inverse.
 func (n *Network) SaveTraining(w io.Writer, opt Optimizer, streams ...*rng.Stream) error {
 	blob, err := n.blob(opt)
 	if err != nil {
@@ -121,16 +120,7 @@ func (n *Network) blob(opt Optimizer) (*netBlob, error) {
 		params := n.paramTensors()
 		switch o := opt.(type) {
 		case *SGD:
-			blob.Opt = &optBlob{
-				Kind: "sgd", LR: o.LR, Momentum: o.Momentum, Decay: o.Decay,
-				Vel: o.VelocitySnapshot(params),
-			}
-		case *Adam:
-			m, v := o.MomentSnapshot(params)
-			blob.Opt = &optBlob{
-				Kind: "adam", LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps,
-				Step: o.StepCount(), M: m, V: v,
-			}
+			blob.Opt = &optBlob{Kind: "sgd", LR: o.LR, Momentum: o.Momentum, Vel: o.VelocitySnapshot(params)}
 		default:
 			return nil, fmt.Errorf("cnn: cannot serialize optimizer %T", opt)
 		}
@@ -207,6 +197,9 @@ func decodeNetBlob(blob *netBlob) (n *Network, err error) {
 			return nil, err
 		}
 	}
+	if blob.Opt != nil && blob.Opt.Kind != "sgd" {
+		return nil, fmt.Errorf("cnn: unknown optimizer kind %q", blob.Opt.Kind)
+	}
 	// The stack builds under a recover guard: per-field validation above
 	// rules out the constructor panics, but shape propagation through
 	// NewNetwork can still collapse (e.g. a pool larger than its input), and
@@ -269,31 +262,14 @@ func shapesEqual(a, b []int) bool {
 	return true
 }
 
-// restoreOptimizer rebuilds the optimizer from ob against the network's
-// parameter tensors.
-func restoreOptimizer(n *Network, ob *optBlob) (Optimizer, error) {
-	params := n.paramTensors()
-	switch ob.Kind {
-	case "sgd":
-		o := NewSGD(ob.LR, ob.Momentum)
-		o.Decay = ob.Decay
-		if err := o.RestoreVelocity(params, ob.Vel); err != nil {
-			return nil, err
-		}
-		return o, nil
-	case "adam":
-		o := NewAdam(ob.LR)
-		o.Beta1, o.Beta2, o.Eps = ob.Beta1, ob.Beta2, ob.Eps
-		if err := o.SetStepCount(ob.Step); err != nil {
-			return nil, err
-		}
-		if err := o.RestoreMoments(params, ob.M, ob.V); err != nil {
-			return nil, err
-		}
-		return o, nil
-	default:
-		return nil, fmt.Errorf("cnn: unknown optimizer kind %q", ob.Kind)
+// restoreOptimizer rebuilds the SGD state of ob, which decodeNetBlob has
+// checked, against the network's parameter tensors.
+func restoreOptimizer(n *Network, ob *optBlob) (*SGD, error) {
+	o := NewSGD(ob.LR, ob.Momentum)
+	if err := o.RestoreVelocity(n.paramTensors(), ob.Vel); err != nil {
+		return nil, err
 	}
+	return o, nil
 }
 
 // RestoreTraining reads a blob written by SaveTraining *into* an existing
@@ -328,28 +304,13 @@ func (n *Network) RestoreTraining(r io.Reader, opt Optimizer) ([]*rng.Stream, er
 		if opt == nil {
 			return nil, fmt.Errorf("cnn: checkpoint carries %s optimizer state but no optimizer was supplied", blob.Opt.Kind)
 		}
-		switch o := opt.(type) {
-		case *SGD:
-			if blob.Opt.Kind != "sgd" {
-				return nil, fmt.Errorf("cnn: checkpoint has %s state, optimizer is SGD", blob.Opt.Kind)
-			}
-			o.LR, o.Momentum, o.Decay = blob.Opt.LR, blob.Opt.Momentum, blob.Opt.Decay
-			if err := o.RestoreVelocity(np, blob.Opt.Vel); err != nil {
-				return nil, err
-			}
-		case *Adam:
-			if blob.Opt.Kind != "adam" {
-				return nil, fmt.Errorf("cnn: checkpoint has %s state, optimizer is Adam", blob.Opt.Kind)
-			}
-			o.LR, o.Beta1, o.Beta2, o.Eps = blob.Opt.LR, blob.Opt.Beta1, blob.Opt.Beta2, blob.Opt.Eps
-			if err := o.SetStepCount(blob.Opt.Step); err != nil {
-				return nil, err
-			}
-			if err := o.RestoreMoments(np, blob.Opt.M, blob.Opt.V); err != nil {
-				return nil, err
-			}
-		default:
+		o, ok := opt.(*SGD)
+		if !ok {
 			return nil, fmt.Errorf("cnn: cannot restore into optimizer %T", opt)
+		}
+		o.LR, o.Momentum = blob.Opt.LR, blob.Opt.Momentum
+		if err := o.RestoreVelocity(np, blob.Opt.Vel); err != nil {
+			return nil, err
 		}
 	}
 	streams := make([]*rng.Stream, len(blob.Streams))
