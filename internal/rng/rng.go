@@ -158,31 +158,6 @@ func (s *Stream) Exp(rate float64) float64 {
 	}
 }
 
-// Poisson returns a Poisson variate with the given mean using Knuth's
-// method for small means and a Gaussian approximation above 30.
-func (s *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := int(math.Round(s.NormMeanStd(mean, math.Sqrt(mean))))
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher-Yates).
 func (s *Stream) Perm(n int) []int {
 	p := make([]int, n)
@@ -207,29 +182,4 @@ func (s *Stream) Shuffle(n int, swap func(i, j int)) {
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
-}
-
-// Choice returns a uniformly random index weighted by weights. Weights must
-// be non-negative with a positive sum; otherwise Choice panics.
-func (s *Stream) Choice(weights []float64) int {
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight in Choice")
-		}
-		total += w
-		_ = i
-	}
-	if total <= 0 {
-		panic("rng: Choice with non-positive total weight")
-	}
-	target := s.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if target < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -141,21 +141,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	for _, lambda := range []float64{0.5, 3, 12, 50} {
-		s := New(uint64(100 * lambda))
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += s.Poisson(lambda)
-		}
-		mean := float64(sum) / n
-		if math.Abs(mean-lambda) > 0.05*lambda+0.05 {
-			t.Fatalf("poisson(%v) mean = %v", lambda, mean)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(17)
 	if err := quick.Check(func(raw uint8) bool {
@@ -171,19 +156,6 @@ func TestPermIsPermutation(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestChoiceRespectsWeights(t *testing.T) {
-	s := New(23)
-	counts := [3]int{}
-	const n = 60000
-	for i := 0; i < n; i++ {
-		counts[s.Choice([]float64{1, 2, 1})]++
-	}
-	// Expect roughly 25% / 50% / 25%.
-	if math.Abs(float64(counts[1])/n-0.5) > 0.02 {
-		t.Fatalf("middle weight drew %d of %d", counts[1], n)
 	}
 }
 

@@ -36,8 +36,6 @@ var unusedAllowed = map[string]string{
 	"radio.FreeSpacePathLoss":            retire + "TestFreeSpacePathLoss",
 	"radio.RayleighGain":                 retire + "TestFadingMeansAreUnity",
 	"radio.RicianGain":                   retire + "TestRicianVarianceShrinksWithK",
-	"rng.Stream.Poisson":                 retire + "TestPoissonMean",
-	"rng.Stream.Choice":                  retire + "TestChoiceRespectsWeights",
 	"sensors.NewBimetallicSwitch":        retire + "TestBimetallicHysteresis",
 	"sensors.BimetallicSwitch.Step":      retire + "TestBimetallicHysteresis",
 	"sensors.BimetallicSwitch.States":    retire + "TestDeviceInterfaces",
