@@ -1,101 +1,21 @@
-// Package sensors models the zero-energy sensing devices of §III.A and
-// §III.C: transducers that convert a physical quantity directly into an
+// Package sensors models two of the zero-energy sensing devices of §III.A
+// and §III.C: transducers that convert a physical quantity directly into an
 // antenna impedance state, so the measurement can be read out by observing
-// backscattered Wi-Fi — no battery, no ADC, no radio.
+// backscattered Wi-Fi — no battery, no ADC, no radio. Each device's Step
+// takes the physical input and returns the impedance state it presents.
 //
-//   - BimetallicSwitch — the paper's Fig. 2(b) temperature sensor: a
-//     bimetallic strip opens/closes the RF switch at a threshold
-//     temperature, with mechanical hysteresis.
-//   - IRFilmPixel — a film-type infra-red pixel (Fig. 9's array) whose
-//     conductance, quantized to a few impedance states, follows incident
-//     body heat.
 //   - SpringAccelerometer — a spring-mass harvesting accelerometer for the
 //     slope-monitoring use case (v): vibration drives a resonant contact
-//     whose chatter frequency encodes the excitation amplitude.
-//
-// Every device implements Device: physical input in, impedance state out.
+//     whose chatter frequency encodes the excitation amplitude. Package har
+//     builds its resonator bank from it.
+//   - FlowMeter — the printed Wi-Fi water meter of ref. [36] (§II.B), whose
+//     turbine gear toggles the antenna impedance as it turns (E12).
 package sensors
 
 import (
 	"fmt"
 	"math"
 )
-
-// Device is a zero-energy transducer: it maps the current physical input
-// to one of States() discrete antenna impedance states. A reader recovers
-// the state by demodulating the backscattered signal.
-type Device interface {
-	// Step advances the device with the current physical input and
-	// returns the impedance state it presents.
-	Step(input float64) int
-	// States returns the number of distinguishable impedance states.
-	States() int
-}
-
-// BimetallicSwitch toggles its RF switch when temperature crosses a
-// threshold, with hysteresis from the strip's mechanical snap.
-type BimetallicSwitch struct {
-	// OnAboveC closes the switch; OffBelowC re-opens it (OffBelowC <
-	// OnAboveC).
-	OnAboveC, OffBelowC float64
-	closed              bool
-}
-
-var _ Device = (*BimetallicSwitch)(nil)
-
-// NewBimetallicSwitch validates thresholds and returns the switch (open).
-func NewBimetallicSwitch(onAboveC, offBelowC float64) (*BimetallicSwitch, error) {
-	if offBelowC >= onAboveC {
-		return nil, fmt.Errorf("sensors: hysteresis requires off %v < on %v", offBelowC, onAboveC)
-	}
-	return &BimetallicSwitch{OnAboveC: onAboveC, OffBelowC: offBelowC}, nil
-}
-
-// Step implements Device: input is temperature in °C.
-func (b *BimetallicSwitch) Step(tempC float64) int {
-	if tempC >= b.OnAboveC {
-		b.closed = true
-	} else if tempC <= b.OffBelowC {
-		b.closed = false
-	}
-	if b.closed {
-		return 1
-	}
-	return 0
-}
-
-// States implements Device.
-func (b *BimetallicSwitch) States() int { return 2 }
-
-// IRFilmPixel quantizes incident IR flux into impedance levels. Flux is
-// normalized to [0,1] (body heat saturates the film at 1).
-type IRFilmPixel struct {
-	// Levels is the number of impedance states (≥ 2).
-	Levels int
-}
-
-var _ Device = (*IRFilmPixel)(nil)
-
-// Step implements Device: input is normalized IR flux.
-func (p *IRFilmPixel) Step(flux float64) int {
-	if p.Levels < 2 {
-		panic("sensors: IRFilmPixel needs >= 2 levels")
-	}
-	if flux < 0 {
-		flux = 0
-	}
-	if flux > 1 {
-		flux = 1
-	}
-	state := int(flux * float64(p.Levels))
-	if state == p.Levels {
-		state = p.Levels - 1
-	}
-	return state
-}
-
-// States implements Device.
-func (p *IRFilmPixel) States() int { return p.Levels }
 
 // SpringAccelerometer is a resonant spring-mass contact: sinusoidal ground
 // excitation above the contact threshold makes the mass chatter, and the
@@ -114,8 +34,6 @@ type SpringAccelerometer struct {
 	pos, vel float64
 }
 
-var _ Device = (*SpringAccelerometer)(nil)
-
 // NewSpringAccelerometer returns a device with the given resonance.
 func NewSpringAccelerometer(naturalHz, dampingRatio, contactG, tickSec float64) (*SpringAccelerometer, error) {
 	if naturalHz <= 0 || dampingRatio < 0 || contactG <= 0 || tickSec <= 0 {
@@ -124,8 +42,9 @@ func NewSpringAccelerometer(naturalHz, dampingRatio, contactG, tickSec float64) 
 	return &SpringAccelerometer{NaturalHz: naturalHz, DampingRatio: dampingRatio, ContactG: contactG, TickSec: tickSec}, nil
 }
 
-// Step implements Device: input is ground acceleration; the state is 1
-// while the proof mass deflection exceeds the contact threshold.
+// Step advances the resonator by one tick of ground acceleration accel and
+// returns the contact state: 1 while the proof mass deflection exceeds the
+// contact threshold, else 0.
 func (s *SpringAccelerometer) Step(accel float64) int {
 	w := 2 * math.Pi * s.NaturalHz
 	// Semi-implicit Euler of x'' + 2ζω x' + ω² x = -a(t).
@@ -136,9 +55,6 @@ func (s *SpringAccelerometer) Step(accel float64) int {
 	}
 	return 0
 }
-
-// States implements Device.
-func (s *SpringAccelerometer) States() int { return 2 }
 
 // FlowMeter is the Printed Wi-Fi water meter of ref. [36] (§II.B): water
 // flow spins a 3D-printed turbine whose gear toggles the antenna impedance
@@ -155,8 +71,6 @@ type FlowMeter struct {
 	state int
 }
 
-var _ Device = (*FlowMeter)(nil)
-
 // NewFlowMeter validates and returns a flow meter.
 func NewFlowMeter(litersPerRev float64, togglesPerRev int) (*FlowMeter, error) {
 	if litersPerRev <= 0 || togglesPerRev < 1 {
@@ -165,8 +79,9 @@ func NewFlowMeter(litersPerRev float64, togglesPerRev int) (*FlowMeter, error) {
 	return &FlowMeter{LitersPerRev: litersPerRev, TogglesPerRev: togglesPerRev}, nil
 }
 
-// Step implements Device: input is the volume (litres) that flowed since
-// the previous step. The state flips TogglesPerRev times per revolution.
+// Step advances the turbine by the volume (litres) that flowed since the
+// previous step and returns the impedance state, 0 or 1, which flips
+// TogglesPerRev times per revolution.
 func (f *FlowMeter) Step(liters float64) int {
 	if liters < 0 {
 		liters = 0
@@ -176,9 +91,6 @@ func (f *FlowMeter) Step(liters float64) int {
 	f.state = int(f.angle*float64(f.TogglesPerRev)) % 2
 	return f.state
 }
-
-// States implements Device.
-func (f *FlowMeter) States() int { return 2 }
 
 // CountToggles replays a flow series (litres per tick) and returns the
 // number of impedance transitions — what the Wi-Fi receiver counts.

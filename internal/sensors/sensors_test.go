@@ -5,73 +5,6 @@ import (
 	"testing"
 )
 
-func TestBimetallicValidation(t *testing.T) {
-	if _, err := NewBimetallicSwitch(25, 25); err == nil {
-		t.Fatal("equal thresholds accepted")
-	}
-	if _, err := NewBimetallicSwitch(25, 30); err == nil {
-		t.Fatal("inverted thresholds accepted")
-	}
-}
-
-func TestBimetallicHysteresis(t *testing.T) {
-	b, err := NewBimetallicSwitch(28, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.States() != 2 {
-		t.Fatalf("states = %d", b.States())
-	}
-	// Heating: stays open until 28.
-	if b.Step(20) != 0 || b.Step(26) != 0 {
-		t.Fatal("closed below threshold")
-	}
-	if b.Step(28.5) != 1 {
-		t.Fatal("did not close above threshold")
-	}
-	// Cooling: stays closed until 24 (hysteresis band).
-	if b.Step(26) != 1 {
-		t.Fatal("opened inside hysteresis band")
-	}
-	if b.Step(23) != 0 {
-		t.Fatal("did not open below release threshold")
-	}
-	// Re-entering the band from below keeps it open.
-	if b.Step(26) != 0 {
-		t.Fatal("closed inside band from below")
-	}
-}
-
-func TestIRFilmQuantization(t *testing.T) {
-	p := &IRFilmPixel{Levels: 4}
-	cases := []struct {
-		flux float64
-		want int
-	}{
-		{-0.5, 0}, {0, 0}, {0.24, 0}, {0.26, 1}, {0.5, 2}, {0.76, 3}, {1.0, 3}, {2.0, 3},
-	}
-	for _, c := range cases {
-		if got := p.Step(c.flux); got != c.want {
-			t.Fatalf("Step(%v) = %d, want %d", c.flux, got, c.want)
-		}
-	}
-	if p.States() != 4 {
-		t.Fatalf("States = %d", p.States())
-	}
-}
-
-func TestIRFilmMonotone(t *testing.T) {
-	p := &IRFilmPixel{Levels: 8}
-	prev := -1
-	for f := 0.0; f <= 1.0; f += 0.01 {
-		s := p.Step(f)
-		if s < prev {
-			t.Fatalf("quantization not monotone at flux %v", f)
-		}
-		prev = s
-	}
-}
-
 func TestAccelerometerValidation(t *testing.T) {
 	if _, err := NewSpringAccelerometer(0, 0.1, 0.5, 0.001); err == nil {
 		t.Fatal("zero natural frequency accepted")
@@ -116,41 +49,6 @@ func TestAccelerometerSilentWithoutInput(t *testing.T) {
 	if rate := chatterRate(a, 0, 5, 2); rate != 0 {
 		t.Fatalf("chatter with zero input: %v", rate)
 	}
-}
-
-func TestDeviceInterfaces(t *testing.T) {
-	devices := []Device{
-		&IRFilmPixel{Levels: 2},
-		mustSwitch(t),
-		mustAccel(t),
-	}
-	for _, d := range devices {
-		if d.States() < 2 {
-			t.Fatalf("%T has %d states", d, d.States())
-		}
-		s := d.Step(0)
-		if s < 0 || s >= d.States() {
-			t.Fatalf("%T returned state %d of %d", d, s, d.States())
-		}
-	}
-}
-
-func mustSwitch(t *testing.T) *BimetallicSwitch {
-	t.Helper()
-	b, err := NewBimetallicSwitch(28, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func mustAccel(t *testing.T) *SpringAccelerometer {
-	t.Helper()
-	a, err := NewSpringAccelerometer(5, 0.05, 0.002, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
 }
 
 func TestFlowMeterValidation(t *testing.T) {
