@@ -1,8 +1,8 @@
 // Package radio implements the RF propagation models underlying every
 // zeiot simulator: log-distance path loss with lognormal shadowing,
-// Rayleigh/Rician small-scale fading, thermal noise and BER curves, a
-// multipath OFDM channel used for CSI generation, and the two-segment
-// product channel of ambient backscatter links.
+// thermal noise and BER curves, a multipath OFDM channel used for CSI
+// generation, and the two-segment product channel of ambient backscatter
+// links.
 //
 // Conventions: powers are dBm unless a name says milliwatts; gains and
 // losses are dB; distances are metres; frequencies are Hz.
@@ -26,16 +26,6 @@ func MilliwattsToDBm(mw float64) float64 {
 		return math.Inf(-1)
 	}
 	return 10 * math.Log10(mw)
-}
-
-// FreeSpacePathLoss returns the Friis free-space loss in dB at distance d
-// metres and frequency freq Hz.
-func FreeSpacePathLoss(d, freq float64) float64 {
-	if d <= 0 {
-		d = 1e-3
-	}
-	lambda := SpeedOfLight / freq
-	return 20 * math.Log10(4*math.Pi*d/lambda)
 }
 
 // LogDistance is the classic log-distance path-loss model with lognormal
@@ -74,28 +64,6 @@ func (m LogDistance) SampleLossDB(d float64, stream *rng.Stream) float64 {
 // and one sampled loss.
 func (m LogDistance) RSSI(txDBm, txGainDB, rxGainDB, d float64, stream *rng.Stream) float64 {
 	return txDBm + txGainDB + rxGainDB - m.SampleLossDB(d, stream)
-}
-
-// RayleighGain draws a Rayleigh-faded power gain (linear, mean 1). The
-// amplitude is |h| with h ~ CN(0,1).
-func RayleighGain(stream *rng.Stream) float64 {
-	re := stream.NormMeanStd(0, math.Sqrt2/2)
-	im := stream.NormMeanStd(0, math.Sqrt2/2)
-	return re*re + im*im
-}
-
-// RicianGain draws a Rician-faded power gain (linear, mean 1) with K-factor
-// k (ratio of LoS to scattered power).
-func RicianGain(k float64, stream *rng.Stream) float64 {
-	if k < 0 {
-		k = 0
-	}
-	// LoS component amplitude and scattered sigma chosen so E[gain]=1.
-	los := math.Sqrt(k / (k + 1))
-	sigma := math.Sqrt(1 / (2 * (k + 1)))
-	re := los + stream.NormMeanStd(0, sigma)
-	im := stream.NormMeanStd(0, sigma)
-	return re*re + im*im
 }
 
 // ThermalNoiseDBm returns the thermal noise floor for bandwidth Hz at 290 K

@@ -25,18 +25,6 @@ func TestDBmConversionsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFreeSpacePathLoss(t *testing.T) {
-	// At 2.4 GHz and 1 m, FSPL is about 40.05 dB.
-	got := FreeSpacePathLoss(1, 2.4e9)
-	if math.Abs(got-40.05) > 0.1 {
-		t.Fatalf("FSPL(1m, 2.4GHz) = %v", got)
-	}
-	// Doubling distance adds 6.02 dB.
-	if d := FreeSpacePathLoss(2, 2.4e9) - got; math.Abs(d-6.02) > 0.01 {
-		t.Fatalf("doubling distance added %v dB", d)
-	}
-}
-
 func TestLogDistanceMonotonic(t *testing.T) {
 	m := indoor24GHz()
 	prev := math.Inf(-1)
@@ -91,45 +79,6 @@ func TestRSSIDeterministicWithoutStream(t *testing.T) {
 	want := 0 + 4 - m.PathLossDB(5)
 	if math.Abs(a-want) > 1e-12 {
 		t.Fatalf("RSSI = %v, want %v", a, want)
-	}
-}
-
-func TestFadingMeansAreUnity(t *testing.T) {
-	s := rng.New(2)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += RayleighGain(s)
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("rayleigh mean gain = %v", mean)
-	}
-	for _, k := range []float64{0, 3, 10} {
-		sum = 0
-		for i := 0; i < n; i++ {
-			sum += RicianGain(k, s)
-		}
-		if mean := sum / n; math.Abs(mean-1) > 0.02 {
-			t.Fatalf("rician(k=%v) mean gain = %v", k, mean)
-		}
-	}
-}
-
-func TestRicianVarianceShrinksWithK(t *testing.T) {
-	s := rng.New(3)
-	variance := func(k float64) float64 {
-		const n = 50000
-		sum, sumSq := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			v := RicianGain(k, s)
-			sum += v
-			sumSq += v * v
-		}
-		m := sum / n
-		return sumSq/n - m*m
-	}
-	if variance(10) >= variance(0.5) {
-		t.Fatal("stronger LoS should reduce fading variance")
 	}
 }
 

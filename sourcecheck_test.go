@@ -32,16 +32,13 @@ var unusedAllowed = map[string]string{
 	// deletion.
 	"backscatter.RFHarvestPowerW":              retire + "TestRFHarvestPower",
 	"backscatter.IntermittentDevice.DutyCycle": retire + "TestDutyCycle",
-	"obs.Nop":                 retire + "TestNopDiscards",
-	"radio.FreeSpacePathLoss": retire + "TestFreeSpacePathLoss",
-	"radio.RayleighGain":      retire + "TestFadingMeansAreUnity",
-	"radio.RicianGain":        retire + "TestRicianVarianceShrinksWithK",
-	"sim.Event.Cancel":        retire + "TestCancel",
-	"sim.Kernel.Stop":         retire + "TestStop",
-	"sim.Kernel.Pending":      retire + "TestPending",
-	"tensor.Tensor.Max":       retire + "TestReductions",
-	"tensor.Tensor.Mean":      retire + "TestReductions",
-	"tensor.Tensor.L2":        retire + "TestDotAndL2",
+	"obs.Nop":            retire + "TestNopDiscards",
+	"sim.Event.Cancel":   retire + "TestCancel",
+	"sim.Kernel.Stop":    retire + "TestStop",
+	"sim.Kernel.Pending": retire + "TestPending",
+	"tensor.Tensor.Max":  retire + "TestReductions",
+	"tensor.Tensor.Mean": retire + "TestReductions",
+	"tensor.Tensor.L2":   retire + "TestDotAndL2",
 }
 
 // retire prefixes the reason of a declaration that only its own test
