@@ -177,9 +177,7 @@ func Run(cfg Config, duration time.Duration) (Metrics, error) {
 	if cfg.WLANRate > 0 {
 		s.k.After(s.nextArrival(), s.wlanArrival)
 	}
-	if err := s.k.Run(duration); err != nil {
-		return Metrics{}, err
-	}
+	s.k.Run(duration)
 	s.finalize(duration)
 	return s.m, nil
 }

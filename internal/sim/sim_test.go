@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -12,9 +11,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	k.At(30*time.Millisecond, func() { order = append(order, 3) })
 	k.At(10*time.Millisecond, func() { order = append(order, 1) })
 	k.At(20*time.Millisecond, func() { order = append(order, 2) })
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
+	runAll(k)
 	want := []int{1, 2, 3}
 	for i, v := range want {
 		if order[i] != v {
@@ -30,9 +27,7 @@ func TestTiesBreakByInsertionOrder(t *testing.T) {
 		i := i
 		k.At(time.Second, func() { order = append(order, i) })
 	}
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
+	runAll(k)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie order = %v", order)
@@ -44,9 +39,7 @@ func TestNowAdvances(t *testing.T) {
 	k := New()
 	var at time.Duration
 	k.At(42*time.Millisecond, func() { at = k.Now() })
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
+	runAll(k)
 	if at != 42*time.Millisecond {
 		t.Fatalf("Now inside event = %v", at)
 	}
@@ -58,24 +51,9 @@ func TestAfterIsRelative(t *testing.T) {
 	k.At(10*time.Millisecond, func() {
 		k.After(5*time.Millisecond, func() { second = k.Now() })
 	})
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
+	runAll(k)
 	if second != 15*time.Millisecond {
 		t.Fatalf("After fired at %v, want 15ms", second)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	k := New()
-	fired := false
-	e := k.At(time.Second, func() { fired = true })
-	e.Cancel()
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
 	}
 }
 
@@ -86,9 +64,7 @@ func TestHorizonStopsExecution(t *testing.T) {
 		d := d
 		k.At(d, func() { fired = append(fired, d) })
 	}
-	if err := k.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(2 * time.Second)
 	if len(fired) != 2 {
 		t.Fatalf("fired %v, want events at 1s and 2s only", fired)
 	}
@@ -96,25 +72,9 @@ func TestHorizonStopsExecution(t *testing.T) {
 		t.Fatalf("clock = %v after horizon run", k.Now())
 	}
 	// Resuming must execute the remaining event.
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
+	runAll(k)
 	if len(fired) != 3 {
 		t.Fatalf("resume did not run remaining events: %v", fired)
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := New()
-	count := 0
-	k.At(time.Second, func() { count++; k.Stop() })
-	k.At(2*time.Second, func() { count++ })
-	err := runAll(k)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
 	}
 }
 
@@ -129,9 +89,7 @@ func TestSchedulingInsideEvents(t *testing.T) {
 		}
 	}
 	k.At(0, step)
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
+	runAll(k)
 	if hops != 100 {
 		t.Fatalf("hops = %d", hops)
 	}
@@ -150,28 +108,11 @@ func TestPastSchedulingPanics(t *testing.T) {
 		}()
 		k.At(500*time.Millisecond, func() {})
 	})
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPending(t *testing.T) {
-	k := New()
-	k.At(time.Second, func() {})
-	k.At(2*time.Second, func() {})
-	if k.Pending() != 2 {
-		t.Fatalf("Pending = %d", k.Pending())
-	}
-	if err := runAll(k); err != nil {
-		t.Fatal(err)
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("Pending after run = %d", k.Pending())
-	}
+	runAll(k)
 }
 
 // runAll executes events until the queue drains, with no horizon.
-func runAll(k *Kernel) error {
+func runAll(k *Kernel) {
 	const forever = time.Duration(1<<63 - 1)
-	return k.Run(forever)
+	k.Run(forever)
 }

@@ -33,9 +33,6 @@ var unusedAllowed = map[string]string{
 	"backscatter.RFHarvestPowerW":              retire + "TestRFHarvestPower",
 	"backscatter.IntermittentDevice.DutyCycle": retire + "TestDutyCycle",
 	"obs.Nop":            retire + "TestNopDiscards",
-	"sim.Event.Cancel":   retire + "TestCancel",
-	"sim.Kernel.Stop":    retire + "TestStop",
-	"sim.Kernel.Pending": retire + "TestPending",
 	"tensor.Tensor.Max":  retire + "TestReductions",
 	"tensor.Tensor.Mean": retire + "TestReductions",
 	"tensor.Tensor.L2":   retire + "TestDotAndL2",
