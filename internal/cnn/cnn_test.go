@@ -23,6 +23,15 @@ func numericalGrad(n *Network, in *tensor.Tensor, label int, t *tensor.Tensor, i
 	return (lp - lm) / (2 * h)
 }
 
+// sumOf returns the sum of t's elements.
+func sumOf(t *tensor.Tensor) float64 {
+	s := 0.0
+	for _, v := range t.Data() {
+		s += v
+	}
+	return s
+}
+
 func buildTinyNet(seed uint64) *Network {
 	s := rng.New(seed)
 	conv := NewConv2D(1, 2, 3, 3, 1, 1, s.Split("conv"))
@@ -153,7 +162,7 @@ func TestSoftmaxProperties(t *testing.T) {
 		logits := randomInput(s, 10)
 		logits.ScaleInPlace(20) // stress stability
 		p := softmaxOf(logits)
-		sum := p.Sum()
+		sum := sumOf(p)
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("softmax sums to %v", sum)
 		}
@@ -180,8 +189,8 @@ func TestCrossEntropyGradientSumsToZero(t *testing.T) {
 	s := rng.New(5)
 	logits := randomInput(s, 6)
 	_, grad := CrossEntropy(logits, 2)
-	if math.Abs(grad.Sum()) > 1e-9 {
-		t.Fatalf("CE gradient sums to %v, want 0", grad.Sum())
+	if math.Abs(sumOf(grad)) > 1e-9 {
+		t.Fatalf("CE gradient sums to %v, want 0", sumOf(grad))
 	}
 }
 
@@ -268,8 +277,8 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	if gin.At(0, 0, 1) != 1 || gin.At(0, 2, 2) != 1 {
 		t.Fatalf("pool backward = %v", gin)
 	}
-	if gin.Sum() != 4 {
-		t.Fatalf("pool backward total = %v", gin.Sum())
+	if sumOf(gin) != 4 {
+		t.Fatalf("pool backward total = %v", sumOf(gin))
 	}
 }
 
@@ -509,7 +518,7 @@ func TestTrainLossDecreases(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		in := randomInput(s, 1, 6, 6)
 		label := 0
-		if in.Sum() > 0 {
+		if sumOf(in) > 0 {
 			label = 1
 		}
 		samples = append(samples, Sample{Input: in, Label: label})

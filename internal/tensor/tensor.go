@@ -3,7 +3,7 @@
 //
 // Tensors are dense and row-major with explicit shapes; the package provides
 // only the operations the CNN and the sensing pipelines need (element
-// access, arithmetic, matrix multiply, argmax, simple reductions). It
+// access, arithmetic, matrix multiply, argmax). It
 // favours clarity and determinism over BLAS-grade speed. Hot loops index the
 // row-major storage that Data returns directly, and Ensure and the *Into
 // kernels reuse storage, so steady-state callers allocate nothing.
@@ -330,34 +330,6 @@ func (t *Tensor) Argmax() int {
 	}
 	return bestIdx
 }
-
-// Max returns the maximum element.
-func (t *Tensor) Max() float64 { return t.data[t.Argmax()] }
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(t.Size()) }
-
-// Dot returns the inner product of two tensors of identical shape.
-func Dot(a, b *Tensor) float64 {
-	a.mustSameShape(b)
-	s := 0.0
-	for i := range a.data {
-		s += a.data[i] * b.data[i]
-	}
-	return s
-}
-
-// L2 returns the Euclidean norm of all elements.
-func (t *Tensor) L2() float64 { return math.Sqrt(Dot(t, t)) }
 
 // Equal reports whether two tensors have the same shape and all elements
 // within tol of each other.

@@ -110,29 +110,10 @@ func TestShapeMismatchPanics(t *testing.T) {
 	New(2, 2).AddInPlace(New(4))
 }
 
-func TestReductions(t *testing.T) {
+func TestArgmax(t *testing.T) {
 	x := FromSlice([]float64{3, -1, 4, 1}, 4)
-	if x.Sum() != 7 {
-		t.Fatalf("Sum = %v", x.Sum())
-	}
-	if x.Mean() != 1.75 {
-		t.Fatalf("Mean = %v", x.Mean())
-	}
 	if x.Argmax() != 2 {
 		t.Fatalf("Argmax = %d", x.Argmax())
-	}
-	if x.Max() != 4 {
-		t.Fatalf("Max = %v", x.Max())
-	}
-}
-
-func TestDotAndL2(t *testing.T) {
-	a := FromSlice([]float64{3, 4}, 2)
-	if Dot(a, a) != 25 {
-		t.Fatalf("Dot = %v", Dot(a, a))
-	}
-	if a.L2() != 5 {
-		t.Fatalf("L2 = %v", a.L2())
 	}
 }
 

@@ -32,10 +32,7 @@ var unusedAllowed = map[string]string{
 	// deletion.
 	"backscatter.RFHarvestPowerW":              retire + "TestRFHarvestPower",
 	"backscatter.IntermittentDevice.DutyCycle": retire + "TestDutyCycle",
-	"obs.Nop":            retire + "TestNopDiscards",
-	"tensor.Tensor.Max":  retire + "TestReductions",
-	"tensor.Tensor.Mean": retire + "TestReductions",
-	"tensor.Tensor.L2":   retire + "TestDotAndL2",
+	"obs.Nop": retire + "TestNopDiscards",
 }
 
 // retire prefixes the reason of a declaration that only its own test
