@@ -56,17 +56,6 @@ type Snapshotter interface {
 	Snapshot() *Snapshot
 }
 
-// Nop is a Recorder that discards everything. Call sites that want to avoid
-// nil checks can substitute it; the experiment engine itself keeps nil as
-// "disabled" so the hot paths skip the interface call entirely.
-var Nop Recorder = nop{}
-
-type nop struct{}
-
-func (nop) Add(string, int64)       {}
-func (nop) Gauge(string, float64)   {}
-func (nop) Observe(string, float64) {}
-
 // RunSequencer is implemented by recorders that can number the runs sharing
 // them. The experiment harness claims a run number at the start of every run
 // and, from the second run on, prefixes that run's metric names with

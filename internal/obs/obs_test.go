@@ -37,12 +37,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNopDiscards(t *testing.T) {
-	Nop.Add("a", 1)
-	Nop.Gauge("b", 2)
-	Nop.Observe("c", 3)
-}
-
 func TestDeterministicStripsWallTime(t *testing.T) {
 	r := NewRegistry()
 	r.Add("transfers", 7)

@@ -32,7 +32,6 @@ var unusedAllowed = map[string]string{
 	// deletion.
 	"backscatter.RFHarvestPowerW":              retire + "TestRFHarvestPower",
 	"backscatter.IntermittentDevice.DutyCycle": retire + "TestDutyCycle",
-	"obs.Nop": retire + "TestNopDiscards",
 }
 
 // retire prefixes the reason of a declaration that only its own test
