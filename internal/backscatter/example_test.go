@@ -2,15 +2,14 @@ package backscatter_test
 
 import (
 	"fmt"
-	"time"
 
 	"zeiot/internal/backscatter"
 	"zeiot/internal/geom"
 	"zeiot/internal/radio"
 )
 
-// Example shows the zero-energy device lifecycle: a tag on the product
-// channel and an intermittent harvester-powered duty cycle.
+// Example sends one packet from a tag on the product channel and prints
+// what it cost.
 func Example() {
 	link := radio.BackscatterLink{
 		Model:       radio.LogDistance{RefLossDB: 40, RefDist: 1, Exponent: 2},
@@ -22,17 +21,7 @@ func Example() {
 	res := tag.TransmitPacket(5, 5, 5, 256, noise, 80, nil)
 	fmt.Println("5 m packet delivered:", res.Delivered)
 	fmt.Printf("packet energy: %.1f nJ\n", res.EnergyJ*1e9)
-
-	h, err := backscatter.NewHarvester(1e-3, 1e-4, 0, 50e-6) // 50 µW harvest
-	if err != nil {
-		fmt.Println("harvester:", err)
-		return
-	}
-	dev := &backscatter.IntermittentDevice{Harvester: h, TaskEnergyJ: 1e-4}
-	ran := dev.Step(10*time.Second, 10*time.Millisecond)
-	fmt.Println("tasks in 10 s on 50 µW:", ran)
 	// Output:
 	// 5 m packet delivered: true
 	// packet energy: 10.2 nJ
-	// tasks in 10 s on 50 µW: 4
 }

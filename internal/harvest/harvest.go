@@ -3,15 +3,12 @@
 // capacitor state with turn-on/brown-out hysteresis, and a tick-driven node
 // account that funds compute work.
 //
-// The package exists alongside backscatter.Harvester deliberately. That type
-// models a single device with a *constant* harvest power and unexported
-// state — fine for the closed-form duty-cycle analysis in E11, unusable for
-// a checkpointed simulation that must serialize every node's charge level
-// and see time-varying ambient power. Here the trace is a pure function of
-// (seed, node, tick) — no stored generator state — so resuming a killed run
-// needs only the tick counter and the capacitor charge, and every node's
-// power sequence is independent of how many other nodes exist or in what
-// order they are stepped.
+// Every piece of state is an exported field, so a checkpointed simulation
+// can serialize every node's charge level, and the trace is a pure function
+// of (seed, node, tick) — no stored generator state — so resuming a killed
+// run needs only the tick counter and the capacitor charge, and every
+// node's power sequence is independent of how many other nodes exist or in
+// what order they are stepped.
 package harvest
 
 import (
@@ -132,8 +129,9 @@ func (t Trace) PowerW(tick uint64) float64 {
 }
 
 // Capacitor is an energy store with turn-on/brown-out hysteresis, the
-// backscatter.Harvester power model with every field exported so the state
-// checkpoints through encoding/gob. Invariants: 0 <= OffJ < OnJ <= CapJ.
+// standard intermittent-computing power model, with every field exported so
+// the state checkpoints through encoding/gob. Invariants:
+// 0 <= OffJ < OnJ <= CapJ.
 type Capacitor struct {
 	// CapJ is the usable capacity in joules.
 	CapJ float64

@@ -124,6 +124,20 @@ func TestCapacitorHysteresis(t *testing.T) {
 	}
 }
 
+// TestCapacitorEnergyConservation: every joule a capacitor accepts is
+// either drawn or still stored.
+func TestCapacitorEnergyConservation(t *testing.T) {
+	c := &Capacitor{CapJ: 1, OnJ: 0.5}
+	stored := c.Charge(0.5) // turns on
+	drawn := 0.0
+	for c.Draw(0.05) {
+		drawn += 0.05
+	}
+	if stored != 0.5 || math.Abs(drawn+c.StoredJ-stored) > 1e-12 {
+		t.Fatalf("energy not conserved: accepted %v, drawn %v + stored %v", stored, drawn, c.StoredJ)
+	}
+}
+
 // TestNodeCheckpointRoundTrip runs a node halfway, snapshots it through gob
 // (the checkpoint path), and requires the resumed copy's ledger to track the
 // uninterrupted node tick for tick — the property the E17 kill/resume flow

@@ -26,17 +26,7 @@ var unusedAllowed = map[string]string{
 	"cnn.Network.Backward":        "the serial reference step of microdeep's parallel tests",
 	"cnn.CrossEntropy":            "the serial reference step of microdeep's parallel tests",
 	"obs.Snapshot.Deterministic":  "the metric-golden tests compare its export",
-
-	// Each of these is reached only by the named test of its own package,
-	// and deleting one retires that test. ROADMAP item 6 lists them for
-	// deletion.
-	"backscatter.RFHarvestPowerW":              retire + "TestRFHarvestPower",
-	"backscatter.IntermittentDevice.DutyCycle": retire + "TestDutyCycle",
 }
-
-// retire prefixes the reason of a declaration that only its own test
-// reaches.
-const retire = "deferred with its test (ROADMAP item 6): "
 
 // stdCalled names methods that standard-library code calls through its own
 // interfaces (fmt.Stringer, error, http.Handler, json.Marshaler,
