@@ -133,9 +133,10 @@ func normCoord(y, x, h, w int) geom.Point {
 }
 
 // BuildGraph extracts the unit graph from net. Supported layer sequences
-// are Conv2D, MaxPool2D, Dense with optional ReLU after Conv2D/Dense and a
+// are Conv2D, MaxPool2D, Dense with optional ReLU after any of them and a
 // single Flatten before the first Dense — exactly the CNN family the paper
-// uses (one conv, one pool, two fully-connected layers in §IV.C).
+// uses (one conv, one pool, two fully-connected layers in §IV.C). Any other
+// sequence, a ReLU on the input included, is an error.
 func BuildGraph(net *cnn.Network) (*Graph, error) {
 	g := &Graph{}
 	in := net.InShape()
@@ -227,10 +228,14 @@ func BuildGraph(net *cnn.Network) (*Graph, error) {
 			// dense layer reads the spatial sites directly.
 		case *cnn.ReLU:
 			// A ReLU not fused into conv/dense above (e.g. after pool):
-			// element-wise on the producing node, no units or traffic.
-			if len(g.Stages) > 0 {
-				g.Stages[len(g.Stages)-1].FusedReLU = true
+			// element-wise on the producing node, no units or traffic. The
+			// executor copies input sites as they are, so a ReLU on the
+			// input itself has no stage to run on.
+			last := &g.Stages[len(g.Stages)-1]
+			if last.Kind == StageInput {
+				return nil, fmt.Errorf("microdeep: ReLU on the input unsupported")
 			}
+			last.FusedReLU = true
 		case *cnn.Dense:
 			var deps []int
 			if prevDense != nil {

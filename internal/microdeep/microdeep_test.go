@@ -81,6 +81,23 @@ func TestBuildGraphStructure(t *testing.T) {
 	if len(d2.Deps) != 8 {
 		t.Fatalf("dense2 deps = %d", len(d2.Deps))
 	}
+
+	// Sequences outside the supported family are errors, not graphs that
+	// compute another function than the network.
+	s := rng.New(2)
+	for _, tc := range []struct {
+		name string
+		net  *cnn.Network
+	}{
+		{"flat input", cnn.NewNetwork([]int{4}, cnn.NewDense(4, 2, s.Split("flat")))},
+		// The executor would copy the input sites without the ReLU.
+		{"leading ReLU", cnn.NewNetwork([]int{1, 6, 6},
+			cnn.NewReLU(), cnn.NewMaxPool2D(2, 2), cnn.NewFlatten(), cnn.NewDense(9, 2, s.Split("relu")))},
+	} {
+		if _, err := BuildGraph(tc.net); err == nil {
+			t.Errorf("%s: BuildGraph accepted the network", tc.name)
+		}
+	}
 }
 
 func TestDistributedForwardEqualsCentralized(t *testing.T) {
