@@ -402,7 +402,7 @@ func RunE17Intermittent(ctx context.Context, rc *RunConfig) (*Result, error) {
 	cleanOK, brownOK := 0, 0
 	ex.ComputeFaults = fm
 	for k, s := range eval {
-		if argmax(clean[k].Data()) == s.Label {
+		if tensor.Argmax(clean[k].Data()) == s.Label {
 			cleanOK++
 		}
 		ex.ComputeTick = uint64(k) * stride
@@ -410,7 +410,7 @@ func RunE17Intermittent(ctx context.Context, rc *RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if argmax(out.Data()) == s.Label {
+		if tensor.Argmax(out.Data()) == s.Label {
 			brownOK++
 		}
 	}
@@ -504,16 +504,6 @@ func e17SelfCheck(seed uint64, model *microdeep.Model, opt *cnn.SGD, w *wsn.Netw
 		}
 	}
 	return true, nil
-}
-
-func argmax(v []float64) int {
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 func boolGauge(b bool) float64 {

@@ -73,7 +73,7 @@ func RunE8Resilience(ctx context.Context, rc *RunConfig) (*Result, error) {
 		}
 		correct := 0
 		for i, s := range test {
-			if outs[i].Argmax() == s.Label {
+			if tensor.Argmax(outs[i].Data()) == s.Label {
 				correct++
 			}
 		}

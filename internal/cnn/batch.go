@@ -343,8 +343,8 @@ func (c *Conv2D) forwardLocal(ind, outd []float64, bsz, h, w, oh, ow int, relu b
 						}
 					}
 					if relu {
-						a0, a1, a2, a3 = reluMask(a0), reluMask(a1), reluMask(a2), reluMask(a3)
-						a4, a5, a6, a7 = reluMask(a4), reluMask(a5), reluMask(a6), reluMask(a7)
+						a0, a1, a2, a3 = tensor.ReLU(a0), tensor.ReLU(a1), tensor.ReLU(a2), tensor.ReLU(a3)
+						a4, a5, a6, a7 = tensor.ReLU(a4), tensor.ReLU(a5), tensor.ReLU(a6), tensor.ReLU(a7)
 					}
 					o := (oc*bsz+gi*g8)*np + p
 					if n := bsz - gi*g8; n < g8 {
@@ -403,7 +403,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 					v += k7 * r2[0]
 					v += k8 * r2[1]
 					if relu {
-						v = reluMask(v)
+						v = tensor.ReLU(v)
 					}
 					orow[0] = v
 					for x := 1; x < w-1; x++ {
@@ -416,7 +416,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 						v += k7 * r2[j+1]
 						v += k8 * r2[j+2]
 						if relu {
-							v = reluMask(v)
+							v = tensor.ReLU(v)
 						}
 						orow[x] = v
 					}
@@ -426,7 +426,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 					v += k6 * r2[w-2]
 					v += k7 * r2[w-1]
 					if relu {
-						v = reluMask(v)
+						v = tensor.ReLU(v)
 					}
 					orow[w-1] = v
 				case iy+3 > h:
@@ -439,7 +439,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 					v += k4 * r1[0]
 					v += k5 * r1[1]
 					if relu {
-						v = reluMask(v)
+						v = tensor.ReLU(v)
 					}
 					orow[0] = v
 					for x := 1; x < w-1; x++ {
@@ -452,7 +452,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 						v += k4 * r1[j+1]
 						v += k5 * r1[j+2]
 						if relu {
-							v = reluMask(v)
+							v = tensor.ReLU(v)
 						}
 						orow[x] = v
 					}
@@ -462,7 +462,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 					v += k3 * r1[w-2]
 					v += k4 * r1[w-1]
 					if relu {
-						v = reluMask(v)
+						v = tensor.ReLU(v)
 					}
 					orow[w-1] = v
 				default:
@@ -477,7 +477,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 					v += k7 * r2[0]
 					v += k8 * r2[1]
 					if relu {
-						v = reluMask(v)
+						v = tensor.ReLU(v)
 					}
 					orow[0] = v
 					// Interior, two outputs per pass: windows at x and x+1
@@ -514,8 +514,8 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 						u += k7 * c2
 						u += k8 * c3
 						if relu {
-							v = reluMask(v)
-							u = reluMask(u)
+							v = tensor.ReLU(v)
+							u = tensor.ReLU(u)
 						}
 						orow[x] = v
 						orow[x+1] = u
@@ -533,7 +533,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 						v += k7 * r2[j+1]
 						v += k8 * r2[j+2]
 						if relu {
-							v = reluMask(v)
+							v = tensor.ReLU(v)
 						}
 						orow[x] = v
 					}
@@ -545,7 +545,7 @@ func (c *Conv2D) forwardDirect3x1(ind, outd []float64, bsz, h, w int, relu bool)
 					v += k6 * r2[w-2]
 					v += k7 * r2[w-1]
 					if relu {
-						v = reluMask(v)
+						v = tensor.ReLU(v)
 					}
 					orow[w-1] = v
 				}
@@ -824,7 +824,7 @@ func (d *Dense) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tensor {
 		row := od[b*d.Out : (b+1)*d.Out]
 		if relu {
 			for o, bv := range bd {
-				row[o] = reluMask(row[o] + bv)
+				row[o] = tensor.ReLU(row[o] + bv)
 			}
 			continue
 		}
@@ -874,23 +874,14 @@ func (d *Dense) backwardBatch(gradOut *tensor.Tensor, withInGrad bool) *tensor.T
 // ---------------------------------------------------------------------------
 // ReLU
 
-// reluMask is the branchless ReLU select shared by the fused kernels: v for
-// v > 0, +0.0 otherwise — bit for bit the reference ReLU.
-func reluMask(v float64) float64 {
-	t := math.Float64bits(v)
-	keep := ((t | -t) >> 63) &^ (t >> 63)
-	return math.Float64frombits(t & -keep)
-}
-
-// forwardBatch implements Layer: reluMask's branchless select, element-wise
-// over the packed block.
+// forwardBatch implements Layer: tensor.ReLU's branchless select,
+// element-wise over the packed block. The fused kernels apply the same
+// select, bit for bit the reference ReLU.
 func (r *ReLU) forwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	r.outB = tensor.Ensure(r.outB, in.Shape()...)
 	data := r.outB.Data()
 	for i, v := range in.Data() {
-		t := math.Float64bits(v)
-		keep := ((t | -t) >> 63) &^ (t >> 63)
-		data[i] = math.Float64frombits(t & -keep)
+		data[i] = tensor.ReLU(v)
 	}
 	return r.outB
 }
@@ -1048,7 +1039,7 @@ func (p *MaxPool2D) forwardBatchImpl(in *tensor.Tensor, relu bool) *tensor.Tenso
 					m, t = poolWindow(ind, o, p.Size, w, relu)
 				}
 				if relu {
-					m = reluMask(m)
+					m = tensor.ReLU(m)
 				}
 				outd[i], p.win[i] = m, t
 				i++
@@ -1073,18 +1064,18 @@ func pick(m float64, t int, mb float64, tb int) (float64, int) {
 
 // poolWindow is the reference's fold of the size×size window at flat index o
 // of a plane w wide: the builtin max in scan order from the origin cell, over
-// the cells' reluMask when relu is set. It returns the max and the first cell
+// the cells' tensor.ReLU when relu is set. It returns the max and the first cell
 // equal to it, or the origin for a NaN max, which no cell equals.
 func poolWindow(ind []float64, o, size, w int, relu bool) (m float64, t int) {
 	m, t = ind[o], o
 	if relu {
-		m = reluMask(m)
+		m = tensor.ReLU(m)
 	}
 	for r := o; r < o+size*w; r += w {
 		for x := r; x < r+size; x++ {
 			v := ind[x]
 			if relu {
-				v = reluMask(v)
+				v = tensor.ReLU(v)
 			}
 			m, t = pick(m, t, v, x)
 		}
@@ -1119,7 +1110,7 @@ func (p *MaxPool2D) scatter(gradOut *tensor.Tensor, gated bool) *tensor.Tensor {
 	gi, ind := p.gradInB.Data(), p.lastInB.Data()
 	for i, g := range gradOut.Data() {
 		t := p.win[i]
-		if g != 0 && (!gated || reluMask(ind[t]) != 0) {
+		if g != 0 && (!gated || tensor.ReLU(ind[t]) != 0) {
 			gi[t] += g
 		}
 	}
@@ -1156,7 +1147,7 @@ func (p *MaxPool2D) backwardBatchSparse(gradOut *tensor.Tensor) []sparseWinner {
 			for range ow {
 				g, t := god[i], p.win[i]
 				i++
-				if g == 0 || reluMask(ind[t]) == 0 {
+				if g == 0 || tensor.ReLU(ind[t]) == 0 {
 					continue
 				}
 				// A 32-bit divide: t-row < Size·w, and it is several
@@ -1182,7 +1173,7 @@ func (p *MaxPool2D) backwardBatchSparse(gradOut *tensor.Tensor) []sparseWinner {
 // Dense+ReLU pairs run fused — the ReLU select folds into the producer's
 // bias pass, skipping one full read-modify-write sweep of the activation
 // block. The skipped ReLU layer's outB is aliased to the fused output so its
-// backwardBatch still sees the activation bits it keys on; reluMask
+// backwardBatch still sees the activation bits it keys on; tensor.ReLU
 // reproduces the reference ReLU bit for bit, so the fused path stays
 // bit-identical.
 func (n *Network) forwardBatchAll(in *tensor.Tensor) *tensor.Tensor {
@@ -1228,7 +1219,7 @@ func (n *Network) forwardBatchAll(in *tensor.Tensor) *tensor.Tensor {
 // feeding a MaxPool2D runs fused into the pool's scatter: after the pool only
 // winner cells hold a gradient, and the ReLU backward passes a cell's
 // gradient where the ReLU output is nonzero, so gating each routed gradient on
-// the ReLU output at its winner (reluMask of the pool's input there, raw or
+// the ReLU output at its winner (tensor.ReLU of the pool's input there, raw or
 // already ReLU'd) gives the unfused bits without a full-plane masking pass.
 func (n *Network) backwardBatchAll(grad *tensor.Tensor) {
 	g := grad

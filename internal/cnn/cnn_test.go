@@ -171,7 +171,7 @@ func TestSoftmaxProperties(t *testing.T) {
 				t.Fatalf("softmax produced %v", v)
 			}
 		}
-		if p.Argmax() != logits.Argmax() {
+		if tensor.Argmax(p.Data()) != tensor.Argmax(logits.Data()) {
 			t.Fatal("softmax changed argmax")
 		}
 	}

@@ -15,7 +15,7 @@ func refClasses(net *Network, samples []Sample) []int {
 	classes := make([]int, len(samples))
 	for i, s := range samples {
 		acts := refForward(net, s.Input)
-		classes[i] = acts[len(acts)-1].Argmax()
+		classes[i] = tensor.Argmax(acts[len(acts)-1].Data())
 	}
 	return classes
 }

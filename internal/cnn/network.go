@@ -127,20 +127,9 @@ func (n *Network) predictInto(samples []Sample, dst []int) {
 		logits := n.forwardBatchAll(s.pack(samples, s.span(lo, hi)))
 		ld, nc := logits.Data(), logits.Dim(1)
 		for j := range hi - lo {
-			dst[lo+j] = argmax(ld[j*nc : (j+1)*nc])
+			dst[lo+j] = tensor.Argmax(ld[j*nc : (j+1)*nc])
 		}
 	}
-}
-
-// argmax is Tensor.Argmax over one row: the first index of the maximum.
-func argmax(row []float64) int {
-	best, bestIdx := math.Inf(-1), 0
-	for i, v := range row {
-		if v > best {
-			best, bestIdx = v, i
-		}
-	}
-	return bestIdx
 }
 
 // shadowNet returns a network sharing every parameter and gradient tensor

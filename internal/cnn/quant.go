@@ -259,5 +259,5 @@ func (q *QuantizedNetwork) forwardInt(in *tensor.Tensor) []float64 {
 // Classify returns the argmax class of the integer logits (first index on
 // ties). It allocates nothing.
 func (q *QuantizedNetwork) Classify(in *tensor.Tensor) int {
-	return argmax(q.forwardInt(in))
+	return tensor.Argmax(q.forwardInt(in))
 }

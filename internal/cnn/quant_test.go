@@ -106,7 +106,7 @@ func TestQuantAgreesWithFloat(t *testing.T) {
 	agree, n := 0, 400
 	for i := 0; i < n; i++ {
 		in := randomInput(s, 1, 6, 6)
-		if qn.Classify(in) == net.Forward(in).Argmax() {
+		if qn.Classify(in) == tensor.Argmax(net.Forward(in).Data()) {
 			agree++
 		}
 	}

@@ -2,7 +2,6 @@ package microdeep
 
 import (
 	"fmt"
-	"math"
 
 	"zeiot/internal/obs"
 	"zeiot/internal/tensor"
@@ -19,7 +18,7 @@ const blockSize = 8
 // centralized cnn.Network forward pass in its own summation order: a conv
 // or dense site starts from its bias and adds its dependencies' terms in
 // Deps order, input channel inner. Pooling and ReLU are cnn's arithmetic
-// (max pooling folds the builtin max in scan order, ReLU is cnn's select),
+// (max pooling folds the builtin max in scan order, ReLU is tensor.ReLU),
 // so the outputs equal Network.Forward's up to rounding, not bit for bit:
 // over 200 lounge samples, 342 to 373 of the lounge network's 400 logits
 // differ, by at most 2.5e-14, and the package's property tests check 1e-9.
@@ -352,7 +351,7 @@ func dotSite(a []float64, lanes, out int, terms []term, w, bias []float64, rowSt
 				acc += row[t.w] * a[t.u]
 			}
 			if relu {
-				acc = reluMask(acc)
+				acc = tensor.ReLU(acc)
 			}
 			a[out+o] = acc
 			continue
@@ -371,8 +370,8 @@ func dotSite(a []float64, lanes, out int, terms []term, w, bias []float64, rowSt
 			a7 += wt * v[7]
 		}
 		if relu {
-			a0, a1, a2, a3 = reluMask(a0), reluMask(a1), reluMask(a2), reluMask(a3)
-			a4, a5, a6, a7 = reluMask(a4), reluMask(a5), reluMask(a6), reluMask(a7)
+			a0, a1, a2, a3 = tensor.ReLU(a0), tensor.ReLU(a1), tensor.ReLU(a2), tensor.ReLU(a3)
+			a4, a5, a6, a7 = tensor.ReLU(a4), tensor.ReLU(a5), tensor.ReLU(a6), tensor.ReLU(a7)
 		}
 		v := (*[blockSize]float64)(a[(out+o)*blockSize:])
 		v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = a0, a1, a2, a3, a4, a5, a6, a7
@@ -393,15 +392,7 @@ func poolSite(out, a []float64, lanes int, terms []term, relu bool) {
 	}
 	if relu {
 		for i, v := range out {
-			out[i] = reluMask(v)
+			out[i] = tensor.ReLU(v)
 		}
 	}
-}
-
-// reluMask is cnn's ReLU select without a branch: v when v > 0 (+Inf and a
-// positive NaN included), +0 otherwise (−0 and a negative NaN included).
-func reluMask(v float64) float64 {
-	t := math.Float64bits(v)
-	keep := ((t | -t) >> 63) &^ (t >> 63)
-	return math.Float64frombits(t & -keep)
 }

@@ -270,9 +270,10 @@ func MatMulAddInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// reluBits is the branchless ReLU select used by the CNN layers: v for
-// v > 0, +0.0 otherwise (negatives, ±0 and negative NaNs all map to +0).
-func reluBits(v float64) float64 {
+// ReLU is the branchless ReLU select of the CNN layers and of MicroDeep's
+// distributed executor: v for v > 0 (+Inf and a positive NaN included),
+// +0.0 otherwise (negatives, ±0 and negative NaNs all map to +0).
+func ReLU(v float64) float64 {
 	t := math.Float64bits(v)
 	keep := ((t | -t) >> 63) &^ (t >> 63)
 	return math.Float64frombits(t & -keep)
@@ -314,16 +315,17 @@ func MatMulBiasInto(dst, a, b *Tensor, bias []float64, relu bool) *Tensor {
 	if relu {
 		od := dst.data[:m*n]
 		for j, v := range od {
-			od[j] = reluBits(v)
+			od[j] = ReLU(v)
 		}
 	}
 	return dst
 }
 
-// Argmax returns the flat index of the maximum element.
-func (t *Tensor) Argmax() int {
+// Argmax returns the index of the first maximum of v, skipping NaNs, and 0
+// when v is empty or holds no number above −Inf.
+func Argmax(v []float64) int {
 	best, bestIdx := math.Inf(-1), 0
-	for i, v := range t.data {
+	for i, v := range v {
 		if v > best {
 			best, bestIdx = v, i
 		}

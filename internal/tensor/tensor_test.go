@@ -111,9 +111,20 @@ func TestShapeMismatchPanics(t *testing.T) {
 }
 
 func TestArgmax(t *testing.T) {
-	x := FromSlice([]float64{3, -1, 4, 1}, 4)
-	if x.Argmax() != 2 {
-		t.Fatalf("Argmax = %d", x.Argmax())
+	nan := math.NaN()
+	for _, tc := range []struct {
+		v    []float64
+		want int
+	}{
+		{[]float64{3, -1, 4, 1}, 2},
+		{[]float64{4, -1, 4}, 0}, // the first of equal maxima
+		{[]float64{nan, 1, 2}, 2},
+		{[]float64{1, nan, 0}, 0},
+		{nil, 0},
+	} {
+		if got := Argmax(tc.v); got != tc.want {
+			t.Errorf("Argmax(%v) = %d, want %d", tc.v, got, tc.want)
+		}
 	}
 }
 
