@@ -33,11 +33,11 @@ import (
 // availability does to distributed inference accuracy.
 
 // Phase A energy model. A 10 ms tick matches the charging granularity of
-// the §IV.A backscatter MAC; the capacitor thresholds mirror the
-// backscatter.Harvester hysteresis at µJ scale; the 32 µJ batch cost is the
-// E11 compute scale (5 nJ/unit) applied to one 16-sample batch of the e17
-// net. At most one batch fits in a tick, so every checkpoint lands on a
-// batch boundary by construction.
+// the §IV.A backscatter MAC; the capacitor thresholds are a turn-on/brown-out
+// hysteresis at µJ scale; the 32 µJ batch cost is the E11 compute scale
+// (5 nJ/unit) applied to one 16-sample batch of the e17 net. At most one
+// batch fits in a tick, so every checkpoint lands on a batch boundary by
+// construction.
 const (
 	e17TickSeconds   = 0.01
 	e17CapJ          = 100e-6

@@ -1,8 +1,8 @@
 // Package cnn implements a small, from-scratch convolutional neural network:
-// Conv2D, MaxPool2D, Dense, ReLU and Flatten layers, softmax
-// cross-entropy, and SGD with momentum or Adam. It is the "standard CNN"
-// baseline of the paper and the numeric core that package microdeep
-// distributes across a wireless sensor network.
+// Conv2D, MaxPool2D, Dense, ReLU and Flatten layers, softmax cross-entropy,
+// and SGD with momentum. It is the "standard CNN" baseline of the paper and
+// the numeric core that package microdeep distributes across a wireless
+// sensor network.
 //
 // # One kernel family
 //

@@ -79,10 +79,8 @@ type Stage struct {
 	Kind StageKind
 	// H, W, C are the output dims; dense stages have H=1, W=#neurons, C=1.
 	H, W, C int
-	// Conv/Pool/Dense point at the owning layer for weight access and
-	// pooling geometry.
+	// Conv/Dense point at the owning layer for weight access.
 	Conv  *cnn.Conv2D
-	Pool  *cnn.MaxPool2D
 	Dense *cnn.Dense
 	// FusedReLU records that a ReLU immediately follows and is evaluated
 	// in place on the producing node (no extra units or traffic).
@@ -209,7 +207,7 @@ func BuildGraph(net *cnn.Network) (*Graph, error) {
 			// OutShape rejects a window wider than the input, so no window
 			// is clipped; each site reads its window in scan order.
 			out := l.OutShape(prevShape)
-			st := addStage(Stage{Kind: StagePool, C: out[0], H: out[1], W: out[2], Pool: l})
+			st := addStage(Stage{Kind: StagePool, C: out[0], H: out[1], W: out[2]})
 			newIdx := make([][]int, out[1])
 			for oy := 0; oy < out[1]; oy++ {
 				newIdx[oy] = make([]int, out[2])
