@@ -148,6 +148,28 @@ func TestQuantForwardMatchesClassify(t *testing.T) {
 	}
 }
 
+func TestQuantDeterministic(t *testing.T) {
+	net, _, samples := trainedQuantPair(t)
+	qa, err := QuantizeNetwork(net, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, err := QuantizeNetwork(net, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rng.New(99)
+	for i := 0; i < 50; i++ {
+		in := randomInput(s, 1, 6, 6)
+		if qa.Classify(in) != qb.Classify(in) {
+			t.Fatal("two quantizations of the same network diverge")
+		}
+		if !slices.Equal(qa.forwardInt(in), qb.forwardInt(in)) {
+			t.Fatal("quantized integer logits not bit-deterministic")
+		}
+	}
+}
+
 type namedNet struct {
 	name string
 	net  *Network
