@@ -117,13 +117,11 @@ func (n *Network) blob(opt Optimizer) (*netBlob, error) {
 		blob.Layers = append(blob.Layers, lb)
 	}
 	if opt != nil {
-		params := n.paramTensors()
-		switch o := opt.(type) {
-		case *SGD:
-			blob.Opt = &optBlob{Kind: "sgd", LR: o.LR, Momentum: o.Momentum, Vel: o.VelocitySnapshot(params)}
-		default:
+		o, ok := opt.(*SGD)
+		if !ok {
 			return nil, fmt.Errorf("cnn: cannot serialize optimizer %T", opt)
 		}
+		blob.Opt = &optBlob{Kind: "sgd", LR: o.LR, Momentum: o.Momentum, Vel: o.VelocitySnapshot(n.paramTensors())}
 	}
 	return blob, nil
 }

@@ -3,8 +3,8 @@
 //
 // Tensors are dense and row-major with explicit shapes; the package provides
 // only the operations the CNN and the sensing pipelines need (element
-// access, arithmetic, matrix multiply, argmax). It
-// favours clarity and determinism over BLAS-grade speed. Hot loops index the
+// access, arithmetic, matrix multiply, the ReLU select, argmax). It favours
+// clarity and determinism over BLAS-grade speed. Hot loops index the
 // row-major storage that Data returns directly, and Ensure and the *Into
 // kernels reuse storage, so steady-state callers allocate nothing.
 package tensor
