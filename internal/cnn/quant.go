@@ -31,8 +31,8 @@ package cnn
 // plus fan-in·127² could reach 2³¹, so every partial sum of every
 // accumulator, in any order, is an integer below 2³¹ and exactly
 // represented in float64, and the finished sum equals the int32
-// accumulator. quant_ref_test.go holds the plain int8 loops this must match at
-// tolerance 0.
+// accumulator. quant_ref_test.go holds the plain int8 loops this must match
+// at tolerance 0.
 //
 // Once constructed, Classify allocates nothing.
 
