@@ -1,6 +1,7 @@
 package wsn
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -86,34 +87,10 @@ func checkMatchesOracle(t *testing.T, n *Network, tag string) {
 			if got, want := n.Linked(i, j), o.linked(i, j); got != want {
 				t.Fatalf("%s: Linked(%d,%d) = %v, oracle = %v", tag, i, j, got, want)
 			}
-			want := o.hops[i][j]
-			if got := n.Hops(i, j); got != want {
+			if got, want := n.Hops(i, j), o.hops[i][j]; got != want {
 				t.Fatalf("%s: Hops(%d,%d) = %d, oracle = %d", tag, i, j, got, want)
 			}
-			route, err := n.Route(i, j)
-			if want < 0 {
-				if err == nil {
-					t.Fatalf("%s: Route(%d,%d) succeeded on unreachable pair", tag, i, j)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: Route(%d,%d): %v", tag, i, j, err)
-			}
-			if route[0] != i || route[len(route)-1] != j {
-				t.Fatalf("%s: Route(%d,%d) endpoints %v", tag, i, j, route)
-			}
-			if len(route)-1 != want {
-				t.Fatalf("%s: Route(%d,%d) length %d != hops %d (%v)", tag, i, j, len(route)-1, want, route)
-			}
-			for k, v := range route {
-				if n.Node(v).Failed {
-					t.Fatalf("%s: Route(%d,%d) passes failed node %d", tag, i, j, v)
-				}
-				if k > 0 && !o.linked(route[k-1], v) {
-					t.Fatalf("%s: Route(%d,%d) uses non-link %d-%d", tag, i, j, route[k-1], v)
-				}
-			}
+			checkRoute(t, n, o, i, j, tag)
 		}
 	}
 }
@@ -174,10 +151,44 @@ func TestShardedGridMatchesDense(t *testing.T) {
 	checkMatchesOracle(t, n, "grid after recover")
 }
 
+// checkRoute asserts that Route(i, j) agrees with the oracle: an error
+// exactly when the pair is unreachable, else a path from i to j of the
+// oracle's length over live nodes and real links.
+func checkRoute(t *testing.T, n *Network, o *oracle, i, j int, tag string) {
+	t.Helper()
+	route, err := n.Route(i, j)
+	want := o.hops[i][j]
+	if want < 0 {
+		if err == nil {
+			t.Fatalf("%s: Route(%d,%d) = %v on an unreachable pair", tag, i, j, route)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: Route(%d,%d): %v", tag, i, j, err)
+	}
+	if route[0] != i || route[len(route)-1] != j {
+		t.Fatalf("%s: Route(%d,%d) endpoints %v", tag, i, j, route)
+	}
+	if len(route)-1 != want {
+		t.Fatalf("%s: Route(%d,%d) length %d != oracle %d (%v)", tag, i, j, len(route)-1, want, route)
+	}
+	for k, v := range route {
+		if n.Node(v).Failed {
+			t.Fatalf("%s: Route(%d,%d) passes failed node %d", tag, i, j, v)
+		}
+		if k > 0 && !o.linked(route[k-1], v) {
+			t.Fatalf("%s: Route(%d,%d) uses non-link %d-%d", tag, i, j, route[k-1], v)
+		}
+	}
+}
+
 // FuzzShardedChurn drives arbitrary flip sequences from fuzz input bytes:
-// each byte flips node b % N (Fail if live, Recover if failed), checking a
-// sample of pairs against the oracle after every flip and every pair at the
-// end.
+// each byte flips node b % N (Fail if live, Recover if failed). After every
+// flip it checks a sample of pairs against the oracle, hops and routes both
+// ways plus each sampled node's route to node 0, so routes memoized under
+// an earlier topology are queried again under the new one; at the end it
+// checks every pair.
 func FuzzShardedChurn(f *testing.F) {
 	f.Add([]byte{3, 17, 3, 40, 41, 42, 17})
 	f.Add([]byte{0, 0, 0, 1, 2, 3})
@@ -187,7 +198,7 @@ func FuzzShardedChurn(f *testing.F) {
 		}
 		n := shardedRandom(7, 48, 10, 2.2)
 		size := n.NumNodes()
-		for _, b := range flips {
+		for step, b := range flips {
 			id := int(b) % size
 			if n.Node(id).Failed {
 				n.Recover(id)
@@ -195,11 +206,15 @@ func FuzzShardedChurn(f *testing.F) {
 				n.Fail(id)
 			}
 			o := newOracle(n)
+			tag := fmt.Sprintf("flip %d (node %d)", step, id)
 			for p := 0; p < size; p += 5 {
 				q := (p*13 + int(b)) % size
 				if got, want := n.Hops(p, q), o.hops[p][q]; got != want {
-					t.Fatalf("Hops(%d,%d) = %d, oracle = %d", p, q, got, want)
+					t.Fatalf("%s: Hops(%d,%d) = %d, oracle = %d", tag, p, q, got, want)
 				}
+				checkRoute(t, n, o, p, q, tag)
+				checkRoute(t, n, o, q, p, tag)
+				checkRoute(t, n, o, p, 0, tag)
 			}
 		}
 		checkMatchesOracle(t, n, "final")
