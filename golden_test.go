@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"zeiot"
@@ -43,8 +44,10 @@ func TestGoldenDefaultConfig(t *testing.T) {
 		{"e13", "e13_seed1.golden.json", "trains CNNs", nil},
 		{"e14", "e14_seed1.golden.json", "trains CNNs", nil},
 		{"e15", "e15_seed1.golden.json", "", nil},
-		// The ci.sh crowd-smoke size: four shards, so the golden pins the
-		// multi-shard hops and the shard, overlay and route-cache counters.
+		// The crowd field at its default 100,000 nodes (100 shards) pins the
+		// crowd-scale route-cache, shard and overlay counters; at 3,000
+		// nodes (four shards) -short still pins the multi-shard hops.
+		{"e16", "e16_seed1.golden.json", "routes a 100,000-node field", nil},
 		{"e16", "e16_nodes3000_seed1.golden.json", "", &zeiot.RunConfig{Seed: 1, Nodes: 3000}},
 		{"e17", "e17_seed1.golden.json", "trains CNNs", nil},
 		{"e18", "e18_seed1.golden.json", "trains CNNs", nil},
@@ -56,11 +59,7 @@ func TestGoldenDefaultConfig(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc := tc
-		name := tc.id
-		if tc.cfg != nil && tc.cfg.Quantize {
-			name += "_quant"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(strings.TrimSuffix(tc.golden, "_seed1.golden.json"), func(t *testing.T) {
 			if tc.slow != "" && testing.Short() {
 				t.Skip(tc.slow)
 			}
