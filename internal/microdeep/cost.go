@@ -53,8 +53,8 @@ type Transfer struct {
 // for why both plans are available. The order is deterministic: stages in
 // graph order, transfers in site/dependency order.
 //
-// Plans are memoized per (graph, assignment, topology epoch) — see
-// plancache.go — so repeated calls with unchanged inputs replay the cached
+// Plans are memoized per (graph, assignment, network, topology epoch) — see
+// plancache.go — so repeated calls with unchanged inputs replay the memoized
 // list. The returned slice is a fresh copy the caller owns.
 func Plan(g *Graph, a Assignment, w *wsn.Network) ([]Transfer, error) {
 	plan, err := planFor(g, a, w)
@@ -66,11 +66,8 @@ func Plan(g *Graph, a Assignment, w *wsn.Network) ([]Transfer, error) {
 
 // computePlan builds the transfer plan from scratch. rawSeen and edgeSeen
 // are caller-provided scratch bitsets (reused across calls to avoid the
-// per-stage map churn the dedup otherwise costs). touch collects the shards
-// of every consulted route — both candidate plans, not just the winner,
-// because a flip on a rejected candidate's route can flip the cost
-// comparison itself — for the plan-cache signature.
-func computePlan(g *Graph, a Assignment, w *wsn.Network, rawSeen, edgeSeen *bitset, touch *shardTouch) ([]Transfer, error) {
+// per-stage map churn the dedup otherwise costs).
+func computePlan(g *Graph, a Assignment, w *wsn.Network, rawSeen, edgeSeen *bitset) ([]Transfer, error) {
 	numNodes := w.NumNodes()
 	rawSeen.ensure(len(g.Sites) * numNodes)
 	edgeSeen.ensure(numNodes * numNodes)
@@ -95,7 +92,6 @@ func computePlan(g *Graph, a Assignment, w *wsn.Network, rawSeen, edgeSeen *bits
 				if err != nil {
 					return nil, fmt.Errorf("microdeep: planning site %d: %w", dep, err)
 				}
-				touch.addRoute(w, route)
 				width := g.Sites[dep].Width
 				for k := 0; k+1 < len(route); k++ {
 					rawPlan = append(rawPlan, Transfer{From: route[k], To: route[k+1], Scalars: width, Stage: si})
@@ -121,7 +117,6 @@ func computePlan(g *Graph, a Assignment, w *wsn.Network, rawSeen, edgeSeen *bits
 				if err != nil {
 					return nil, fmt.Errorf("microdeep: planning site %d: %w", sid, err)
 				}
-				touch.addRoute(w, route)
 				for k := 0; k+1 < len(route); k++ {
 					if edgeSeen.testSet(route[k]*numNodes + route[k+1]) {
 						continue

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"zeiot/internal/cnn"
-	"zeiot/internal/geom"
 	"zeiot/internal/rng"
 	"zeiot/internal/tensor"
 	"zeiot/internal/wsn"
@@ -127,113 +126,6 @@ func TestExecutorLossyDeterministic(t *testing.T) {
 			t.Fatalf("sample %d output differs across identical runs", i)
 		}
 	}
-}
-
-// TestPlanCachePerGraphLifetime is the regression test for the old
-// package-global plan cache, which keyed entries on raw *Graph /
-// *wsn.Network pointers: it pinned every planned graph forever, and a freed
-// object's reused address could serve a stale plan. The cache now lives on
-// the Graph and identifies networks by a process-unique ID, so fresh
-// networks — however the allocator places them — always miss, and each
-// graph's entries are invisible to every other graph.
-func TestPlanCachePerGraphLifetime(t *testing.T) {
-	g, err := BuildGraph(testNet(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]bool{}
-	for i := 0; i < 8; i++ {
-		// Each iteration drops its network; a reused allocation address
-		// must not resurrect the previous iteration's entry.
-		w := wsn.NewGrid(6, 6, 1)
-		if seen[w.ID()] {
-			t.Fatalf("iteration %d: network ID %d reused", i, w.ID())
-		}
-		seen[w.ID()] = true
-		a, err := AssignBalanced(g, w, DefaultBalanceOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Plan(g, a, w); err != nil {
-			t.Fatal(err)
-		}
-		if got := len(g.plans.m); got != i+1 {
-			t.Fatalf("iteration %d: cache holds %d entries, want %d (fresh network must miss)", i, got, i+1)
-		}
-	}
-
-	// A second graph with identical structure keeps a fully separate cache.
-	g2, err := BuildGraph(testNet(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := wsn.NewGrid(6, 6, 1)
-	a2, err := AssignBalanced(g2, w, DefaultBalanceOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Plan(g2, a2, w); err != nil {
-		t.Fatal(err)
-	}
-	if len(g2.plans.m) != 1 {
-		t.Fatalf("second graph's cache holds %d entries, want 1", len(g2.plans.m))
-	}
-	if len(g.plans.m) != 8 {
-		t.Fatalf("planning on the second graph disturbed the first graph's cache (%d entries)", len(g.plans.m))
-	}
-	for key := range g2.plans.m {
-		if _, shared := g.plans.m[key]; shared {
-			t.Fatal("two distinct graphs share a cache entry")
-		}
-	}
-}
-
-// TestPlanCacheDistinguishesTopologies plans one graph on two networks with
-// identical node layout but different connectivity: both plans are cached
-// under distinct keys and each replay matches a cold recompute.
-func TestPlanCacheDistinguishesTopologies(t *testing.T) {
-	g, err := BuildGraph(testNet(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := wsn.NewGrid(6, 6, 1) // range 1.5: axial and diagonal links
-	// Same node layout under a radio plan whose link budget closes at
-	// 1 m (−40 dBm axial) but not √2 m (−44.2 dBm diagonal): axial-only.
-	var pos []geom.Point
-	for _, nd := range wide.Nodes() {
-		pos = append(pos, nd.Pos)
-	}
-	plan := wsn.DefaultRadioPlan()
-	plan.SensitivityDBm = -52
-	plan.FadeMarginDB = 10
-	narrow := wsn.NewFromRadioPlan(pos, plan)
-	if narrow.Linked(0, 1) == false || narrow.Linked(0, 7) {
-		t.Fatal("radio plan did not produce the axial-only topology")
-	}
-	a, err := AssignBalanced(g, wide, DefaultBalanceOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	planWide, err := Plan(g, a, wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planNarrow, err := Plan(g, a, narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.plans.m) != 2 {
-		t.Fatalf("cache holds %d entries, want one per topology", len(g.plans.m))
-	}
-	// Replays must serve each topology its own plan.
-	again, err := Plan(g, a, wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(planWide) {
-		t.Fatal("replay on the wide topology returned a different plan")
-	}
-	_ = planNarrow
 }
 
 // TestExecutorLossyPaddingOnlySites runs the lossy path over a conv whose

@@ -96,9 +96,7 @@ type Graph struct {
 	Stages []Stage
 	Sites  []Site
 
-	// plans memoizes transfer plans for this graph, keyed on the target
-	// network's identity and topology epoch plus the assignment hash; the
-	// cache dies with the graph.
+	// plans memoizes this graph's last transfer plan (see plancache.go).
 	plans planCache
 }
 
@@ -106,8 +104,7 @@ type Graph struct {
 func (g *Graph) NumSites() int { return len(g.Sites) }
 
 // PlanCacheStats returns the cumulative hit/miss counts of this graph's
-// transfer-plan cache (see plancache.go). A forced recompute after a hash
-// collision counts as a miss.
+// transfer-plan memo (see plancache.go).
 func (g *Graph) PlanCacheStats() (hits, misses uint64) {
 	g.plans.mu.Lock()
 	defer g.plans.mu.Unlock()

@@ -133,8 +133,8 @@ func TestTrainEpochParallelReplicaBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation checks the (graph, assignment, topology-epoch)
-// plan cache end to end: repeated charges replay the cached plan, a
+// TestPlanCacheInvalidation checks the (graph, assignment, network, epoch)
+// plan memo end to end: repeated charges replay the cached plan, a
 // Fail/Recover advances the epoch and forces a re-plan, and every charged
 // cost equals what a cold network — same topology, no cache history —
 // produces.
@@ -169,17 +169,16 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatalf("cached replay changed costs: %d/%d vs %d/%d", total0, max0, total1, max1)
 	}
 
-	// Kill a node the plan routes through; the epoch of the grid's one
-	// shard must advance and the new charges must match a cold network with
-	// the same failure.
-	epoch0 := w.ShardEpoch(0)
+	// Kill a node the plan routes through; the topology epoch must advance
+	// and the new charges must match a cold network with the same failure.
+	epoch0 := w.Epoch()
 	const failed = 14 // interior node of the 6×6 grid
 	w.Fail(failed)
-	if w.ShardEpoch(0) != epoch0+1 {
-		t.Fatalf("Fail did not advance the shard epoch: %d -> %d", epoch0, w.ShardEpoch(0))
+	if w.Epoch() != epoch0+1 {
+		t.Fatalf("Fail did not advance the epoch: %d -> %d", epoch0, w.Epoch())
 	}
 	w.Fail(failed) // no state change: epoch must hold
-	if w.ShardEpoch(0) != epoch0+1 {
+	if w.Epoch() != epoch0+1 {
 		t.Fatal("failing an already-failed node advanced the epoch")
 	}
 	// Re-assign around the failure, as E8 does.
@@ -212,8 +211,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 
 	// Recovery advances the epoch again and restores the original costs.
 	w.Recover(failed)
-	if w.ShardEpoch(0) != epoch0+2 {
-		t.Fatalf("Recover did not advance the shard epoch: %d", w.ShardEpoch(0))
+	if w.Epoch() != epoch0+2 {
+		t.Fatalf("Recover did not advance the epoch: %d", w.Epoch())
 	}
 	assign, err = AssignBalanced(m.Graph, w, DefaultBalanceOptions())
 	if err != nil {

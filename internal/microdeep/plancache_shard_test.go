@@ -1,6 +1,7 @@
 package microdeep
 
 import (
+	"slices"
 	"testing"
 
 	"zeiot/internal/geom"
@@ -19,95 +20,86 @@ func shardedGrid(rows, cols, target int) *wsn.Network {
 	return wsn.NewSharded(positions, 1.5, wsn.ShardOptions{TargetShardSize: target})
 }
 
-// TestPlanCacheSurvivesUnrelatedShardChurn pins the plan cache contract on
-// multi-shard networks: a Fail in a shard none of the plan's consulted
-// routes touch must be a cache hit; a flip inside a touched shard, or any
-// Recover, must recompute.
-func TestPlanCacheSurvivesUnrelatedShardChurn(t *testing.T) {
-	g, err := BuildGraph(testNet(1))
+// TestPlanMemoKey walks a graph's plan memo through every part of its key.
+// Each change must miss: a fresh network, a second topology with the same
+// layout, a second graph, another assignment, a Fail and a Recover, the
+// flips on a node that hosts no site. A repeat must hit, and every answer
+// must equal a cold computePlan on the same inputs.
+func TestPlanMemoKey(t *testing.T) {
+	g, err := BuildGraph(testNet(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 12×12 grid, 16 shards of ≤9 nodes. Every site sits on the top-left
-	// 2×2 corner, so no consulted route leaves the first shard and the far
-	// shards are unrelated. (A balanced assignment spreads sites over every
-	// shard and leaves no unrelated one.)
-	w := shardedGrid(12, 12, 9)
-	a := Assignment{NodeOf: make([]int, len(g.Sites))}
-	for i := range a.NodeOf {
-		a.NodeOf[i] = []int{0, 1, 12, 13}[i%4]
-	}
-	plan0, err := Plan(g, a, w)
+	g2, err := BuildGraph(testNet(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, miss0 := g.PlanCacheStats()
-
-	// Find a node whose shard hosts no assigned site — churn there must
-	// not evict the plan. (Routes could still traverse such a shard, so
-	// pick the victim from shards the recomputed-touch signature excludes:
-	// assert behaviourally via the hit counter instead of reimplementing
-	// the signature.)
-	victim := -1
-	used := make(map[int]bool)
-	for _, tr := range plan0 {
-		used[w.ShardOf(tr.From)] = true
-		used[w.ShardOf(tr.To)] = true
+	w := wsn.NewGrid(6, 6, 1) // range 1.5: axial and diagonal links
+	// The same layout under a radio plan whose link budget closes at 1 m
+	// (−40 dBm axial) but not at √2 m (−44.2 dBm diagonal): axial links only.
+	var pos []geom.Point
+	for _, nd := range w.Nodes() {
+		pos = append(pos, nd.Pos)
 	}
-	for _, n := range a.NodeOf {
-		used[w.ShardOf(n)] = true
+	rp := wsn.DefaultRadioPlan()
+	rp.SensitivityDBm = -52
+	rp.FadeMarginDB = 10
+	narrow := wsn.NewFromRadioPlan(pos, rp)
+	if !narrow.Linked(0, 1) || narrow.Linked(0, 7) {
+		t.Fatal("radio plan did not produce the axial-only topology")
 	}
-	for id := w.NumNodes() - 1; id >= 0; id-- {
-		if !used[w.ShardOf(id)] {
-			victim = id
-			break
+	// Sites sit on the grid's diagonal, so the far corner 35 hosts none
+	// and can fail without making any plan unroutable.
+	assign := func(nodes ...int) Assignment {
+		a := Assignment{NodeOf: make([]int, len(g.Sites))}
+		for i := range a.NodeOf {
+			a.NodeOf[i] = nodes[i%len(nodes)]
 		}
+		return a
 	}
-	if victim < 0 {
-		t.Skip("every shard hosts plan traffic; cannot pick an unrelated victim")
+	a, b := assign(0, 7, 14, 21), assign(0, 7, 14, 28)
+	const victim = 35
+	steps := []struct {
+		name string
+		g    *Graph
+		a    Assignment
+		w    *wsn.Network
+		flip func()
+		hit  bool
+	}{
+		{"cold", g, a, w, nil, false},
+		{"repeat", g, a, w, nil, true},
+		{"fresh network", g, a, wsn.NewGrid(6, 6, 1), nil, false},
+		{"second topology, same layout", g, a, narrow, nil, false},
+		{"first network again", g, a, w, nil, false},
+		{"second graph", g2, a, w, nil, false},
+		{"first graph after the second", g, a, w, nil, true},
+		{"another assignment", g, b, w, nil, false},
+		{"fail", g, b, w, func() { w.Fail(victim) }, false},
+		{"repeat after fail", g, b, w, nil, true},
+		{"recover", g, b, w, func() { w.Recover(victim) }, false},
+		{"repeat after recover", g, b, w, nil, true},
 	}
-	w.Fail(victim)
-	hitsBefore, _ := g.PlanCacheStats()
-	plan1, err := Plan(g, a, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hitsAfter, missAfter := g.PlanCacheStats()
-	if hitsAfter != hitsBefore+1 || missAfter != miss0 {
-		t.Fatalf("unrelated Fail evicted plan cache: hits %d→%d misses %d→%d",
-			hitsBefore, hitsAfter, miss0, missAfter)
-	}
-	if len(plan1) != len(plan0) {
-		t.Fatalf("cached plan changed length: %d vs %d", len(plan1), len(plan0))
-	}
-
-	// A Recover anywhere must invalidate (recoveries can shorten routes in
-	// shards they do not belong to).
-	w.Recover(victim)
-	if _, err := Plan(g, a, w); err != nil {
-		t.Fatal(err)
-	}
-	_, missRecover := g.PlanCacheStats()
-	if missRecover != missAfter+1 {
-		t.Fatalf("Recover did not invalidate plan cache: misses %d→%d", missAfter, missRecover)
-	}
-
-	// A Fail inside a touched shard must invalidate; the recomputed plan
-	// must avoid the failed node.
-	inPlan := plan0[len(plan0)/2].From
-	w.Fail(inPlan)
-	_, missBefore := g.PlanCacheStats()
-	plan2, err := Plan(g, a, w)
-	if err == nil {
-		for _, tr := range plan2 {
-			if tr.From == inPlan || tr.To == inPlan {
-				t.Fatalf("recomputed plan still routes through failed node %d", inPlan)
-			}
+	for _, st := range steps {
+		if st.flip != nil {
+			st.flip()
 		}
-	}
-	_, missFail := g.PlanCacheStats()
-	if missFail != missBefore+1 {
-		t.Fatalf("touched-shard Fail did not invalidate plan cache: misses %d→%d", missBefore, missFail)
+		hits0, misses0 := st.g.PlanCacheStats()
+		got, err := Plan(st.g, st.a, st.w)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		hits, misses := st.g.PlanCacheStats()
+		if gotHit := hits == hits0+1 && misses == misses0; gotHit != st.hit || hits+misses != hits0+misses0+1 {
+			t.Fatalf("%s: hits %d→%d, misses %d→%d; want a hit: %v", st.name, hits0, hits, misses0, misses, st.hit)
+		}
+		want, err := computePlan(st.g, st.a, st.w, &bitset{}, &bitset{})
+		if err != nil {
+			t.Fatalf("%s: cold plan: %v", st.name, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: memoized plan (%d transfers) differs from a cold one (%d)", st.name, len(got), len(want))
+		}
 	}
 }
 

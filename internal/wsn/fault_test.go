@@ -3,8 +3,6 @@ package wsn
 import (
 	"math"
 	"testing"
-
-	"zeiot/internal/geom"
 )
 
 // TestLinkFaultModelDeterminism replays an interleaved attempt sequence on
@@ -254,29 +252,6 @@ func TestSendReliableMultiHop(t *testing.T) {
 	}
 	if n.Node(1).TxScalars != 12 || n.Node(2).RxScalars != 0 {
 		t.Fatalf("second hop charges %d tx / %d rx, want 12/0", n.Node(1).TxScalars, n.Node(2).RxScalars)
-	}
-}
-
-// TestNetworkIDUnique guards the cache-identity contract: every
-// constructed network — either constructor — gets a fresh, nonzero ID.
-func TestNetworkIDUnique(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := 0; i < 8; i++ {
-		var n *Network
-		if i%2 == 0 {
-			n = NewGrid(2, 2, 1)
-		} else {
-			var pos []geom.Point
-			for _, nd := range NewGrid(2, 2, 1).Nodes() {
-				pos = append(pos, nd.Pos)
-			}
-			n = NewFromRadioPlan(pos, DefaultRadioPlan())
-		}
-		id := n.ID()
-		if id == 0 || seen[id] {
-			t.Fatalf("network %d: id %d (zero or reused)", i, id)
-		}
-		seen[id] = true
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 // This file implements the routing core behind every Network. The
 // deployment area is tiled into shards; nodes with a structural link into
 // another shard are that shard's gateways. Exact hop distances are composed
-// CRP-style from three ingredients, each built lazily and cached under
-// fine-grained epochs:
+// CRP-style from three ingredients, each built lazily and kept until a flip
+// it depends on:
 //
 //   - per-shard tables: for every gateway of a shard, a BFS over the shard's
 //     live nodes giving intra-shard distances and next-hop parents;
@@ -26,21 +26,16 @@ import (
 // gateways: no tables, no overlay, and every query is one BFS per source.
 //
 // Fail/Recover never rebuild adjacency (the CSR is structural; traversals
-// filter dead nodes). A flip bumps only its shard's epoch — invalidating
-// that shard's tables and any route whose path touches the shard — plus the
-// network epoch, which invalidates per-source states. Recover additionally
-// bumps recoverGen, because a recovery can shorten paths anywhere and cached
-// routes elsewhere would silently stop being shortest; Fail alone cannot
-// (removing edges only lengthens alternatives, so an untouched cached route
-// stays shortest).
+// filter dead nodes). A flip bumps its shard's epoch, which scopes the
+// repair to that shard's tables, and the network epoch, which invalidates
+// every per-source state and memoized route.
 
 // defaultShardTarget is the intended node count per shard tile.
 const defaultShardTarget = 1024
 
 // routeMemoLimit bounds the routes memoized at once, and memoTableCells the
 // entries of the per-destination tables that hold them; on overflow of
-// either the memo is cleared wholesale (same policy as the microdeep plan
-// cache).
+// either the memo is cleared wholesale.
 const (
 	routeMemoLimit = 8192
 	memoTableCells = 1 << 20
@@ -52,7 +47,7 @@ const (
 // wholesale first.
 const srcCacheCells = 1 << 22
 
-// arenaChunk is the allocation unit of the route arenas.
+// arenaChunk is the allocation unit of the route path arena.
 const arenaChunk = 4096
 
 // ShardOptions configures the routing core's shard tiling.
@@ -69,17 +64,14 @@ type core struct {
 	shardOf []int32
 	localOf []int32
 	shards  []*shardState
-	// shardEpoch[s] advances on every effective flip of a member of shard s.
+	// shardEpoch[s] advances on every effective flip of a member of shard s;
+	// it decides when s's gateway tables rebuild.
 	shardEpoch []uint64
 	// gwIdxOf maps node id → global gateway index (-1 for non-gateways);
 	// gwNodes/gwRank are the inverse and the gateway's rank in its shard.
 	gwIdxOf []int32
 	gwNodes []int32
 	gwRank  []int32
-
-	// recoverGen advances on every effective Recover (see the file comment
-	// for why Fail does not move it).
-	recoverGen uint64
 
 	// Work counters surfaced via Network.RebuildStats: per-shard table
 	// (re)builds and per-source overlay Dijkstra runs.
@@ -99,16 +91,14 @@ type core struct {
 	memoTo    [][]memoRoute
 	memoDests []int32
 	memoCount int
-	// pathArena and sigArena back memoized route paths and signatures. A
-	// full chunk is replaced by a fresh one, never reused, so a route slice
-	// handed out earlier keeps its contents.
+	// pathArena backs memoized route paths. A full chunk is replaced by a
+	// fresh one, never reused, so a route slice handed out earlier keeps
+	// its contents.
 	pathArena []int
-	sigArena  []uint64
 
 	// scratch
 	q    []int32
 	heap []uint64
-	sig  []uint64
 }
 
 // shardState is one tile's lazily built routing tables.
@@ -142,13 +132,10 @@ type srcState struct {
 	row []int
 }
 
-// memoRoute is one memoized route with its validity signature: the epochs
-// of every shard the path touches, as (shard, epoch) pairs, plus the
-// recover generation.
+// memoRoute is one memoized route and the network epoch it was found at.
 type memoRoute struct {
-	path       []int
-	sig        []uint64
-	recoverGen uint64
+	path  []int
+	epoch uint64
 }
 
 // buildCore derives the CSR adjacency, tiles the bounding box into a k×k
@@ -220,13 +207,10 @@ func (n *Network) buildCore(opts ShardOptions) {
 }
 
 // flip records one effective Fail/Recover: the network epoch and the
-// flipped node's shard epoch move (plus recoverGen for Recover).
-func (n *Network) flip(id int, recovered bool) {
+// flipped node's shard epoch move.
+func (n *Network) flip(id int) {
 	n.epoch++
 	n.shardEpoch[n.shardOf[id]]++
-	if recovered {
-		n.recoverGen++
-	}
 }
 
 // ensureShard returns shard s with its gateway tables current. A shard
@@ -485,8 +469,7 @@ func (n *Network) walkIntra(st *srcState, v int32, path []int) []int {
 	return append(path, int(st.src))
 }
 
-// memoize stores path as the route i→j, with the epochs of the shards it
-// touches.
+// memoize stores path as the route i→j at the current epoch.
 func (n *Network) memoize(i, j int, path []int) {
 	newTable := n.memoTo[j] == nil
 	if n.memoCount >= routeMemoLimit || newTable && (len(n.memoDests)+1)*len(n.nodes) > memoTableCells {
@@ -502,41 +485,10 @@ func (n *Network) memoize(i, j int, path []int) {
 		n.memoTo[j] = tab
 		n.memoDests = append(n.memoDests, int32(j))
 	}
-	sig := n.sig[:0]
-	for _, v := range path {
-		s := uint64(n.shardOf[v])
-		known := false
-		for k := 0; k < len(sig); k += 2 {
-			if sig[k] == s {
-				known = true
-				break
-			}
-		}
-		if !known {
-			sig = append(sig, s, n.shardEpoch[s])
-		}
-	}
-	n.sig = sig
 	if tab[i].path == nil {
 		n.memoCount++
 	}
-	tab[i] = memoRoute{
-		path:       path,
-		sig:        append(carve(&n.sigArena, len(sig)), sig...),
-		recoverGen: n.recoverGen,
-	}
-}
-
-func (n *Network) routeValid(e *memoRoute) bool {
-	if e.recoverGen != n.recoverGen {
-		return false
-	}
-	for k := 0; k < len(e.sig); k += 2 {
-		if n.shardEpoch[e.sig[k]] != e.sig[k+1] {
-			return false
-		}
-	}
-	return true
+	tab[i] = memoRoute{path: path, epoch: n.epoch}
 }
 
 // liveNeighbors appends i's live neighbours to buf and returns it.
@@ -557,9 +509,9 @@ func (n *Network) liveNeighbors(i int, buf []int) []int {
 
 // carve returns an empty slice with capacity size from the chunked arena
 // *a, allocating a fresh chunk when the current one is full.
-func carve[T any](a *[]T, size int) []T {
+func carve(a *[]int, size int) []int {
 	if cap(*a)-len(*a) < size {
-		*a = make([]T, 0, max(arenaChunk, size))
+		*a = make([]int, 0, max(arenaChunk, size))
 	}
 	lo := len(*a)
 	*a = (*a)[:lo+size]

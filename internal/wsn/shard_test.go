@@ -291,8 +291,9 @@ func TestRouteIndependentOfQueryOrder(t *testing.T) {
 }
 
 // TestShardedIncrementalRepair verifies the repair contract directly: flips
-// never trigger another full structural build, only the flipped node's
-// shard epoch moves, and unrelated shards' tables are not rebuilt.
+// never trigger another full structural build, each effective flip moves
+// the topology epoch by one and only the flipped node's shard epoch, and
+// unrelated shards' tables are not rebuilt.
 func TestShardedIncrementalRepair(t *testing.T) {
 	n := NewSharded(gridPositions(20, 20, 1), 1.5, ShardOptions{TargetShardSize: 25})
 	if n.NumShards() < 2 {
@@ -308,23 +309,21 @@ func TestShardedIncrementalRepair(t *testing.T) {
 		t.Fatal("warm-up built no shard tables")
 	}
 	victim := 399 // opposite corner from source 0
-	vs := n.ShardOf(victim)
-	epochs := make([]uint64, n.NumShards())
-	for s := range epochs {
-		epochs[s] = n.ShardEpoch(s)
-	}
+	vs := int(n.shardOf[victim])
+	epochs := slices.Clone(n.shardEpoch)
+	epoch0 := n.Epoch()
 	n.Fail(victim)
 	for s := range epochs {
 		want := epochs[s]
 		if s == vs {
 			want++
 		}
-		if got := n.ShardEpoch(s); got != want {
+		if got := n.shardEpoch[s]; got != want {
 			t.Fatalf("shard %d epoch = %d, want %d", s, got, want)
 		}
 	}
-	if n.RecoverGen() != 0 {
-		t.Fatalf("RecoverGen moved on Fail")
+	if n.Epoch() != epoch0+1 {
+		t.Fatalf("Epoch = %d after Fail, want %d", n.Epoch(), epoch0+1)
 	}
 	// Re-query: only the victim's shard may rebuild its tables (the
 	// overlay re-runs, but per-shard work is bounded to the touched shard).
@@ -338,8 +337,8 @@ func TestShardedIncrementalRepair(t *testing.T) {
 		t.Fatalf("flip rebuilt %d shard tables, want 1", rebuilt)
 	}
 	n.Recover(victim)
-	if n.RecoverGen() != 1 {
-		t.Fatalf("RecoverGen = %d after Recover, want 1", n.RecoverGen())
+	if n.Epoch() != epoch0+2 || n.shardEpoch[vs] != epochs[vs]+2 {
+		t.Fatalf("after Recover: Epoch %d, shard epoch %d; want %d, %d", n.Epoch(), n.shardEpoch[vs], epoch0+2, epochs[vs]+2)
 	}
 }
 
@@ -367,31 +366,50 @@ func TestRebuildStatsCountOnlyWork(t *testing.T) {
 	}
 }
 
-// TestShardedRouteMemoSurvivesUnrelatedFail pins the cache-survival
-// property the plan cache builds on: a Fail in a shard a memoized route
-// never touches must not evict it (a Recover must, anywhere).
-func TestShardedRouteMemoSurvivesUnrelatedFail(t *testing.T) {
-	n := NewSharded(gridPositions(20, 20, 1), 1.5, ShardOptions{TargetShardSize: 25})
-	// Route along the top edge; churn the bottom-right corner.
-	if _, err := n.Route(0, 19); err != nil {
-		t.Fatal(err)
+// TestRouteMemoEpoch pins the route memo's validity rule on a 16-shard
+// grid: a repeat hits, and every flip, a Fail in a shard the route never
+// touches as much as its Recover, costs exactly one miss. Each answer
+// equals a cold twin's with the same failures, since a route depends only
+// on the topology.
+func TestRouteMemoEpoch(t *testing.T) {
+	positions := gridPositions(20, 20, 1)
+	opts := ShardOptions{TargetShardSize: 25}
+	n := NewSharded(positions, 1.5, opts)
+	if n.NumShards() != 16 {
+		t.Fatalf("NumShards = %d, want 16", n.NumShards())
 	}
-	hits0, miss0 := n.RouteCacheStats()
-	n.Fail(399)
-	if _, err := n.Route(0, 19); err != nil {
-		t.Fatal(err)
-	}
-	hits1, miss1 := n.RouteCacheStats()
-	if hits1 != hits0+1 || miss1 != miss0 {
-		t.Fatalf("unrelated Fail evicted route memo: hits %d→%d misses %d→%d", hits0, hits1, miss0, miss1)
-	}
-	n.Recover(399)
-	if _, err := n.Route(0, 19); err != nil {
-		t.Fatal(err)
-	}
-	hits2, miss2 := n.RouteCacheStats()
-	if miss2 != miss1+1 {
-		t.Fatalf("Recover did not invalidate route memo: hits %d→%d misses %d→%d", hits1, hits2, miss1, miss2)
+	const far = 399 // bottom-right corner; the route runs along the top edge
+	for _, st := range []struct {
+		name        string
+		flip        func(*Network)
+		hits, total uint64
+	}{
+		{"cold", nil, 0, 1},
+		{"repeat", nil, 1, 2},
+		{"far fail", func(w *Network) { w.Fail(far) }, 1, 3},
+		{"repeat after fail", nil, 2, 4},
+		{"far recover", func(w *Network) { w.Recover(far) }, 2, 5},
+		{"repeat after recover", nil, 3, 6},
+	} {
+		if st.flip != nil {
+			st.flip(n)
+		}
+		got, err := n.Route(0, 19)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if hits, misses := n.RouteCacheStats(); hits != st.hits || hits+misses != st.total {
+			t.Fatalf("%s: %d hits, %d misses; want %d hits of %d", st.name, hits, misses, st.hits, st.total)
+		}
+		twin := NewSharded(positions, 1.5, opts)
+		for id, nd := range n.Nodes() {
+			if nd.Failed {
+				twin.Fail(id)
+			}
+		}
+		if want, _ := twin.Route(0, 19); !slices.Equal(got, want) {
+			t.Fatalf("%s: Route(0,19) = %v, cold twin %v", st.name, got, want)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ package wsn
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"zeiot/internal/geom"
 	"zeiot/internal/radio"
@@ -38,23 +37,17 @@ type Node struct {
 	RxScalars int
 }
 
-// networkSeq issues process-unique network identities; see Network.ID.
-var networkSeq atomic.Uint64
-
 // Network is a static multi-hop sensor network. Its routing core (shard.go)
 // answers hop distances and routes exactly from a structural CSR adjacency
 // and lazily built per-shard and per-source BFS state. Queries fill those
 // caches, so a Network is not safe for concurrent use.
 type Network struct {
-	// id is a process-unique identity assigned at construction. Caches key
-	// on it instead of the *Network pointer, so a freed network's reused
-	// address can never alias a live cache entry.
-	id       uint64
 	nodes    []*Node
 	maxRange float64
 	plan     *RadioPlan
 	// epoch counts topology changes (Fail/Recover that actually flip a
-	// node's state); per-source routing states are valid for one epoch.
+	// node's state); per-source routing states and memoized routes are
+	// valid for one epoch.
 	epoch uint64
 	// routeHits/routeMisses count Route's memo outcomes over the network's
 	// lifetime. Plain integers rather than a recorder hook: Route is a hot
@@ -104,7 +97,7 @@ func gridPositions(rows, cols int, spacing float64) []geom.Point {
 }
 
 func newNetwork(positions []geom.Point, maxRange float64, plan *RadioPlan, opts ShardOptions) *Network {
-	n := &Network{id: networkSeq.Add(1), maxRange: maxRange, plan: plan}
+	n := &Network{maxRange: maxRange, plan: plan}
 	for i, p := range positions {
 		n.nodes = append(n.nodes, &Node{ID: i, Pos: p})
 	}
@@ -133,11 +126,11 @@ func (n *Network) Live() []int {
 }
 
 // Fail marks a node as broken; it stops linking and forwarding. The repair
-// is incremental: only the node's shard epoch moves (see shard.go).
+// is incremental: only the node's shard tables rebuild (see shard.go).
 func (n *Network) Fail(id int) {
 	if !n.nodes[id].Failed {
 		n.nodes[id].Failed = true
-		n.flip(id, false)
+		n.flip(id)
 	}
 }
 
@@ -145,14 +138,14 @@ func (n *Network) Fail(id int) {
 func (n *Network) Recover(id int) {
 	if n.nodes[id].Failed {
 		n.nodes[id].Failed = false
-		n.flip(id, true)
+		n.flip(id)
 	}
 }
 
-// ID returns this network's process-unique identity: a monotonic counter
-// assigned at construction and never reused, safe to key caches on where a
-// raw pointer could alias a freed network's recycled address.
-func (n *Network) ID() uint64 { return n.id }
+// Epoch returns the topology epoch: it advances on every Fail or Recover
+// that flips a node, and on nothing else. Any answer computed from this
+// network's routes stays valid while the epoch holds.
+func (n *Network) Epoch() uint64 { return n.epoch }
 
 // Linked reports whether i and j are both live and share a direct link.
 func (n *Network) Linked(i, j int) bool {
@@ -216,10 +209,10 @@ func (n *Network) buildRow(src int) []int {
 // Route returns the node sequence from i to j inclusive, read back from j's
 // search state, so the answer depends only on the topology, never on query
 // order. The slice is a memoized view shared by every caller asking for the
-// same pair while the route stays valid; it must be treated as read-only.
+// same pair within one topology epoch; it must be treated as read-only.
 func (n *Network) Route(i, j int) ([]int, error) {
 	if tab := n.memoTo[j]; tab != nil {
-		if e := &tab[i]; e.path != nil && n.routeValid(e) {
+		if e := &tab[i]; e.path != nil && e.epoch == n.epoch {
 			n.routeHits++
 			return e.path, nil
 		}
@@ -256,19 +249,6 @@ func (n *Network) RebuildStats() (full, shard, overlay uint64) {
 
 // NumShards returns the shard count.
 func (n *Network) NumShards() int { return len(n.shards) }
-
-// ShardOf returns the shard index of a node.
-func (n *Network) ShardOf(id int) int { return int(n.shardOf[id]) }
-
-// ShardEpoch returns the given shard's epoch: it advances only when a node
-// of that shard flips, so caches keyed on the epochs of the shards they
-// touch survive unrelated churn.
-func (n *Network) ShardEpoch(shard int) uint64 { return n.shardEpoch[shard] }
-
-// RecoverGen advances on every effective Recover. Caches that key on
-// touched-shard epochs must also key on this: a recovery can shorten routes
-// in shards it does not belong to, whereas a Fail cannot.
-func (n *Network) RecoverGen() uint64 { return n.recoverGen }
 
 // Connected reports whether all live nodes form one component.
 func (n *Network) Connected() bool {
