@@ -130,8 +130,7 @@ type Tracker struct {
 	// pos is the current estimate; d0 the initial distances.
 	pos  geom.Point
 	d0   []float64
-	last [][]float64 // per-reader wrapped phase history (len 1: latest)
-	init bool
+	last [][]float64 // per-reader wrapped phase history
 }
 
 // NewTracker starts tracking a tag known to begin at start.
@@ -156,7 +155,6 @@ func (t *Tracker) Observe(phases []float64) (geom.Point, error) {
 	for i, ph := range phases {
 		t.last[i] = append(t.last[i], ph)
 	}
-	t.init = true
 	// Current distance to each reader = initial distance + Δd from the
 	// unwrapped phase stream.
 	dists := make([]float64, len(t.Readers))

@@ -17,9 +17,10 @@ import (
 	"testing"
 )
 
-// unusedAllowed lists the package-level declarations that stay although no
-// non-test file of the module uses them, each with its reason. A key is
-// <package>.<Name> or <package>.<Type>.<Method>.
+// unusedAllowed lists the package-level declarations and struct fields that
+// stay although no non-test file of the module uses them, each with its
+// reason. A key is <package>.<Name>, <package>.<Type>.<Method> or
+// <package>.<Type>.<field>.
 var unusedAllowed = map[string]string{
 	"microdeep.Model.LocalUpdate": "zbench, a module of its own, calls it",
 	"microdeep.Model.SetGossip":   "EXPERIMENTS.md documents gossip mode through it",
@@ -45,6 +46,8 @@ var stdCalled = map[string]bool{
 //     unusedAllowed. A use from inside the declaration itself does not
 //     count. A method is also reached when non-test code calls a method of
 //     its name through an interface, or when stdCalled holds its name.
+//     Every unexported field of a package-level struct type is read by a
+//     non-test file (see checkUnreadFields).
 //   - goroutines: the root package starts goroutines only in harness.fanOut,
 //     so every experiment's concurrency goes through the one deterministic
 //     fan-out.
@@ -199,7 +202,11 @@ func (m *sourceModule) Import(path string) (*types.Package, error) {
 		return m.std.Import(path)
 	}
 	if p.types == nil {
-		p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		p.info = &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
 		conf := types.Config{Importer: m}
 		pkg, err := conf.Check(path, m.fset, p.files, p.info)
 		if err != nil {
@@ -287,7 +294,7 @@ func checkUnused(t *testing.T, m *sourceModule) {
 			})
 		}
 	}
-	seen := map[string]bool{}
+	seen := checkUnreadFields(t, m)
 	for _, p := range m.pkgs {
 		for _, tl := range p.topLevels() {
 			for _, obj := range tl.objs {
@@ -323,6 +330,83 @@ func checkUnused(t *testing.T, m *sourceModule) {
 			t.Errorf("unusedAllowed holds %s, which non-test code now uses or which is gone; drop the entry", key)
 		}
 	}
+}
+
+// checkUnreadFields reports every unexported field of a package-level
+// struct type that no non-test file reads, unless unusedAllowed holds it,
+// and returns the keys of the unread fields. Embedded fields are skipped:
+// their promoted members are what code reads. A selector x.f that is the
+// whole left-hand side of a plain = assignment writes f, and so does a
+// composite-literal key; every other selector reads it, x.f += v and x.f++
+// included. The fields of a struct used as a map key are read by the map's
+// hashing. Exported fields stay out of the rule: encoding/json and
+// encoding/gob read them by reflection, as zeiotd's wire types and the
+// checkpoint blobs rely on.
+func checkUnreadFields(t *testing.T, m *sourceModule) map[string]bool {
+	read := map[types.Object]bool{}
+	readAll := func(typ types.Type) {
+		if st, ok := typ.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				read[st.Field(i)] = true
+			}
+		}
+	}
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			written := map[*ast.SelectorExpr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN {
+						for _, lhs := range n.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								written[sel] = true
+							}
+						}
+					}
+				case *ast.SelectorExpr:
+					if v, ok := p.info.Uses[n.Sel].(*types.Var); ok && v.IsField() && !written[n] {
+						read[v.Origin()] = true
+					}
+				case *ast.MapType:
+					readAll(p.info.TypeOf(n.Key))
+				}
+				return true
+			})
+		}
+	}
+	unread := map[string]bool{}
+	for _, p := range m.pkgs {
+		for _, tl := range p.topLevels() {
+			spec, ok := tl.node.(*ast.TypeSpec)
+			if !ok {
+				continue
+			}
+			ast.Inspect(spec.Type, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						obj := p.info.Defs[id]
+						if obj == nil || obj.Exported() || obj.Name() == "_" || read[obj] {
+							continue
+						}
+						key := p.types.Name() + "." + spec.Name.Name + "." + id.Name
+						unread[key] = true
+						if _, ok := unusedAllowed[key]; ok {
+							continue
+						}
+						t.Errorf("%s: field %s is read by no non-test file of the module; delete it, or add it to unusedAllowed with a reason",
+							m.fset.Position(id.Pos()), key)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return unread
 }
 
 func checkGoStatements(t *testing.T, m *sourceModule) {
