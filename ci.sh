@@ -40,7 +40,8 @@ go test -run '^$' -fuzz FuzzSegmentIntersectsCircle -fuzztime 10s ./internal/geo
 # must agree with the all-pairs BFS oracle of the wsn tests.
 go test -run '^$' -fuzz FuzzShardedChurn -fuzztime 10s ./internal/wsn
 # Fuzz step: POST /jobs decodes network input; any body must answer 200,
-# 202, 400 or 429 without a panic, every 2xx with the config's ConfigKey.
+# 202, 400, 413 (past the body limit) or 429 without a panic, every 2xx
+# with the config's ConfigKey.
 go test -run '^$' -fuzz FuzzSubmit -fuzztime 10s ./cmd/zeiotd
 # Fuzz step: the checkpoint decoders E17's -resume reads must reject any
 # garbage without a panic, and every trainer they accept must take a step.

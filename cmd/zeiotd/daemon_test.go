@@ -93,7 +93,8 @@ func getResult(t *testing.T, ts *httptest.Server, id string) []byte {
 }
 
 // TestSubmitValidation: every malformed submission is a 400, never a queued
-// job running a half-understood config.
+// job running a half-understood config, and a body past maxSubmitBody is a
+// 413 however it continues.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, 1, 4, func(ctx context.Context, w jobs.Work) ([]byte, error) {
 		return nil, fmt.Errorf("validation test must not run jobs")
@@ -112,9 +113,24 @@ func TestSubmitValidation(t *testing.T) {
 		"trailing value":    `{"experiment":"e1","config":{"Seed":1}} {"experiment":"e2"}`,
 		"trailing brace":    `{"experiment":"e1","config":{"Seed":1}}}`,
 	}
+	// A body of exactly maxSubmitBody bytes is read whole (here it names an
+	// unknown experiment); one byte more is refused unread.
+	sized := func(n int) string {
+		const head, tail = `{"experiment":"`, `"}`
+		return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+	}
+	cases["at the size limit"] = sized(maxSubmitBody)
 	for name, body := range cases {
 		if _, code := submit(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, code)
+		}
+	}
+	for name, body := range map[string]string{
+		"one byte over the limit":                    sized(maxSubmitBody + 1),
+		"valid request, then padding past the limit": `{"experiment":"e1"}` + strings.Repeat(" ", maxSubmitBody),
+	} {
+		if _, code := submit(t, ts, body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413", name, code)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/jobs/j1")

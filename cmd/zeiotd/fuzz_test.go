@@ -14,10 +14,10 @@ import (
 
 // FuzzSubmit drives POST /jobs with arbitrary bodies through the handler,
 // with no socket and a stub runner. The submit decoder must never panic and
-// must answer 200 (cache hit), 202 (queued), 400 (rejected) or 429 (queue
-// full), every 2xx must carry the ConfigKey of the config the body decodes
-// to, and a 2xx body holds one JSON value with only JSON whitespace after
-// it.
+// must answer 200 (cache hit), 202 (queued), 400 (rejected), 413 (only for
+// a body past maxSubmitBody) or 429 (queue full), every 2xx must carry the
+// ConfigKey of the config the body decodes to, and a 2xx body holds one
+// JSON value with only JSON whitespace after it.
 func FuzzSubmit(f *testing.F) {
 	for _, body := range []string{
 		`{"experiment":"e1","config":{"Seed":1}}`,
@@ -52,6 +52,11 @@ func FuzzSubmit(f *testing.F) {
 		switch rec.Code {
 		case http.StatusOK, http.StatusAccepted:
 		case http.StatusBadRequest, http.StatusTooManyRequests:
+			return
+		case http.StatusRequestEntityTooLarge:
+			if len(body) <= maxSubmitBody {
+				t.Fatalf("413 for a %d-byte body, within the %d-byte limit", len(body), maxSubmitBody)
+			}
 			return
 		default:
 			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)

@@ -95,18 +95,26 @@ type submitResponse struct {
 	CacheHit bool   `json:"cache_hit"`
 }
 
+// maxSubmitBody bounds a POST /jobs body, so one request cannot make the
+// daemon buffer an arbitrarily long JSON value. A config that names every
+// modality is under 1 KiB.
+const maxSubmitBody = 64 << 10
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		bodyError(w, err)
 		return
 	}
 	// Decode stops after the first value; a body is one request, so
 	// anything but whitespace after it is malformed, not ignored.
 	if _, err := dec.Token(); err != io.EOF {
-		httpError(w, http.StatusBadRequest, errors.New("bad request body: data after the request object"))
+		if err == nil {
+			err = errors.New("data after the request object")
+		}
+		bodyError(w, err)
 		return
 	}
 	if req.Experiment == "" {
@@ -361,6 +369,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// bodyError answers a POST /jobs body the decoder rejected: 413 past
+// maxSubmitBody, 400 for anything else.
+func bodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Errorf("bad request body: %w", err))
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
