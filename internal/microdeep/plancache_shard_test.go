@@ -2,6 +2,7 @@ package microdeep
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"zeiot/internal/geom"
@@ -20,6 +21,15 @@ func shardedGrid(rows, cols, target int) *wsn.Network {
 	return wsn.NewSharded(positions, 1.5, wsn.ShardOptions{TargetShardSize: target})
 }
 
+// axialGrid rebuilds w's layout with range 1: its axial links only.
+func axialGrid(w *wsn.Network) *wsn.Network {
+	var pos []geom.Point
+	for _, nd := range w.Nodes() {
+		pos = append(pos, nd.Pos)
+	}
+	return wsn.New(pos, 1)
+}
+
 // TestPlanMemoKey walks a graph's plan memo through every part of its key.
 // Each change must miss: a fresh network, a second topology with the same
 // layout, a second graph, another assignment, a Fail and a Recover, the
@@ -35,19 +45,7 @@ func TestPlanMemoKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := wsn.NewGrid(6, 6, 1) // range 1.5: axial and diagonal links
-	// The same layout under a radio plan whose link budget closes at 1 m
-	// (−40 dBm axial) but not at √2 m (−44.2 dBm diagonal): axial links only.
-	var pos []geom.Point
-	for _, nd := range w.Nodes() {
-		pos = append(pos, nd.Pos)
-	}
-	rp := wsn.DefaultRadioPlan()
-	rp.SensitivityDBm = -52
-	rp.FadeMarginDB = 10
-	narrow := wsn.NewFromRadioPlan(pos, rp)
-	if !narrow.Linked(0, 1) || narrow.Linked(0, 7) {
-		t.Fatal("radio plan did not produce the axial-only topology")
-	}
+	narrow := axialGrid(w)
 	// Sites sit on the grid's diagonal, so the far corner 35 hosts none
 	// and can fail without making any plan unroutable.
 	assign := func(nodes ...int) Assignment {
@@ -101,6 +99,50 @@ func TestPlanMemoKey(t *testing.T) {
 			t.Fatalf("%s: memoized plan (%d transfers) differs from a cold one (%d)", st.name, len(got), len(want))
 		}
 	}
+}
+
+// TestPlanMemoConcurrent shares one graph between goroutines that each
+// charge their own network, half of them axial-only, so the memo's entry
+// is replaced while other goroutines still replay the plan it held. Every
+// charge must equal the serial one.
+func TestPlanMemoConcurrent(t *testing.T) {
+	g, err := BuildGraph(testNet(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AssignBalanced(g, wsn.NewGrid(6, 6, 1), DefaultBalanceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 4, 25
+	nets := make([]*wsn.Network, workers)
+	want := make([]int, workers)
+	for k := range nets {
+		nets[k] = wsn.NewGrid(6, 6, 1)
+		if k%2 == 1 {
+			nets[k] = axialGrid(nets[k])
+		}
+		if want[k], err = ChargeForward(g, a, nets[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0] == want[1] {
+		t.Fatal("the two topologies charge the same; the memo replacement would go unseen")
+	}
+	var wg sync.WaitGroup
+	for k := range nets {
+		wg.Add(1)
+		go func(w *wsn.Network, want int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if got, err := ChargeForward(g, a, w); err != nil || got != want {
+					t.Errorf("round %d: charged %d (%v), serial %d", r, got, err, want)
+					return
+				}
+			}
+		}(nets[k], want[k])
+	}
+	wg.Wait()
 }
 
 // TestPlanShardedMatchesDense checks that planning over a four-shard tiling
