@@ -1,9 +1,12 @@
 package microdeep
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"zeiot/internal/cnn"
+	"zeiot/internal/geom"
 	"zeiot/internal/rng"
 	"zeiot/internal/tensor"
 	"zeiot/internal/wsn"
@@ -124,6 +127,121 @@ func TestExecutorLossyDeterministic(t *testing.T) {
 	for i := range outA {
 		if !tensor.Equal(outA[i], outB[i], 0) {
 			t.Fatalf("sample %d output differs across identical runs", i)
+		}
+	}
+}
+
+// TestPlanCachePerGraphLifetime is the regression test for the old
+// package-global plan cache, which keyed entries on raw *Graph /
+// *wsn.Network pointers: it pinned every planned graph forever, and a freed
+// object's reused address could serve a stale plan. The memo now lives on
+// the Graph and holds the network it planned on, so a fresh network —
+// however the allocator places it — always misses, and each graph's memo
+// is invisible to every other graph.
+func TestPlanCachePerGraphLifetime(t *testing.T) {
+	g, err := BuildGraph(testNet(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		w *wsn.Network
+		a Assignment
+	)
+	for i := 0; i < 8; i++ {
+		// Each iteration collects the networks the memo no longer holds;
+		// a reused allocation address must not resurrect an earlier
+		// iteration's plan.
+		runtime.GC()
+		w = wsn.NewGrid(6, 6, 1)
+		if a, err = AssignBalanced(g, w, DefaultBalanceOptions()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Plan(g, a, w); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := g.PlanCacheStats(); hits != 0 || misses != uint64(i+1) {
+			t.Fatalf("iteration %d: %d hits, %d misses; want 0 and %d (a fresh network must miss)", i, hits, misses, i+1)
+		}
+	}
+
+	// A second graph with identical structure keeps a fully separate memo.
+	g2, err := BuildGraph(testNet(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := AssignBalanced(g2, w, DefaultBalanceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Plan(g2, a2, w); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := g2.PlanCacheStats(); hits != 0 || misses != 1 {
+		t.Fatalf("second graph: %d hits, %d misses; want 0 and 1", hits, misses)
+	}
+	if _, err := Plan(g, a, w); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := g.PlanCacheStats(); hits != 1 || misses != 8 {
+		t.Fatalf("planning on the second graph disturbed the first graph's memo: %d hits, %d misses; want 1 and 8", hits, misses)
+	}
+}
+
+// TestPlanCacheDistinguishesTopologies plans one graph on two networks with
+// identical node layout but different connectivity: each topology misses,
+// the two plans differ, and every replay matches a cold recompute.
+func TestPlanCacheDistinguishesTopologies(t *testing.T) {
+	g, err := BuildGraph(testNet(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := wsn.NewGrid(6, 6, 1) // range 1.5: axial and diagonal links
+	// Same node layout under a radio plan whose link budget closes at
+	// 1 m (−40 dBm axial) but not √2 m (−44.2 dBm diagonal): axial-only.
+	var pos []geom.Point
+	for _, nd := range wide.Nodes() {
+		pos = append(pos, nd.Pos)
+	}
+	plan := wsn.DefaultRadioPlan()
+	plan.SensitivityDBm = -52
+	plan.FadeMarginDB = 10
+	narrow := wsn.NewFromRadioPlan(pos, plan)
+	if narrow.Linked(0, 1) == false || narrow.Linked(0, 7) {
+		t.Fatal("radio plan did not produce the axial-only topology")
+	}
+	a, err := AssignBalanced(g, wide, DefaultBalanceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := func(w *wsn.Network) []Transfer {
+		p, err := computePlan(g, a, w, &bitset{}, &bitset{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	coldWide, coldNarrow := cold(wide), cold(narrow)
+	if slices.Equal(coldWide, coldNarrow) {
+		t.Fatal("the two topologies yield the same plan; the test cannot tell them apart")
+	}
+	for i, st := range []struct {
+		name string
+		w    *wsn.Network
+		want []Transfer
+	}{
+		{"wide", wide, coldWide},
+		{"narrow", narrow, coldNarrow},
+		{"wide again", wide, coldWide},
+	} {
+		got, err := Plan(g, a, st.w)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if !slices.Equal(got, st.want) {
+			t.Fatalf("%s: memoized plan (%d transfers) differs from a cold one (%d)", st.name, len(got), len(st.want))
+		}
+		if hits, misses := g.PlanCacheStats(); hits != 0 || misses != uint64(i+1) {
+			t.Fatalf("%s: %d hits, %d misses; want 0 and %d (each topology switch must miss)", st.name, hits, misses, i+1)
 		}
 	}
 }
