@@ -194,3 +194,127 @@ func TestSkeletonValidation(t *testing.T) {
 		t.Fatal("mismatched names/starts accepted")
 	}
 }
+
+// refTracker is the Tracker that keeps each reader's whole wrapped-phase
+// history and unwraps all of it again on every reading. Tracker must give
+// bit-equal estimates; TestTrackerMatchesRef holds it to that.
+type refTracker struct {
+	readers []Reader
+	pos     geom.Point
+	d0      []float64
+	last    [][]float64
+}
+
+func newRefTracker(readers []Reader, start geom.Point) *refTracker {
+	t := &refTracker{readers: readers, pos: start, d0: make([]float64, len(readers)), last: make([][]float64, len(readers))}
+	for i, r := range readers {
+		t.d0[i] = geom.Dist(r.Pos, start)
+	}
+	return t
+}
+
+func (t *refTracker) observe(phases []float64) geom.Point {
+	for i, ph := range phases {
+		t.last[i] = append(t.last[i], ph)
+	}
+	dists := make([]float64, len(t.readers))
+	for i, r := range t.readers {
+		wrapped := t.last[i]
+		unwrapped := make([]float64, len(wrapped))
+		unwrapped[0] = wrapped[0]
+		for j := 1; j < len(wrapped); j++ {
+			delta := wrapped[j] - wrapped[j-1]
+			for delta > math.Pi {
+				delta -= 2 * math.Pi
+			}
+			for delta < -math.Pi {
+				delta += 2 * math.Pi
+			}
+			unwrapped[j] = unwrapped[j-1] + delta
+		}
+		dd := make([]float64, len(unwrapped))
+		for j, th := range unwrapped {
+			dd[j] = (th - unwrapped[0]) * r.Lambda / (4 * math.Pi)
+		}
+		dists[i] = t.d0[i] + dd[len(dd)-1]
+	}
+	p := t.pos
+	for iter := 0; iter < 10; iter++ {
+		var jtj [2][2]float64
+		var jtr [2]float64
+		for i, r := range t.readers {
+			di := geom.Dist(r.Pos, p)
+			if di < 1e-6 {
+				di = 1e-6
+			}
+			res := di - dists[i]
+			jx := (p.X - r.Pos.X) / di
+			jy := (p.Y - r.Pos.Y) / di
+			jtj[0][0] += jx * jx
+			jtj[0][1] += jx * jy
+			jtj[1][0] += jy * jx
+			jtj[1][1] += jy * jy
+			jtr[0] += jx * res
+			jtr[1] += jy * res
+		}
+		det := jtj[0][0]*jtj[1][1] - jtj[0][1]*jtj[1][0]
+		if math.Abs(det) < 1e-12 {
+			break
+		}
+		dx := (jtj[1][1]*jtr[0] - jtj[0][1]*jtr[1]) / det
+		dy := (jtj[0][0]*jtr[1] - jtj[1][0]*jtr[0]) / det
+		p.X -= dx
+		p.Y -= dy
+		if math.Hypot(dx, dy) < 1e-9 {
+			break
+		}
+	}
+	t.pos = p
+	return p
+}
+
+// TestTrackerMatchesRef feeds random phase streams through Tracker and
+// refTracker side by side: random walks read through noisy readers, wrapped
+// phases whose steps cross ±π, and unreduced phases whose steps span
+// several turns. Every estimate must be bit-equal at every step.
+func TestTrackerMatchesRef(t *testing.T) {
+	stream := rng.New(28)
+	for trial := 0; trial < 60; trial++ {
+		readers := testReaders()
+		for i := range readers {
+			readers[i].Offset = stream.Float64() * 2 * math.Pi
+		}
+		start := geom.Point{X: 1 + 4*stream.Float64(), Y: 1 + 3*stream.Float64()}
+		tr, err := NewTracker(readers, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefTracker(readers, start)
+		truth := start
+		step := 0.005 + 0.1*stream.Float64() // up to ~λ/3 per reading
+		phases := make([]float64, len(readers))
+		for n := 0; n < 150; n++ {
+			truth = truth.Add(geom.Point{X: step * stream.NormMeanStd(0, 1), Y: step * stream.NormMeanStd(0, 1)})
+			for i, r := range readers {
+				switch trial % 3 {
+				case 0:
+					phases[i] = r.Phase(truth, stream)
+				case 1:
+					// Wrapped phases with steps of any size and sign.
+					phases[i] = math.Mod(phases[i]+(stream.Float64()-0.5)*6*math.Pi+8*math.Pi, 2*math.Pi)
+				default:
+					// Unreduced phases, whose steps wrap several times.
+					phases[i] = (stream.Float64() - 0.5) * 20 * math.Pi
+				}
+			}
+			got, err := tr.Observe(phases)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.observe(phases)
+			if math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+				t.Fatalf("trial %d reading %d: estimate %v, reference %v", trial, n, got, want)
+			}
+		}
+	}
+}
