@@ -84,46 +84,50 @@ func Build(plan []microdeep.Transfer, w *wsn.Network, opts Options) (*Schedule, 
 			maxStage = tr.Stage
 		}
 	}
+	words := (w.NumNodes() + 63) / 64
 	base := 0
 	for stage := 0; stage <= maxStage; stage++ {
 		transfers := stages[stage]
 		if len(transfers) == 0 {
 			continue
 		}
-		// slotUse[slot][channel] lists the transmissions placed there
-		// during this stage.
-		slotUse := []map[int][]placed{}
+		// busy[slot*words:] is the slot's bitset of nodes that send or
+		// receive in it, on any channel (one radio per node);
+		// use[slot*Channels+ch] lists the transmissions placed on channel
+		// ch of the slot. Both cover this stage's slots only.
+		var busy []uint64
+		var use [][]placed
+		slots := 0
 		for _, tr := range transfers {
-			assigned := false
-			for slot := 0; !assigned; slot++ {
-				if slot == len(slotUse) {
-					slotUse = append(slotUse, make(map[int][]placed))
+			// First fit: the first slot where neither endpoint is busy
+			// and some channel is free of collisions, then the first such
+			// channel.
+			for slot := 0; ; slot++ {
+				if slot == slots {
+					busy = append(busy, make([]uint64, words)...)
+					use = append(use, make([][]placed, opts.Channels)...)
+					slots++
 				}
-				// Half-duplex: neither endpoint may appear anywhere in
-				// this slot on any channel.
-				busy := false
-				for _, chEntries := range slotUse[slot] {
-					for _, p := range chEntries {
-						if p.from == tr.From || p.to == tr.From || p.from == tr.To || p.to == tr.To {
-							busy = true
-						}
-					}
-				}
-				if busy {
+				b := busy[slot*words : (slot+1)*words]
+				if b[tr.From/64]&(1<<(tr.From%64)) != 0 || b[tr.To/64]&(1<<(tr.To%64)) != 0 {
 					continue
 				}
-				for ch := 0; ch < opts.Channels; ch++ {
-					if collides(w, slotUse[slot][ch], tr, opts.InterferenceHops) {
-						continue
-					}
-					slotUse[slot][ch] = append(slotUse[slot][ch], placed{tr.From, tr.To})
-					s.Entries = append(s.Entries, Entry{Transfer: tr, Slot: base + slot, Channel: ch})
-					assigned = true
-					break
+				chans := use[slot*opts.Channels : (slot+1)*opts.Channels]
+				ch := 0
+				for ch < opts.Channels && collides(w, chans[ch], tr, opts.InterferenceHops) {
+					ch++
 				}
+				if ch == opts.Channels {
+					continue
+				}
+				b[tr.From/64] |= 1 << (tr.From % 64)
+				b[tr.To/64] |= 1 << (tr.To % 64)
+				chans[ch] = append(chans[ch], placed{tr.From, tr.To})
+				s.Entries = append(s.Entries, Entry{Transfer: tr, Slot: base + slot, Channel: ch})
+				break
 			}
 		}
-		base += len(slotUse)
+		base += slots
 		s.StageEnd[stage] = base
 	}
 	s.Slots = base
