@@ -6,10 +6,7 @@
 // reproducible for a given seed.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // event is a scheduled action.
 type event struct {
@@ -18,24 +15,9 @@ type event struct {
 	fn  func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// before orders events by timestamp, then by insertion.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Kernel is a discrete-event scheduler. The zero value is ready to use.
@@ -43,8 +25,9 @@ func (q *eventQueue) Pop() interface{} {
 // Kernel is not safe for concurrent use; a simulation is a single logical
 // thread of control.
 type Kernel struct {
-	now   time.Duration
-	queue eventQueue
+	now time.Duration
+	// queue is a binary min-heap of pending events under before.
+	queue []event
 	seq   uint64
 }
 
@@ -60,8 +43,9 @@ func (k *Kernel) At(at time.Duration, fn func()) {
 	if at < k.now {
 		panic("sim: scheduling event in the past")
 	}
-	heap.Push(&k.queue, &event{at: at, seq: k.seq, fn: fn})
+	k.queue = append(k.queue, event{at: at, seq: k.seq, fn: fn})
 	k.seq++
+	k.up(len(k.queue) - 1)
 }
 
 // After schedules fn to run delay after the current virtual time.
@@ -84,8 +68,52 @@ func (k *Kernel) Run(horizon time.Duration) {
 			k.now = horizon
 			return
 		}
-		heap.Pop(&k.queue)
+		last := len(k.queue) - 1
+		k.queue[0] = k.queue[last]
+		k.queue[last] = event{} // release the closure
+		k.queue = k.queue[:last]
+		if last > 0 {
+			k.down(0)
+		}
 		k.now = next.at
 		next.fn()
 	}
+}
+
+// up moves the event at index j toward the root until its parent is before
+// it.
+func (k *Kernel) up(j int) {
+	q := k.queue
+	e := q[j]
+	for j > 0 {
+		parent := (j - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[j] = q[parent]
+		j = parent
+	}
+	q[j] = e
+}
+
+// down moves the event at index i toward the leaves until it is before both
+// children.
+func (k *Kernel) down(i int) {
+	q := k.queue
+	e := q[i]
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
 }
