@@ -133,18 +133,29 @@ type device struct {
 	period   time.Duration
 	pending  bool
 	deadline time.Duration
+	// read and guard are the device's reading and dummy-guard events,
+	// bound once so that scheduling them allocates nothing.
+	read, guard func()
 }
 
 type simulator struct {
-	cfg     Config
-	k       *sim.Kernel
-	stream  *rng.Stream
-	queue   []*frame
-	busy    bool
+	cfg    Config
+	k      *sim.Kernel
+	stream *rng.Stream
+	// queue holds the frames waiting for the channel, head first.
+	queue []frame
+	busy  bool
+	// onAir is the frame on the air while busy, and riders the devices
+	// backscattering on it. One frame is on the air at a time, so riders
+	// is reused from frame to frame.
+	onAir   frame
+	riders  []*device
 	devices []*device
 	m       Metrics
 	busyFor time.Duration // accumulated airtime
 	horizon time.Duration
+	// arrive and finish are wlanArrival and finishFrame, bound once.
+	arrive, finish func()
 }
 
 // Run simulates the channel for the given duration and returns metrics.
@@ -161,6 +172,7 @@ func Run(cfg Config, duration time.Duration) (Metrics, error) {
 		stream:  rng.New(cfg.Seed),
 		horizon: duration,
 	}
+	s.arrive, s.finish = s.wlanArrival, s.finishFrame
 	for i := 0; i < cfg.NumDevices; i++ {
 		period := cfg.Period
 		if len(cfg.Periods) > 0 {
@@ -169,13 +181,16 @@ func Run(cfg Config, duration time.Duration) (Metrics, error) {
 				return Metrics{}, fmt.Errorf("mac: non-positive period for device %d", i)
 			}
 		}
-		s.devices = append(s.devices, &device{id: i, period: period})
+		d := &device{id: i, period: period}
+		d.read = func() { s.reading(d) }
+		d.guard = func() { s.dummyGuard(d) }
+		s.devices = append(s.devices, d)
 		// Stagger generation phases across the period.
 		phase := time.Duration(int64(period) * int64(i) / int64(maxInt(cfg.NumDevices, 1)))
-		s.scheduleReading(s.devices[i], phase)
+		s.k.At(phase, d.read)
 	}
 	if cfg.WLANRate > 0 {
-		s.k.After(s.nextArrival(), s.wlanArrival)
+		s.k.After(s.nextArrival(), s.arrive)
 	}
 	s.k.Run(duration)
 	s.finalize(duration)
@@ -195,11 +210,11 @@ func (s *simulator) nextArrival() time.Duration {
 
 func (s *simulator) wlanArrival() {
 	s.m.WLANOffered++
-	s.enqueue(&frame{enqueued: s.k.Now()})
-	s.k.After(s.nextArrival(), s.wlanArrival)
+	s.enqueue(frame{enqueued: s.k.Now()})
+	s.k.After(s.nextArrival(), s.arrive)
 }
 
-func (s *simulator) enqueue(f *frame) {
+func (s *simulator) enqueue(f frame) {
 	s.queue = append(s.queue, f)
 	if !s.busy {
 		s.startNext()
@@ -210,25 +225,26 @@ func (s *simulator) startNext() {
 	if s.busy || len(s.queue) == 0 {
 		return
 	}
-	f := s.queue[0]
-	s.queue = s.queue[1:]
+	s.onAir = s.queue[0]
+	// Shift rather than reslice, so the queue keeps its capacity.
+	s.queue = s.queue[:copy(s.queue, s.queue[1:])]
 	s.busy = true
 	s.busyFor += s.cfg.FrameDur
-	riders := s.pickRiders(f)
-	s.k.After(s.cfg.FrameDur, func() { s.finishFrame(f, riders) })
+	s.riders = s.pickRiders(&s.onAir, s.riders[:0])
+	s.k.After(s.cfg.FrameDur, s.finish)
 }
 
-// pickRiders decides which pending devices backscatter on this frame.
-func (s *simulator) pickRiders(f *frame) []*device {
+// pickRiders appends to riders the pending devices that backscatter on
+// frame f.
+func (s *simulator) pickRiders(f *frame, riders []*device) []*device {
 	switch s.cfg.Mode {
 	case ModeScheduled:
 		if f.dummy {
 			// A dummy frame carries exactly the device it was sent for.
-			d := s.devices[f.dummyFor]
-			if d.pending {
-				return []*device{d}
+			if d := s.devices[f.dummyFor]; d.pending {
+				riders = append(riders, d)
 			}
-			return nil
+			return riders
 		}
 		// Earliest-deadline-first over pending devices.
 		var best *device
@@ -240,12 +256,11 @@ func (s *simulator) pickRiders(f *frame) []*device {
 				best = d
 			}
 		}
-		if best == nil {
-			return nil
+		if best != nil {
+			riders = append(riders, best)
 		}
-		return []*device{best}
+		return riders
 	case ModeAloha:
-		var riders []*device
 		for _, d := range s.devices {
 			if d.pending {
 				riders = append(riders, d)
@@ -257,7 +272,9 @@ func (s *simulator) pickRiders(f *frame) []*device {
 	}
 }
 
-func (s *simulator) finishFrame(f *frame, riders []*device) {
+// finishFrame ends the on-air frame's transmission.
+func (s *simulator) finishFrame() {
+	f, riders := &s.onAir, s.riders
 	s.busy = false
 	switch {
 	case len(riders) == 1:
@@ -281,7 +298,10 @@ func (s *simulator) finishFrame(f *frame, riders []*device) {
 	if corrupted {
 		s.m.WLANRetries++
 		f.retries++
-		s.queue = append([]*frame{f}, s.queue...)
+		// Retransmit first: put the frame back at the head.
+		s.queue = append(s.queue, frame{})
+		copy(s.queue[1:], s.queue)
+		s.queue[0] = *f
 	} else if !f.dummy {
 		s.m.WLANDelivered++
 		s.m.MeanWLANDelay += s.k.Now() - f.enqueued // finalized later
@@ -289,36 +309,40 @@ func (s *simulator) finishFrame(f *frame, riders []*device) {
 	s.startNext()
 }
 
-func (s *simulator) scheduleReading(d *device, at time.Duration) {
-	s.k.At(at, func() {
-		// Generating a new reading while the previous one is still pending
-		// means the previous one missed its deadline.
-		if d.pending {
-			d.pending = false
-			s.m.BSMissed++
+// reading generates device d's next reading, then schedules its dummy
+// guard and the reading after it.
+func (s *simulator) reading(d *device) {
+	// Generating a new reading while the previous one is still pending
+	// means the previous one missed its deadline.
+	if d.pending {
+		d.pending = false
+		s.m.BSMissed++
+	}
+	s.m.BSGenerated++
+	d.pending = true
+	d.deadline = s.k.Now() + d.period
+	if s.cfg.Mode == ModeScheduled && !s.cfg.DisableDummy {
+		// Guard slot: if the reading is still pending close to its
+		// deadline, insert a dummy frame to provide a carrier.
+		guard := d.period - 2*s.cfg.FrameDur
+		if guard < 0 {
+			guard = 0
 		}
-		s.m.BSGenerated++
-		d.pending = true
-		d.deadline = s.k.Now() + d.period
-		if s.cfg.Mode == ModeScheduled && !s.cfg.DisableDummy {
-			// Guard slot: if the reading is still pending close to its
-			// deadline, insert a dummy frame to provide a carrier.
-			guard := d.period - 2*s.cfg.FrameDur
-			if guard < 0 {
-				guard = 0
-			}
-			s.k.After(guard, func() {
-				if d.pending && s.k.Now()+s.cfg.FrameDur <= s.horizon {
-					s.m.DummyFrames++
-					s.enqueue(&frame{enqueued: s.k.Now(), dummy: true, dummyFor: d.id})
-				}
-			})
-		}
-		next := s.k.Now() + d.period
-		if next <= s.horizon {
-			s.scheduleReading(d, next)
-		}
-	})
+		s.k.After(guard, d.guard)
+	}
+	next := s.k.Now() + d.period
+	if next <= s.horizon {
+		s.k.At(next, d.read)
+	}
+}
+
+// dummyGuard inserts a dummy frame for device d if its reading is still
+// pending and the frame fits before the horizon.
+func (s *simulator) dummyGuard(d *device) {
+	if d.pending && s.k.Now()+s.cfg.FrameDur <= s.horizon {
+		s.m.DummyFrames++
+		s.enqueue(frame{enqueued: s.k.Now(), dummy: true, dummyFor: d.id})
+	}
 }
 
 func (s *simulator) finalize(duration time.Duration) {
