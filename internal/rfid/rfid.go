@@ -78,16 +78,22 @@ func UnwrapPhases(wrapped []float64) []float64 {
 	}
 	out[0] = wrapped[0]
 	for i := 1; i < len(wrapped); i++ {
-		delta := wrapped[i] - wrapped[i-1]
-		for delta > math.Pi {
-			delta -= 2 * math.Pi
-		}
-		for delta < -math.Pi {
-			delta += 2 * math.Pi
-		}
-		out[i] = out[i-1] + delta
+		out[i] = out[i-1] + unwrapStep(wrapped[i-1], wrapped[i])
 	}
 	return out
+}
+
+// unwrapStep returns the phase change from the wrapped reading prev to the
+// wrapped reading next, reduced into [-π, π] by whole turns.
+func unwrapStep(prev, next float64) float64 {
+	delta := next - prev
+	for delta > math.Pi {
+		delta -= 2 * math.Pi
+	}
+	for delta < -math.Pi {
+		delta += 2 * math.Pi
+	}
+	return delta
 }
 
 // DeltaDistances converts an unwrapped phase sequence into distance changes
@@ -128,9 +134,20 @@ func EstimateDirection(wrapped []float64, lambda, threshold float64) Direction {
 type Tracker struct {
 	Readers []Reader
 	// pos is the current estimate; d0 the initial distances.
-	pos  geom.Point
-	d0   []float64
-	last [][]float64 // per-reader wrapped phase history
+	pos geom.Point
+	d0  []float64
+	// phase unwraps each reader's stream one reading at a time; dists is
+	// Observe's scratch of current distances.
+	phase []phaseTrack
+	dists []float64
+}
+
+// phaseTrack is one reader's unwrapped phase stream, advanced by
+// UnwrapPhases' step: the last wrapped reading, and the first and the
+// current unwrapped phase. The first reading starts it.
+type phaseTrack struct {
+	started              bool
+	last, first, current float64
 }
 
 // NewTracker starts tracking a tag known to begin at start.
@@ -142,7 +159,8 @@ func NewTracker(readers []Reader, start geom.Point) (*Tracker, error) {
 	for i, r := range readers {
 		t.d0[i] = geom.Dist(r.Pos, start)
 	}
-	t.last = make([][]float64, len(readers))
+	t.phase = make([]phaseTrack, len(readers))
+	t.dists = make([]float64, len(readers))
 	return t, nil
 }
 
@@ -152,15 +170,19 @@ func (t *Tracker) Observe(phases []float64) (geom.Point, error) {
 	if len(phases) != len(t.Readers) {
 		return geom.Point{}, fmt.Errorf("rfid: %d phases for %d readers", len(phases), len(t.Readers))
 	}
-	for i, ph := range phases {
-		t.last[i] = append(t.last[i], ph)
-	}
 	// Current distance to each reader = initial distance + Δd from the
-	// unwrapped phase stream.
-	dists := make([]float64, len(t.Readers))
+	// unwrapped phase stream, in DeltaDistances' operation order.
+	dists := t.dists
 	for i, r := range t.Readers {
-		dd := DeltaDistances(UnwrapPhases(t.last[i]), r.Lambda)
-		dists[i] = t.d0[i] + dd[len(dd)-1]
+		pt := &t.phase[i]
+		if pt.started {
+			pt.current += unwrapStep(pt.last, phases[i])
+		} else {
+			pt.started = true
+			pt.first, pt.current = phases[i], phases[i]
+		}
+		pt.last = phases[i]
+		dists[i] = t.d0[i] + (pt.current-pt.first)*r.Lambda/(4*math.Pi)
 	}
 	// Gauss–Newton from the previous estimate.
 	p := t.pos
