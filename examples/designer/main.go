@@ -10,7 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"zeiot"
@@ -24,12 +26,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run walks the design loop, printing each step's result to out.
+func run(out io.Writer) error {
 	// 1. Floor plan: an 8×6 grid of sensing positions and one partition
 	// wall with a doorway.
 	var positions []geom.Point
@@ -44,7 +47,7 @@ func run() error {
 		// Doorway gap between y=6.5 and y=11.
 	}
 	net := wsn.NewFromRadioPlan(positions, plan)
-	fmt.Printf("floor plan: %d nodes, connected=%v\n", net.NumNodes(), net.Connected())
+	fmt.Fprintf(out, "floor plan: %d nodes, connected=%v\n", net.NumNodes(), net.Connected())
 
 	// 2. Deploy a CNN over the field with the balanced heuristic.
 	s := rng.New(1)
@@ -65,7 +68,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("deployment: %d units, max %d scalars/sample on the busiest node\n",
+	fmt.Fprintf(out, "deployment: %d units, max %d scalars/sample on the busiest node\n",
 		model.Graph.NumUnits(), cost.Max)
 
 	// 3. Generate the TDMA collection schedule (2 channels) and validate.
@@ -81,24 +84,24 @@ func run() error {
 	if err := sched.Validate(transfers, net, opts); err != nil {
 		return err
 	}
-	fmt.Printf("schedule: %d transfers in %d slots on %d channels (collision-free: validated)\n",
+	fmt.Fprintf(out, "schedule: %d transfers in %d slots on %d channels (collision-free: validated)\n",
 		len(sched.Entries), sched.Slots, sched.Channels)
 
 	// 4. Feasibility of the required collection cycle.
 	const slotSec = 0.004 // 4 ms slots (ZigBee-class frames)
 	for _, requiredHz := range []float64{0.2, 1, 5} {
 		rep := sched.Feasibility(slotSec, requiredHz)
-		fmt.Printf("cycle %4.1f Hz: round %.0f ms, max rate %.1f Hz, feasible=%v\n",
+		fmt.Fprintf(out, "cycle %4.1f Hz: round %.0f ms, max rate %.1f Hz, feasible=%v\n",
 			requiredHz, rep.RoundSec*1000, rep.MaxRateHz, rep.CycleOK)
 	}
 
 	// 5. Energy check: can the busiest node sustain 1 Hz on 100 µW
 	// harvested power, per radio technology?
 	const bitsPerScalar = 32
-	fmt.Println("energy-sustainable rate at the busiest node (100 µW harvest):")
+	fmt.Fprintln(out, "energy-sustainable rate at the busiest node (100 µW harvest):")
 	for _, r := range radio.StandardRadios() {
 		perSampleJ := float64(cost.Max*bitsPerScalar) * r.JoulesPerBit()
-		fmt.Printf("  %-12s %8.2f Hz\n", r.Tech, 100e-6/perSampleJ)
+		fmt.Fprintf(out, "  %-12s %8.2f Hz\n", r.Tech, 100e-6/perSampleJ)
 	}
 
 	// The registry's e11 runs the same feasibility loop on the paper's
@@ -111,7 +114,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("registry e11: backscatter sustains %.2f Hz (%.0fx over WiFi) (in %s)\n",
+	fmt.Fprintf(out, "registry e11: backscatter sustains %.2f Hz (%.0fx over WiFi) (in %s)\n",
 		res.Summary["rate_backscatter"], res.Summary["backscatter_speedup"],
 		res.Timings[zeiot.StageTotal].Round(time.Millisecond))
 	return nil
