@@ -10,16 +10,19 @@
 # all-pairs BFS oracle), a 10 s fuzz of zeiotd's submit decoder, a 10 s
 # fuzz of the CNN checkpoint decoders (FuzzLoad: the reader E17's
 # -checkpoint … -resume goes through), a 10 s fuzz of the MicroDeep
-# checkpoint loader (FuzzRestoreTraining), a build, vet and test of the
+# checkpoint loader (FuzzRestoreTraining), a 10 s fuzz of the TDMA
+# scheduler against its first-fit reference (FuzzBuildMatchesRef), a 10 s
+# fuzz of the result-cache key (FuzzConfigKey), a build, vet and test of the
 # zbench module (its own go.mod, which the root ./... never reaches), and
 # the smokes that need the real zeiotbench and zeiotd binaries: e1 at seed
 # 1 through the CLI must emit exactly the checked-in golden JSON, with and
 # without -metrics-out; the -quant golden of e13; comma-list, -nodes and
 # -modalities runs; every flag-rejection exit code; e17's kill/resume
 # flow; and the daemon's submit, cache and SIGTERM drain. The goldens of
-# every experiment, serial and at several training workers, are go test's
-# (TestGoldenDefaultConfig, TestMetricsGolden), so no step here repeats
-# one of their rows.
+# every experiment, serial and at several training workers, and the
+# designer example's output are go test's (TestGoldenDefaultConfig,
+# TestMetricsGolden, TestOutputGolden), so no step here repeats one of
+# their rows.
 set -eux
 
 go build ./...
@@ -50,6 +53,14 @@ go test -run '^$' -fuzz FuzzLoad -fuzztime 10s ./internal/cnn
 # and every checkpoint it accepts must leave a model that runs a
 # distributed forward pass and a training step.
 go test -run '^$' -fuzz FuzzRestoreTraining -fuzztime 10s ./internal/microdeep
+# Fuzz step: on any plan over a small grid, schedule.Build must place every
+# transfer where the first-fit reference does, and the schedule must pass
+# Validate.
+go test -run '^$' -fuzz FuzzBuildMatchesRef -fuzztime 10s ./internal/schedule
+# Fuzz step: two valid configs share a ConfigKey exactly when their
+# CanonicalConfig texts are equal, and spellings the canonical form
+# normalizes (SampleScale 0 for 1, -0 for +0, Modalities as a set) share one.
+go test -run '^$' -fuzz FuzzConfigKey -fuzztime 10s .
 # zbench is a module of its own (replace zeiot => ../), so the steps above
 # never compile it; a deleted or renamed API it calls fails here.
 (cd zbench && go build ./... && go vet ./... && go test ./...)
