@@ -10,10 +10,10 @@ import (
 )
 
 // TestPropertyRandomPlansValidate: random synthetic transfer plans over
-// random grids always produce schedules that pass Validate, for any channel
-// count and interference range.
+// random grids always produce schedules that match refBuild and pass
+// Validate, for any channel count and interference range.
 func TestPropertyRandomPlansValidate(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 40}
+	cfg := &quick.Config{MaxCount: 200}
 	err := quick.Check(func(gridSel, planSeed, chSel, ihSel uint8) bool {
 		rows := 2 + int(gridSel%4)
 		cols := 2 + int(gridSel/4%4)
@@ -24,16 +24,10 @@ func TestPropertyRandomPlansValidate(t *testing.T) {
 		n := 5 + stream.Intn(40)
 		for i := 0; i < n; i++ {
 			from := stream.Intn(w.NumNodes())
-			var neighbors []int
-			for j := range w.NumNodes() {
-				if w.Linked(from, j) {
-					neighbors = append(neighbors, j)
-				}
-			}
-			if len(neighbors) == 0 {
+			to, ok := pickNeighbor(w, from, stream.Intn(w.NumNodes()))
+			if !ok {
 				continue
 			}
-			to := neighbors[stream.Intn(len(neighbors))]
 			plan = append(plan, microdeep.Transfer{
 				From:    from,
 				To:      to,
@@ -41,16 +35,8 @@ func TestPropertyRandomPlansValidate(t *testing.T) {
 				Stage:   1 + stream.Intn(3),
 			})
 		}
-		opts := Options{Channels: 1 + int(chSel%4), InterferenceHops: int(ihSel % 3)}
-		s, err := Build(plan, w, opts)
-		if err != nil {
-			t.Logf("build: %v", err)
-			return false
-		}
-		if err := s.Validate(plan, w, opts); err != nil {
-			t.Logf("validate: %v", err)
-			return false
-		}
+		opts := Options{Channels: 1 + int(chSel%8), InterferenceHops: int(ihSel % 3)}
+		checkMatchesRef(t, plan, w, opts)
 		return true
 	}, cfg)
 	if err != nil {
